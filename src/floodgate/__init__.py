@@ -25,7 +25,7 @@ from .errors import FloodgateError  # noqa: E402
 from .features import (  # noqa: E402
     FEATURE_NAMES,
     SCHEMA_VERSION,
-    Window,
+    Windows,
     extract_features,
     label_windows,
     read_truth,
@@ -62,6 +62,7 @@ from .mlp import (  # noqa: E402
 from .pcapio import (  # noqa: E402
     Frame,
     PacketMeta,
+    Packets,
     TcpFlags,
     Transport,
     decode_frame,

@@ -148,8 +148,7 @@ def cmd_extract(args) -> int:
     packets = read_pcap(args.pcap)
     windows = window_packets(packets, args.window)
     truth = read_truth(args.truth) if args.truth else []
-    records = label_windows(windows, truth)
-    ds = Dataset.from_records(records)
+    ds = Dataset(extract_features(packets, windows), label_windows(windows, truth))
     write_csv(ds, args.out)
     counts = ds.class_counts()
     print(f"extracted {len(ds)} windows from {len(packets)} packets into {args.out}")
@@ -210,18 +209,12 @@ def cmd_classify(args) -> int:
     model = load_model(args.model)
     packets = read_pcap(args.pcap)
     windows = window_packets(packets, args.window)
+    normalized = apply_normalization(extract_features(packets, windows), model.norm)
     lines = [CLASSIFY_HEADER]
-    for w in windows:
-        if not w.packets:
-            continue
-        probs = forward(model, apply_normalization(extract_features(w), model.norm))
+    for start, end, x in zip(windows.start_ts.tolist(), windows.end_ts.tolist(), normalized):
+        probs = forward(model, x)
         label = TrafficClass(int(np.argmax(probs)))
-        lines.append(
-            ",".join(
-                [repr(w.start_ts), repr(w.end_ts), label.alias]
-                + [repr(float(p)) for p in probs]
-            )
-        )
+        lines.append(",".join([repr(start), repr(end), label.alias] + [repr(p) for p in probs.tolist()]))
     with atomic_write(args.out, "w") as fh:
         fh.write("\n".join(lines) + "\n")
     print(f"classified {len(lines) - 1} windows into {args.out}")

@@ -73,10 +73,6 @@ class UnsortedInput(FloodgateError):
     """A packet sequence is not ordered by timestamp."""
 
 
-class EmptyWindow(FloodgateError):
-    """Feature extraction was asked to process a window with no packets."""
-
-
 class OverlappingTruth(FloodgateError):
     """Ground-truth label intervals overlap."""
 

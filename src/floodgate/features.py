@@ -30,21 +30,27 @@ Schema v1, in input-layer order:
 
 Windows are half-open [k*len, (k+1)*len) slices computed in integer
 microseconds, so a packet exactly on a boundary belongs to the later window.
+Only windows that hold packets exist.
+
+The features of all windows are computed at once from the packet columns
+of `pcapio.Packets`. Every float is reduced per window in packet order, with
+the same operations as a loop over that window's packets, so each row is
+bit-for-bit what such a loop gives; the tests keep that loop as the oracle.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .dataset import LabeledRecord, TrafficClass, encode_label
-from .errors import EmptyWindow, MalformedRow, OverlappingTruth, UnsortedInput
+from .dataset import TrafficClass, encode_label
+from .errors import MalformedRow, OverlappingTruth, UnsortedInput
 from .ioutil import atomic_write
-from .pcapio import PacketMeta, Transport
+from .pcapio import NON_IP, TCP, UDP, Packets
 
 SCHEMA_VERSION = 1
 
@@ -79,23 +85,35 @@ HTTP_PORTS = (80, 8080)
 HTTP_METHODS = (b"GET ", b"POST", b"HEAD", b"PUT ")
 SMALL_UDP_MAX_PAYLOAD = 64
 
+_HTTP_METHOD_CODES = [int.from_bytes(m, "big") for m in HTTP_METHODS]
+# TCP flag bits, as TcpFlags.from_byte reads them.
+_FIN, _SYN, _RST, _ACK = 0x01, 0x02, 0x04, 0x10
+
 TRUTH_HEADER = ("start_ts", "end_ts", "label")
 
 
-@dataclass
-class Window:
-    """A half-open [start_ts, end_ts) slice of the packet stream."""
+@dataclass(frozen=True, eq=False)
+class Windows:
+    """The non-empty windows of a packet stream, in time order.
 
-    start_ts: float
-    end_ts: float
-    packets: list[PacketMeta] = field(default_factory=list)
+    Window w spans [start_ts[w], end_ts[w]) and holds the packet rows
+    bounds[w]:bounds[w + 1]; `bounds` has len(windows) + 1 entries.
+    """
+
+    start_ts: np.ndarray
+    end_ts: np.ndarray
+    bounds: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.start_ts)
 
 
-def window_packets(packets: Sequence[PacketMeta], window_len: float) -> list[Window]:
-    """Tile the stream into consecutive windows of `window_len` seconds.
+def window_packets(packets: Packets, window_len: float) -> Windows:
+    """Group a time-ordered packet stream into windows of `window_len` seconds.
 
-    Empty windows between the first and last packet are kept (callers skip
-    them); every packet lands in exactly one window.
+    Only windows that hold packets exist, so a gap in the capture (or a
+    bogus early timestamp) costs nothing; every packet lands in exactly one
+    window.
     """
     if window_len <= 0:
         raise ValueError("window_len must be positive")
@@ -103,133 +121,155 @@ def window_packets(packets: Sequence[PacketMeta], window_len: float) -> list[Win
     if len_us <= 0:
         raise ValueError("window_len must be at least one microsecond")
 
-    pkts = list(packets)
-    if not pkts:
-        return []
-    stamps = [p.ts_sec * 1_000_000 + p.ts_usec for p in pkts]
-    for i in range(1, len(stamps)):
-        if stamps[i] < stamps[i - 1]:
-            raise UnsortedInput(f"packet {i} is earlier than its predecessor")
-
-    first = stamps[0] // len_us
-    last = stamps[-1] // len_us
-    windows = [
-        Window(start_ts=(w * len_us) / 1e6, end_ts=((w + 1) * len_us) / 1e6)
-        for w in range(first, last + 1)
-    ]
-    for pkt, us in zip(pkts, stamps):
-        windows[us // len_us - first].packets.append(pkt)
-    return windows
-
-
-def _entropy(counts) -> float:
-    total = sum(counts)
-    if total == 0:
-        return 0.0
-    h = 0.0
-    for c in counts:
-        p = c / total
-        h -= p * math.log2(p)
-    return h + 0.0
-
-
-def extract_features(window: Window) -> np.ndarray:
-    """Compute the 24 schema-v1 features for one non-empty window."""
-    pkts = window.packets
-    n = len(pkts)
-    if n == 0:
-        raise EmptyWindow(f"window [{window.start_ts}, {window.end_ts}) has no packets")
-
-    byte_count = 0
-    byte_sq = 0
-    tcp = udp = 0
-    syn = pure_ack = finrst = synack = 0
-    http_req = small_udp = 0
-    ttl_sum = 0
-    ipv4_count = 0
-    src_counts: dict[int, int] = {}
-    port_counts: dict[int, int] = {}
-    five_tuples = set()
-
-    for p in pkts:
-        size = p.original_len
-        byte_count += size
-        byte_sq += size * size
-        if p.transport is Transport.TCP:
-            tcp += 1
-            f = p.tcp_flags
-            if f.syn and not f.ack:
-                syn += 1
-            elif f.syn and f.ack:
-                synack += 1
-            elif f.ack and p.payload_len == 0:
-                pure_ack += 1
-            if f.fin or f.rst:
-                finrst += 1
-            if p.dst_port in HTTP_PORTS and p.payload_prefix[:4] in HTTP_METHODS:
-                http_req += 1
-        elif p.transport is Transport.UDP:
-            udp += 1
-            if p.payload_len <= SMALL_UDP_MAX_PAYLOAD:
-                small_udp += 1
-        if p.src_ip is not None:
-            src_counts[p.src_ip] = src_counts.get(p.src_ip, 0) + 1
-            ipv4_count += 1
-            ttl_sum += p.ttl
-        if p.transport in (Transport.TCP, Transport.UDP):
-            port_counts[p.dst_port] = port_counts.get(p.dst_port, 0) + 1
-            five_tuples.add((p.src_ip, p.dst_ip, p.src_port, p.dst_port, p.transport))
-
-    mean_size = byte_count / n
-    var_size = max(byte_sq / n - mean_size * mean_size, 0.0)
-
-    if n >= 2:
-        stamps = [p.timestamp for p in pkts]
-        gaps = [b - a for a, b in zip(stamps, stamps[1:])]
-        mean_gap = sum(gaps) / len(gaps)
-        var_gap = sum((g - mean_gap) ** 2 for g in gaps) / len(gaps)
-        std_gap = math.sqrt(var_gap)
-    else:
-        mean_gap = std_gap = 0.0
-
-    return np.array(
-        [
-            float(n),
-            float(byte_count),
-            mean_size,
-            math.sqrt(var_size),
-            tcp / n,
-            udp / n,
-            (n - tcp - udp) / n,
-            float(syn),
-            syn / n,
-            float(pure_ack),
-            pure_ack / n,
-            finrst / n,
-            float(synack),
-            float(len(src_counts)),
-            float(len(port_counts)),
-            _entropy(port_counts.values()),
-            _entropy(src_counts.values()),
-            mean_gap,
-            std_gap,
-            float(http_req),
-            http_req / n,
-            small_udp / n,
-            (ttl_sum / ipv4_count) if ipv4_count else 0.0,
-            float(len(five_tuples)),
-        ],
-        dtype=np.float64,
+    if len(packets) == 0:
+        return Windows(np.empty(0), np.empty(0), np.zeros(1, dtype=np.int64))
+    stamps = packets.ts_sec * 1_000_000 + packets.ts_usec
+    unsorted = np.flatnonzero(stamps[1:] < stamps[:-1])
+    if unsorted.size:
+        raise UnsortedInput(f"packet {unsorted[0] + 1} is earlier than its predecessor")
+    # Stamps stay below 2**53, so any longer window puts them all in window 0 as well.
+    slot = stamps // min(len_us, 1 << 62)
+    bounds = np.concatenate(([0], np.flatnonzero(np.diff(slot)) + 1, [len(slot)]))
+    # Python ints: k * len_us may not fit in int64 for a very long window.
+    slots = slot[bounds[:-1]].tolist()
+    return Windows(
+        start_ts=np.array([(k * len_us) / 1e6 for k in slots], dtype=np.float64),
+        end_ts=np.array([((k + 1) * len_us) / 1e6 for k in slots], dtype=np.float64),
+        bounds=bounds,
     )
+
+
+def _distinct_and_entropy(owner: np.ndarray, key: np.ndarray, n_windows: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per window: how many distinct keys its packets carry, and the Shannon
+    entropy (base 2) of packets per key.
+
+    `owner` is each keyed packet's window (non-decreasing) and `key` its
+    32-bit key. The entropy's terms are summed in order of each key's first
+    appearance with `math.log2`, which is how the float result is defined
+    (np.log2 differs from it in the last bit for some ratios).
+    """
+    _, first, counts = np.unique(owner << 32 | key, return_index=True, return_counts=True)
+    order = np.argsort(first)
+    term_owner = owner[first[order]]
+    p = counts[order] / np.bincount(owner, minlength=n_windows)[term_owner]
+    terms = p * np.array([math.log2(x) for x in p.tolist()], dtype=np.float64)
+    # bincount adds each window's terms one by one in the order given, and
+    # 0.0 - t1 - t2 ... equals -(t1 + t2 ...) exactly; + 0.0 turns -0.0 into 0.0.
+    entropy = -np.bincount(term_owner, weights=terms, minlength=n_windows) + 0.0
+    return np.bincount(term_owner, minlength=n_windows), entropy
+
+
+def extract_features(packets: Packets, windows: Windows) -> np.ndarray:
+    """The 24 schema-v1 features of every window: a (len(windows), 24) array.
+
+    Floats are reduced per window in packet order, so each row is bit-for-bit
+    what summing that window's packets one at a time gives.
+    """
+    if windows.bounds[-1] != len(packets):
+        raise ValueError("windows were not made from these packets")
+    n_windows = len(windows)
+    if n_windows == 0:
+        return np.zeros((0, len(FEATURE_NAMES)), dtype=np.float64)
+    first = windows.bounds[:-1]
+    n = np.diff(windows.bounds)
+    owner = np.repeat(np.arange(n_windows), n)
+
+    def count(mask):
+        return np.bincount(owner[mask], minlength=n_windows)
+
+    transport = packets.transport
+    tcp, udp = transport == TCP, transport == UDP
+    ported, ipv4 = tcp | udp, transport != NON_IP
+    flags = packets.tcp_flags
+    syn, ack = (flags & _SYN) != 0, (flags & _ACK) != 0
+    method = packets.payload_prefix[:, :4].copy().view(">u4")[:, 0]
+    http = (
+        tcp
+        & np.isin(packets.dst_port, HTTP_PORTS)
+        & (packets.prefix_len >= 4)
+        & np.isin(method, _HTTP_METHOD_CODES)
+    )
+
+    # Sizes are summed exactly in int64 where a window's sum of squares stays
+    # below 2**53 (so its float conversion is exact too), else as Python ints.
+    size = packets.original_len
+    byte_count = np.add.reduceat(size, first)
+    exact = np.maximum.reduceat(size, first).astype(np.float64) ** 2 * n < 2.0**53
+    byte_sq = np.add.reduceat(np.where(exact[owner], size, 0) ** 2, first)
+    mean_size = byte_count / n
+    var_size = np.maximum(byte_sq / n - mean_size * mean_size, 0.0)
+    for w in np.flatnonzero(~exact).tolist():
+        sizes = size[windows.bounds[w] : windows.bounds[w + 1]].tolist()
+        mean = sum(sizes) / len(sizes)
+        mean_size[w] = mean
+        var_size[w] = max(sum(s * s for s in sizes) / len(sizes) - mean * mean, 0.0)
+
+    ip_owner = owner[ipv4]
+    ip_count = np.bincount(ip_owner, minlength=n_windows)
+    ttl_sum = np.bincount(ip_owner, weights=packets.ttl[ipv4], minlength=n_windows)
+    unique_src, src_entropy = _distinct_and_entropy(ip_owner, packets.src_ip[ipv4], n_windows)
+    unique_ports, port_entropy = _distinct_and_entropy(owner[ported], packets.dst_port[ported], n_windows)
+    flows = np.unique(
+        np.column_stack((
+            owner[ported],
+            packets.src_ip[ported] << 32 | packets.dst_ip[ported],  # wraps, but stays one key per pair
+            packets.src_port[ported] << 17 | packets.dst_port[ported] << 1 | udp[ported],
+        )),
+        axis=0,
+    )
+    five_tuples = np.bincount(flows[:, 0], minlength=n_windows)
+
+    # Gaps between consecutive packets of a window, from float timestamps.
+    stamps = packets.ts_sec + packets.ts_usec / 1e6
+    same = owner[1:] == owner[:-1]
+    gaps = (stamps[1:] - stamps[:-1])[same]
+    gap_owner = owner[1:][same]
+    n_gaps = np.maximum(n - 1, 1)
+    mean_gap = np.bincount(gap_owner, weights=gaps, minlength=n_windows) / n_gaps
+    # float_power is libm pow, as `x ** 2` on a Python float; x * x rounds
+    # differently for about 0.1% of values.
+    dev_sq = np.float_power(gaps - mean_gap[gap_owner], 2)
+    std_gap = np.sqrt(np.bincount(gap_owner, weights=dev_sq, minlength=n_windows) / n_gaps)
+    several = n >= 2
+
+    syn_count = count(tcp & syn & ~ack)
+    pure_ack = count(tcp & ~syn & ack & (packets.payload_len == 0))
+    http_count = count(http)
+    tcp_count, udp_count = count(tcp), count(udp)
+    columns = (
+        n,
+        byte_count,
+        mean_size,
+        np.sqrt(var_size),
+        tcp_count / n,
+        udp_count / n,
+        (n - tcp_count - udp_count) / n,
+        syn_count,
+        syn_count / n,
+        pure_ack,
+        pure_ack / n,
+        count(tcp & ((flags & (_FIN | _RST)) != 0)) / n,
+        count(tcp & syn & ack),
+        unique_src,
+        unique_ports,
+        port_entropy,
+        src_entropy,
+        np.where(several, mean_gap, 0.0),
+        np.where(several, std_gap, 0.0),
+        http_count,
+        http_count / n,
+        count(udp & (packets.payload_len <= SMALL_UDP_MAX_PAYLOAD)) / n,
+        np.where(ip_count > 0, ttl_sum / np.maximum(ip_count, 1), 0.0),
+        five_tuples,
+    )
+    return np.column_stack(columns).astype(np.float64)
 
 
 TruthInterval = tuple[float, float, TrafficClass]
 
 
-def label_windows(
-    windows: Iterable[Window], truth: Sequence[TruthInterval]
-) -> list[LabeledRecord]:
-    """Extract features from non-empty windows and label them by midpoint.
+def label_windows(windows: Windows, truth: Sequence[TruthInterval]) -> np.ndarray:
+    """Label each window by its midpoint, as int64 TrafficClass ordinals.
 
     A window gets the class of the truth interval covering its midpoint;
     uncovered windows default to normal traffic.
@@ -239,18 +279,14 @@ def label_windows(
         if s2 < e1:
             raise OverlappingTruth(f"interval starting at {s2} overlaps one ending at {e1}")
 
-    records = []
-    for w in windows:
-        if not w.packets:
-            continue
-        mid = (w.start_ts + w.end_ts) / 2.0
-        label = TrafficClass.NORMAL
-        for start, end, cls in intervals:
-            if start <= mid < end:
-                label = cls
-                break
-        records.append(LabeledRecord(extract_features(w), label))
-    return records
+    mid = (windows.start_ts + windows.end_ts) / 2.0
+    labels = np.full(len(mid), int(TrafficClass.NORMAL), dtype=np.int64)
+    unlabeled = np.ones(len(mid), dtype=bool)
+    for start, end, cls in intervals:
+        hit = unlabeled & (start <= mid) & (mid < end)
+        labels[hit] = int(cls)
+        unlabeled &= ~hit
+    return labels
 
 
 def write_truth(path, intervals: Sequence[TruthInterval]) -> None:

@@ -5,6 +5,11 @@ record headers, linktype 1 = Ethernet). The writer always emits little-endian
 microsecond files; the reader accepts either byte order. Decoding degrades
 instead of failing: whatever cannot be parsed is reported at the most
 specific layer that was reached.
+
+`read_pcap` decodes a whole capture at once into `Packets` columns: one
+Python pass finds the records, then each header field is read for all
+records with one array gather, masked by the same tests `decode_frame`
+makes for one frame. `decode_frame` stays as the one-frame reference.
 """
 
 from __future__ import annotations
@@ -12,7 +17,10 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
+
+import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import BadMagic, FrameTooLarge, TruncatedRecord, UnsupportedLinkType
 from .ioutil import atomic_write
@@ -166,50 +174,234 @@ def decode_frame(data: bytes, ts_sec: int = 0, ts_usec: int = 0, original_len: i
     return meta
 
 
-def _iter_records(path) -> Iterator[tuple[int, int, int, bytes]]:
+_TRANSPORTS = (Transport.NON_IP, Transport.OTHER_IP, Transport.TCP, Transport.UDP)
+NON_IP, OTHER_IP, TCP, UDP = range(len(_TRANSPORTS))
+_CODES = {t: code for code, t in enumerate(_TRANSPORTS)}
+
+
+@dataclass(frozen=True, eq=False)
+class Packets:
+    """Decoded packet metadata of a whole capture as columns, one row per record.
+
+    Row i holds what `decode_frame` gives for record i. `transport` holds the
+    codes NON_IP, OTHER_IP, TCP and UDP; the IPv4 columns (`src_ip`, `dst_ip`,
+    `ttl`) are meaningful only where it is not NON_IP, and the port columns
+    only where it is TCP or UDP (elsewhere they hold 0). `tcp_flags` holds the
+    low six bits of the TCP flags octet, and `payload_prefix` the prefix bytes
+    zero-padded to PAYLOAD_PREFIX_LEN, with their count in `prefix_len`.
+    Indexing and iteration yield the equivalent PacketMeta records.
+    """
+
+    ts_sec: np.ndarray
+    ts_usec: np.ndarray
+    captured_len: np.ndarray
+    original_len: np.ndarray
+    transport: np.ndarray
+    src_ip: np.ndarray
+    dst_ip: np.ndarray
+    src_port: np.ndarray
+    dst_port: np.ndarray
+    tcp_flags: np.ndarray
+    ttl: np.ndarray
+    payload_len: np.ndarray
+    prefix_len: np.ndarray
+    payload_prefix: np.ndarray  # (n, PAYLOAD_PREFIX_LEN) uint8; every other column is int64
+
+    @classmethod
+    def empty(cls, n: int) -> "Packets":
+        """`n` rows of non-IP packets with every field zero."""
+        return cls(
+            *(np.zeros(n, dtype=np.int64) for _ in _INT_COLUMNS),
+            np.zeros((n, PAYLOAD_PREFIX_LEN), dtype=np.uint8),
+        )
+
+    @classmethod
+    def from_metas(cls, metas: Sequence[PacketMeta]) -> "Packets":
+        """Columns from PacketMeta records shaped as `decode_frame` makes them.
+
+        The inverse of indexing: IPv4 fields must be present exactly when the
+        transport is not NON_IP, and ports exactly when it is TCP or UDP.
+        """
+        out = cls.empty(len(metas))
+        for i, m in enumerate(metas):
+            ip = m.transport is not Transport.NON_IP
+            ported = m.transport in (Transport.TCP, Transport.UDP)
+            if (
+                (m.link is LinkProtocol.IPV4) != ip
+                or any((v is None) == ip for v in (m.src_ip, m.dst_ip, m.ttl))
+                or any((v is None) == ported for v in (m.src_port, m.dst_port))
+                or len(m.payload_prefix) > PAYLOAD_PREFIX_LEN
+            ):
+                raise ValueError(f"packet {i} is not shaped like a decoded frame: {m}")
+            f = m.tcp_flags
+            row = (
+                m.ts_sec, m.ts_usec, m.captured_len, m.original_len, _CODES[m.transport],
+                m.src_ip or 0, m.dst_ip or 0, m.src_port or 0, m.dst_port or 0,
+                f.fin | f.syn << 1 | f.rst << 2 | f.psh << 3 | f.ack << 4 | f.urg << 5,
+                m.ttl or 0, m.payload_len, len(m.payload_prefix),
+            )
+            for name, value in zip(_INT_COLUMNS, row):
+                getattr(out, name)[i] = value
+            out.payload_prefix[i, : len(m.payload_prefix)] = np.frombuffer(m.payload_prefix, np.uint8)
+        return out
+
+    def __len__(self) -> int:
+        return len(self.ts_sec)
+
+    def __getitem__(self, i: int) -> PacketMeta:
+        return _meta(*(int(getattr(self, name)[i]) for name in _INT_COLUMNS), self.payload_prefix[i].tobytes())
+
+    def __iter__(self) -> Iterator[PacketMeta]:
+        columns = [getattr(self, name).tolist() for name in _INT_COLUMNS]
+        return (_meta(*row) for row in zip(*columns, map(bytes, self.payload_prefix)))
+
+
+_INT_COLUMNS = tuple(Packets.__dataclass_fields__)[:-1]
+
+
+def _meta(ts_sec, ts_usec, cap, orig, code, src, dst, sport, dport, flags, ttl, plen, prefix_len, prefix):
+    """One row of Packets as the PacketMeta that decode_frame gives."""
+    ip = code != NON_IP
+    ported = code in (TCP, UDP)
+    return PacketMeta(
+        ts_sec, ts_usec, cap, orig,
+        LinkProtocol.IPV4 if ip else LinkProtocol.OTHER,
+        _TRANSPORTS[code],
+        src if ip else None,
+        dst if ip else None,
+        sport if ported else None,
+        dport if ported else None,
+        TcpFlags.from_byte(flags),
+        ttl if ip else None,
+        plen,
+        prefix[:prefix_len],
+    )
+
+
+def _walk(path) -> tuple[bytes, str, list[int]]:
+    """Read a whole pcap file and walk its record headers once.
+
+    Returns the file's bytes, its struct byte-order prefix, and the offset of
+    each record's frame data, which follows its 16-byte record header.
+    """
     with open(path, "rb") as fh:
-        head = fh.read(24)
-        if len(head) < 4:
-            raise BadMagic(f"{path}: too short to be a pcap file")
-        magic = struct.unpack("<I", head[:4])[0]
-        if magic == MAGIC_USEC:
-            endian = "<"
-        elif magic == MAGIC_USEC_SWAPPED:
-            endian = ">"
-        else:
-            raise BadMagic(f"{path}: unknown magic 0x{magic:08x}")
-        if len(head) < 24:
-            raise TruncatedRecord(f"{path}: incomplete global header")
-        linktype = struct.unpack(endian + "IHHiIII", head)[6]
-        if linktype != LINKTYPE_ETHERNET:
-            raise UnsupportedLinkType(f"{path}: linktype {linktype} (only Ethernet is supported)")
-        record = struct.Struct(endian + "IIII")
-        while True:
-            header = fh.read(16)
-            if not header:
-                return
-            if len(header) < 16:
-                raise TruncatedRecord(f"{path}: incomplete record header")
-            ts_sec, ts_usec, incl_len, orig_len = record.unpack(header)
-            data = fh.read(incl_len)
-            if len(data) < incl_len:
-                raise TruncatedRecord(
-                    f"{path}: record claims {incl_len} bytes, only {len(data)} remain"
-                )
-            yield ts_sec, ts_usec, orig_len, data
+        data = fh.read()
+    if len(data) < 4:
+        raise BadMagic(f"{path}: too short to be a pcap file")
+    magic = struct.unpack_from("<I", data)[0]
+    if magic == MAGIC_USEC:
+        endian = "<"
+    elif magic == MAGIC_USEC_SWAPPED:
+        endian = ">"
+    else:
+        raise BadMagic(f"{path}: unknown magic 0x{magic:08x}")
+    if len(data) < 24:
+        raise TruncatedRecord(f"{path}: incomplete global header")
+    linktype = struct.unpack_from(endian + "IHHiIII", data)[6]
+    if linktype != LINKTYPE_ETHERNET:
+        raise UnsupportedLinkType(f"{path}: linktype {linktype} (only Ethernet is supported)")
+
+    incl_len = struct.Struct(endian + "I").unpack_from
+    starts: list[int] = []
+    append = starts.append
+    pos, last = 24, len(data) - 16
+    while pos <= last:
+        pos += 16
+        append(pos)
+        pos += incl_len(data, pos - 8)[0]
+    if pos > len(data):
+        claimed = pos - starts[-1]
+        raise TruncatedRecord(f"{path}: record claims {claimed} bytes, only {len(data) - starts[-1]} remain")
+    if pos < len(data):
+        raise TruncatedRecord(f"{path}: incomplete record header")
+    return data, endian, starts
 
 
-def read_pcap(path) -> list[PacketMeta]:
-    """Decode every record of a pcap file into packet metadata, in file order."""
-    return [
-        decode_frame(data, ts_sec, ts_usec, original_len=orig_len)
-        for ts_sec, ts_usec, orig_len, data in _iter_records(path)
-    ]
+def _field(buf: np.ndarray, at: np.ndarray, dtype: str) -> np.ndarray:
+    """The field of `dtype` at each byte offset in `at`, as int64.
+
+    Callers pass only offsets whose field lies inside its record's captured bytes.
+    """
+    dtype = np.dtype(dtype)
+    return sliding_window_view(buf, dtype.itemsize)[at].view(dtype)[:, 0].astype(np.int64)
+
+
+def _set_prefix(out: Packets, buf: np.ndarray, rows: np.ndarray, at: np.ndarray, count: np.ndarray) -> None:
+    """Copy `count` (at most PAYLOAD_PREFIX_LEN) bytes at `at` into each row's prefix."""
+    out.prefix_len[rows] = count
+    for j in range(PAYLOAD_PREFIX_LEN):
+        has = count > j
+        out.payload_prefix[rows[has], j] = buf[at[has] + j]
+
+
+def read_pcap(path) -> Packets:
+    """Decode every record of a pcap file into packet metadata columns, in file order.
+
+    The same tests as `decode_frame`, applied to all records at once: each
+    step keeps the rows whose captured bytes hold the next header.
+    """
+    data, endian, offsets = _walk(path)
+    offsets = np.array(offsets, dtype=np.int64)  # and let the list go
+    buf = np.frombuffer(data, dtype=np.uint8)
+    header = sliding_window_view(buf, 16)[offsets - 16].view(endian + "u4")
+    out = Packets.empty(len(offsets))
+    out.ts_sec[:], out.ts_usec[:], out.captured_len[:], out.original_len[:] = header.T
+    cap = out.captured_len
+
+    # Ethernet carrying IPv4, version 4, 20 <= IHL <= captured IP bytes.
+    rows = np.flatnonzero(cap >= 14 + 20)
+    rows = rows[_field(buf, offsets[rows] + 12, ">u2") == ETHERTYPE_IPV4]
+    ip = offsets[rows] + 14
+    ihl = (buf[ip] & 0x0F).astype(np.int64) * 4
+    ok = (buf[ip] >> 4 == 4) & (ihl >= 20) & (cap[rows] - 14 >= ihl)
+    rows, ip, ihl = rows[ok], ip[ok], ihl[ok]
+    total_len = _field(buf, ip + 2, ">u2")
+    out.transport[rows] = OTHER_IP
+    out.ttl[rows] = buf[ip + 8]
+    out.src_ip[rows] = _field(buf, ip + 12, ">u4")
+    out.dst_ip[rows] = _field(buf, ip + 16, ">u4")
+    out.payload_len[rows] = np.maximum(total_len - ihl, 0)
+
+    # Transport headers, in first fragments only, within a body clipped to
+    # min(captured, max(IHL, total length)).
+    first = (_field(buf, ip + 6, ">u2") & 0x1FFF) == 0
+    proto = buf[ip + 9]
+    body = ip + ihl
+    body_len = np.minimum(cap[rows] - 14, np.maximum(ihl, total_len)) - ihl
+
+    tcp = first & (proto == PROTO_TCP) & (body_len >= 14)
+    t_rows, t_body, t_len, t_rest = rows[tcp], body[tcp], body_len[tcp], (total_len - ihl)[tcp]
+    data_off = (buf[t_body + 12] >> 4).astype(np.int64) * 4
+    ok = data_off >= 20
+    t_rows, t_body, t_len, t_rest, data_off = t_rows[ok], t_body[ok], t_len[ok], t_rest[ok], data_off[ok]
+    out.transport[t_rows] = TCP
+    out.src_port[t_rows] = _field(buf, t_body, ">u2")
+    out.dst_port[t_rows] = _field(buf, t_body + 2, ">u2")
+    out.tcp_flags[t_rows] = buf[t_body + 13] & 0x3F
+    out.payload_len[t_rows] = np.maximum(t_rest - data_off, 0)
+    _set_prefix(out, buf, t_rows, t_body + data_off, np.clip(t_len - data_off, 0, PAYLOAD_PREFIX_LEN))
+
+    udp = first & (proto == PROTO_UDP) & (body_len >= 8)
+    u_rows, u_body, u_len = rows[udp], body[udp], body_len[udp]
+    out.transport[u_rows] = UDP
+    out.src_port[u_rows] = _field(buf, u_body, ">u2")
+    out.dst_port[u_rows] = _field(buf, u_body + 2, ">u2")
+    u_payload = np.maximum(_field(buf, u_body + 4, ">u2") - 8, 0)
+    out.payload_len[u_rows] = u_payload
+    _set_prefix(out, buf, u_rows, u_body + 8, np.minimum(np.minimum(u_len - 8, u_payload), PAYLOAD_PREFIX_LEN))
+    return out
 
 
 def read_frames(path) -> list[Frame]:
     """Read raw frames plus timestamps; the exact inverse of write_pcap."""
-    return [Frame(ts_sec, ts_usec, data) for ts_sec, ts_usec, _, data in _iter_records(path)]
+    data, endian, offsets = _walk(path)
+    header = struct.Struct(endian + "III").unpack_from
+    frames: list[Frame] = []
+    append = frames.append
+    for start in offsets:
+        ts_sec, ts_usec, incl_len = header(data, start - 16)
+        append(Frame(ts_sec, ts_usec, data[start : start + incl_len]))
+    return frames
 
 
 def write_pcap(path, frames: Iterable[Frame]) -> None:

@@ -1,4 +1,4 @@
-"""Shared test helpers: byte-level frame encoders and PacketMeta factories.
+"""Shared test helpers: byte-level frame and pcap record encoders, PacketMeta factories.
 
 The frame encoders here are written field-by-field from the wire layouts so
 they stay independent of the package's own builders.
@@ -63,6 +63,26 @@ def udp(payload: bytes = b"", sport: int = 5000, dport: int = 53, length: int | 
     if length is None:
         length = 8 + len(payload)
     return struct.pack("!HHHH", sport, dport, length, 0) + payload
+
+
+def write_records(path, records, endian="<"):
+    """A pcap file whose records are (ts_sec, ts_usec, orig_len, data), incl_len = len(data)."""
+    with open(path, "wb") as fh:
+        fh.write(struct.pack(endian + "IHHiIII", 0xA1B2C3D4, 2, 4, 0, 0, 65535, 1))
+        for ts_sec, ts_usec, orig_len, data in records:
+            fh.write(struct.pack(endian + "IIII", ts_sec, ts_usec, len(data), orig_len))
+            fh.write(data)
+
+
+def read_records(path):
+    """(ts_sec, ts_usec, orig_len, data) of each record of a little-endian pcap, read with struct."""
+    out = []
+    with open(path, "rb") as fh:
+        fh.read(24)
+        while head := fh.read(16):
+            ts_sec, ts_usec, incl_len, orig_len = struct.unpack("<IIII", head)
+            out.append((ts_sec, ts_usec, orig_len, fh.read(incl_len)))
+    return out
 
 
 def make_meta(

@@ -6,21 +6,37 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from floodgate.dataset import TrafficClass
-from floodgate.errors import EmptyWindow, MalformedRow, OverlappingTruth, UnsortedInput
+from floodgate.errors import MalformedRow, OverlappingTruth, UnsortedInput
 from floodgate.features import (
     FEATURE_NAMES,
-    Window,
     extract_features,
     label_windows,
     read_truth,
     window_packets,
     write_truth,
 )
-from floodgate.pcapio import TcpFlags, Transport
+from floodgate.pcapio import Packets, TcpFlags, Transport
 
 from conftest import make_meta
 
 F = {name: i for i, name in enumerate(FEATURE_NAMES)}
+
+
+def windowed(pkts, length):
+    return window_packets(Packets.from_metas(pkts), length)
+
+
+def counts(windows):
+    """Packets per window."""
+    return np.diff(windows.bounds).tolist()
+
+
+def features(pkts, length=1.0):
+    """The feature row of packets that all fall in one window."""
+    packets = Packets.from_metas(pkts)
+    windows = window_packets(packets, length)
+    assert len(windows) == 1
+    return extract_features(packets, windows)[0]
 
 SYN = TcpFlags(syn=True)
 SYNACK = TcpFlags(syn=True, ack=True)
@@ -31,66 +47,72 @@ FIN = TcpFlags(fin=True, ack=True)
 class TestWindowing:
     def test_single_window(self):
         pkts = [make_meta(ts=t) for t in (0.1, 0.5, 0.9)]
-        windows = window_packets(pkts, 1.0)
+        windows = windowed(pkts, 1.0)
         assert len(windows) == 1
-        assert (windows[0].start_ts, windows[0].end_ts) == (0.0, 1.0)
-        assert len(windows[0].packets) == 3
+        assert (windows.start_ts[0], windows.end_ts[0]) == (0.0, 1.0)
+        assert counts(windows) == [3]
 
     def test_two_windows(self):
         pkts = [make_meta(ts=0.5), make_meta(ts=1.5)]
-        windows = window_packets(pkts, 1.0)
+        windows = windowed(pkts, 1.0)
         assert len(windows) == 2
-        assert [len(w.packets) for w in windows] == [1, 1]
+        assert counts(windows) == [1, 1]
 
     def test_boundary_packet_goes_to_later_window(self):
-        windows = window_packets([make_meta(ts=1.0)], 1.0)
+        windows = windowed([make_meta(ts=1.0)], 1.0)
         assert len(windows) == 1
-        assert (windows[0].start_ts, windows[0].end_ts) == (1.0, 2.0)
+        assert (windows.start_ts[0], windows.end_ts[0]) == (1.0, 2.0)
 
-    def test_empty_windows_inside_span_are_emitted(self):
+    def test_empty_windows_inside_span_are_skipped(self):
         pkts = [make_meta(ts=0.2), make_meta(ts=3.7)]
-        windows = window_packets(pkts, 1.0)
-        assert len(windows) == 4
-        assert [len(w.packets) for w in windows] == [1, 0, 0, 1]
+        windows = windowed(pkts, 1.0)
+        assert len(windows) == 2
+        assert windows.start_ts.tolist() == [0.0, 3.0]
+        assert windows.end_ts.tolist() == [1.0, 4.0]
+        assert counts(windows) == [1, 1]
 
     def test_unsorted_input(self):
-        with pytest.raises(UnsortedInput):
-            window_packets([make_meta(ts=2.0), make_meta(ts=1.0)], 1.0)
+        pkts = [make_meta(ts=t) for t in (1.0, 2.0, 2.0, 1.5, 1.0)]
+        with pytest.raises(UnsortedInput, match="^packet 3 is earlier than its predecessor$"):
+            windowed(pkts, 1.0)
 
     def test_sub_second_windows(self):
         # 0.3 s lies exactly on a 0.1 s boundary; integer-microsecond
         # arithmetic must put it in [0.3, 0.4).
-        windows = window_packets([make_meta(ts=0.3)], 0.1)
-        assert (windows[0].start_ts, windows[0].end_ts) == (0.3, 0.4)
+        windows = windowed([make_meta(ts=0.3)], 0.1)
+        assert (windows.start_ts[0], windows.end_ts[0]) == (0.3, 0.4)
 
     def test_bad_window_length(self):
         with pytest.raises(ValueError):
-            window_packets([], 0.0)
+            windowed([], 0.0)
+
+    def test_no_packets_no_windows(self):
+        packets = Packets.from_metas([])
+        windows = window_packets(packets, 1.0)
+        assert len(windows) == 0
+        assert extract_features(packets, windows).shape == (0, len(FEATURE_NAMES))
+        assert label_windows(windows, []).shape == (0,)
 
     def test_every_packet_in_exactly_one_window(self, rng):
         stamps = np.sort(rng.uniform(0, 20, size=300))
         pkts = [make_meta(ts=float(t)) for t in stamps]
-        windows = window_packets(pkts, 0.5)
-        assert sum(len(w.packets) for w in windows) == len(pkts)
-        for w in windows:
-            for p in w.packets:
-                assert w.start_ts <= p.timestamp < w.end_ts
+        windows = windowed(pkts, 0.5)
+        assert sum(counts(windows)) == len(pkts)
+        for w in range(len(windows)):
+            for p in pkts[windows.bounds[w] : windows.bounds[w + 1]]:
+                assert windows.start_ts[w] <= p.timestamp < windows.end_ts[w]
 
     def test_window_length_preserved(self, rng):
         stamps = np.sort(rng.uniform(0, 9, size=40))
-        for length in (0.1, 0.25, 1.0, 2.5):
-            for w in window_packets([make_meta(ts=float(t)) for t in stamps], length):
-                assert abs((w.end_ts - w.start_ts) - length) < 1e-9
+        for length in (0.1, 0.25, 1.0, 2.5, 1e13):  # 1e13 s is 1e19 us, past int64
+            windows = windowed([make_meta(ts=float(t)) for t in stamps], length)
+            assert np.all(np.abs((windows.end_ts - windows.start_ts) - length) < 1e-9)
 
 
 class TestExtract:
-    def test_empty_window_rejected(self):
-        with pytest.raises(EmptyWindow):
-            extract_features(Window(0.0, 1.0, []))
-
     def test_single_tcp_syn(self):
         pkt = make_meta(ts=0.4, size=60, flags=SYN, ttl=64)
-        v = extract_features(Window(0.0, 1.0, [pkt]))
+        v = features([pkt])
         assert v[F["packet_count"]] == 1
         assert v[F["byte_count"]] == 60
         assert v[F["mean_packet_size"]] == 60
@@ -110,7 +132,7 @@ class TestExtract:
             make_meta(ts=0.3, transport=Transport.UDP, dst_port=123),
             make_meta(ts=0.4, transport=Transport.UDP, dst_port=123),
         ]
-        v = extract_features(Window(0.0, 1.0, pkts))
+        v = features(pkts)
         assert v[F["dst_port_entropy"]] == pytest.approx(1.0)
         assert v[F["unique_dst_ports"]] == 2
 
@@ -118,7 +140,7 @@ class TestExtract:
         pkts = [
             make_meta(ts=0.1 * i, transport=Transport.UDP, payload_len=32) for i in range(10)
         ]
-        v = extract_features(Window(0.0, 1.0, pkts))
+        v = features(pkts)
         assert v[F["small_udp_ratio"]] == 1.0
         assert v[F["udp_ratio"]] == 1.0
         assert v[F["tcp_ratio"]] == 0.0
@@ -129,7 +151,7 @@ class TestExtract:
             make_meta(ts=0.2, flags=ACK, payload_len=10),  # payload: not pure
             make_meta(ts=0.3, flags=SYNACK, payload_len=0),  # SYN set: not pure
         ]
-        v = extract_features(Window(0.0, 1.0, pkts))
+        v = features(pkts)
         assert v[F["pure_ack_count"]] == 1
         assert v[F["pure_ack_ratio"]] == pytest.approx(1 / 3)
         assert v[F["synack_count"]] == 1
@@ -141,7 +163,7 @@ class TestExtract:
             make_meta(ts=0.3, flags=ACK),
             make_meta(ts=0.4, transport=Transport.UDP),
         ]
-        v = extract_features(Window(0.0, 1.0, pkts))
+        v = features(pkts)
         assert v[F["finrst_ratio"]] == pytest.approx(0.5)
 
     def test_http_request_detection(self):
@@ -152,7 +174,7 @@ class TestExtract:
             make_meta(ts=0.4, flags=ACK, dst_port=80, payload_len=20, payload_prefix=b"HTTP/1.1"),
             make_meta(ts=0.5, transport=Transport.UDP, dst_port=80, payload_prefix=b"GET / HT"),
         ]
-        v = extract_features(Window(0.0, 1.0, pkts))
+        v = features(pkts)
         # Only TCP packets to 80/8080 whose payload starts with a method count.
         assert v[F["http_request_count"]] == 2
         assert v[F["http_request_ratio"]] == pytest.approx(0.4)
@@ -160,7 +182,7 @@ class TestExtract:
     def test_interarrival_stats(self):
         stamps = [0.0, 0.1, 0.3, 0.6]
         pkts = [make_meta(ts=t) for t in stamps]
-        v = extract_features(Window(0.0, 1.0, pkts))
+        v = features(pkts)
         gaps = np.diff(stamps)
         assert v[F["mean_interarrival"]] == pytest.approx(gaps.mean(), abs=1e-9)
         assert v[F["std_interarrival"]] == pytest.approx(gaps.std(), abs=1e-9)
@@ -174,7 +196,7 @@ class TestExtract:
                 src_port=None, dst_port=None, ttl=None,
             ),
         ]
-        v = extract_features(Window(0.0, 1.0, pkts))
+        v = features(pkts)
         assert v[F["mean_ttl"]] == pytest.approx(96.0)
         assert v[F["unique_src_ips"]] == 1
 
@@ -186,7 +208,7 @@ class TestExtract:
             )
             for i in range(3)
         ]
-        v = extract_features(Window(0.0, 1.0, pkts))
+        v = features(pkts)
         assert v[F["other_ratio"]] == 1.0
         assert v[F["mean_ttl"]] == 0.0
         assert v[F["unique_five_tuples"]] == 0.0
@@ -217,7 +239,7 @@ class TestExtract:
                         payload_len=int(rng.integers(0, 200)),
                     )
                 )
-            v = extract_features(Window(0.0, 10.0, pkts))
+            v = features(pkts, 10.0)
             assert v[F["tcp_ratio"]] + v[F["udp_ratio"]] + v[F["other_ratio"]] == pytest.approx(
                 1.0, abs=1e-12
             )
@@ -239,16 +261,16 @@ class TestExtract:
                     flags=SYN if rng.integers(2) else ACK,
                 )
             )
-        base = extract_features(Window(0.0, 10.0, pkts))
+        base = features(pkts, 10.0)
         shuffled = list(pkts)
         rng.shuffle(shuffled)
         shuffled.sort(key=lambda p: (p.ts_sec, p.ts_usec))
-        again = extract_features(Window(0.0, 10.0, shuffled))
+        again = features(shuffled, 10.0)
         assert np.array_equal(base, again)
 
     def test_identical_packet_stream(self):
         pkts = [make_meta(ts=0.1 * i) for i in range(8)]
-        v = extract_features(Window(0.0, 1.0, pkts))
+        v = features(pkts)
         assert v[F["std_packet_size"]] == 0
         assert v[F["dst_port_entropy"]] == 0 and v[F["src_ip_entropy"]] == 0
         assert v[F["unique_src_ips"]] == 1
@@ -258,50 +280,45 @@ class TestExtract:
     def test_packet_count_conserved_across_windows(self, rng):
         stamps = np.sort(rng.uniform(0, 30, size=500))
         pkts = [make_meta(ts=float(t)) for t in stamps]
-        windows = window_packets(pkts, 1.0)
-        total = sum(
-            extract_features(w)[F["packet_count"]] for w in windows if w.packets
-        )
+        packets = Packets.from_metas(pkts)
+        total = extract_features(packets, window_packets(packets, 1.0))[:, F["packet_count"]].sum()
         assert total == 500
 
 
 class TestLabeling:
     def test_containment(self):
-        windows = window_packets([make_meta(ts=0.5)], 1.0)
-        records = label_windows(windows, [(0.0, 10.0, TrafficClass.UDP_FLOOD)])
-        assert [r.label for r in records] == [TrafficClass.UDP_FLOOD]
+        windows = windowed([make_meta(ts=0.5)], 1.0)
+        labels = label_windows(windows, [(0.0, 10.0, TrafficClass.UDP_FLOOD)])
+        assert labels.dtype == np.int64
+        assert labels.tolist() == [TrafficClass.UDP_FLOOD]
 
     def test_uncovered_defaults_to_normal(self):
-        windows = window_packets([make_meta(ts=20.5)], 1.0)
-        records = label_windows(windows, [(0.0, 10.0, TrafficClass.UDP_FLOOD)])
-        assert [r.label for r in records] == [TrafficClass.NORMAL]
+        windows = windowed([make_meta(ts=20.5)], 1.0)
+        labels = label_windows(windows, [(0.0, 10.0, TrafficClass.UDP_FLOOD)])
+        assert labels.tolist() == [TrafficClass.NORMAL]
 
     def test_overlapping_truth(self):
-        windows = window_packets([make_meta(ts=0.5)], 1.0)
+        windows = windowed([make_meta(ts=0.5)], 1.0)
         truth = [(0.0, 5.0, TrafficClass.SYN_FLOOD), (3.0, 8.0, TrafficClass.ACK_FLOOD)]
         with pytest.raises(OverlappingTruth):
             label_windows(windows, truth)
 
     def test_adjacent_intervals_allowed(self):
-        windows = window_packets([make_meta(ts=0.5), make_meta(ts=5.5)], 1.0)
+        windows = windowed([make_meta(ts=0.5), make_meta(ts=5.5)], 1.0)
         truth = [(0.0, 5.0, TrafficClass.SYN_FLOOD), (5.0, 8.0, TrafficClass.ACK_FLOOD)]
-        records = label_windows(windows, truth)
-        assert [r.label for r in records] == [TrafficClass.SYN_FLOOD, TrafficClass.ACK_FLOOD]
+        labels = label_windows(windows, truth)
+        assert labels.tolist() == [TrafficClass.SYN_FLOOD, TrafficClass.ACK_FLOOD]
 
     def test_empty_windows_skipped(self):
-        windows = window_packets([make_meta(ts=0.2), make_meta(ts=3.7)], 1.0)
-        records = label_windows(windows, [])
-        assert len(records) == 2
+        windows = windowed([make_meta(ts=0.2), make_meta(ts=3.7)], 1.0)
+        labels = label_windows(windows, [])
+        assert len(labels) == 2
 
     def test_midpoint_rule(self):
         # Window [0, 1): midpoint 0.5; an interval ending at 0.5 does not cover it.
-        windows = window_packets([make_meta(ts=0.1)], 1.0)
-        assert label_windows(windows, [(0.0, 0.5, TrafficClass.SYN_FLOOD)])[0].label is (
-            TrafficClass.NORMAL
-        )
-        assert label_windows(windows, [(0.5, 1.0, TrafficClass.SYN_FLOOD)])[0].label is (
-            TrafficClass.SYN_FLOOD
-        )
+        windows = windowed([make_meta(ts=0.1)], 1.0)
+        assert label_windows(windows, [(0.0, 0.5, TrafficClass.SYN_FLOOD)])[0] == TrafficClass.NORMAL
+        assert label_windows(windows, [(0.5, 1.0, TrafficClass.SYN_FLOOD)])[0] == TrafficClass.SYN_FLOOD
 
 
 class TestTruthCsv:
@@ -338,7 +355,8 @@ class TestTruthCsv:
 def test_windowing_partition_property(stamps, length):
     stamps = sorted(round(s, 6) for s in stamps)
     pkts = [make_meta(ts=t) for t in stamps]
-    windows = window_packets(pkts, length)
-    assert sum(len(w.packets) for w in windows) == len(pkts)
-    for a, b in zip(windows, windows[1:]):
-        assert b.start_ts == pytest.approx(a.end_ts, abs=1e-9)
+    windows = windowed(pkts, length)
+    assert sum(counts(windows)) == len(pkts)
+    assert min(counts(windows)) >= 1
+    # Windows follow one another without overlap; gaps between them hold no packets.
+    assert (windows.start_ts[1:] >= windows.end_ts[:-1]).all()
