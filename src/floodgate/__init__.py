@@ -40,7 +40,6 @@ from .metrics import (  # noqa: E402
     build_confusion,
     collapse_binary,
     metric_set,
-    overall_accuracy,
     pairwise_counts,
     render_report,
 )
@@ -48,15 +47,11 @@ from .mlp import (  # noqa: E402
     MlpModel,
     TrainConfig,
     TrainHistory,
-    cross_entropy_loss,
     forward,
-    gradients,
     init_model,
     load_model,
-    predict,
+    predict_batch,
     save_model,
-    softmax,
-    tanh_activate,
     train,
 )
 from .pcapio import (  # noqa: E402

@@ -190,7 +190,7 @@ def cmd_eval(args) -> int:
     model = load_model(args.model)
     ds = read_csv(args.data)
     normalized = apply_normalization(ds.features, model.norm)
-    predicted = predict_batch(model, normalized) if len(ds) else np.empty(0, dtype=np.int64)
+    predicted = predict_batch(model, normalized)
     pairs = [
         (TrafficClass(int(t)), TrafficClass(int(p))) for t, p in zip(ds.labels, predicted)
     ]
@@ -209,12 +209,11 @@ def cmd_classify(args) -> int:
     model = load_model(args.model)
     packets = read_pcap(args.pcap)
     windows = window_packets(packets, args.window)
-    normalized = apply_normalization(extract_features(packets, windows), model.norm)
+    probs = forward(model, apply_normalization(extract_features(packets, windows), model.norm))
+    labels = probs.argmax(axis=1).tolist()
     lines = [CLASSIFY_HEADER]
-    for start, end, x in zip(windows.start_ts.tolist(), windows.end_ts.tolist(), normalized):
-        probs = forward(model, x)
-        label = TrafficClass(int(np.argmax(probs)))
-        lines.append(",".join([repr(start), repr(end), label.alias] + [repr(p) for p in probs.tolist()]))
+    for start, end, label, row in zip(windows.start_ts.tolist(), windows.end_ts.tolist(), labels, probs.tolist()):
+        lines.append(",".join([repr(start), repr(end), TrafficClass(label).alias] + [repr(p) for p in row]))
     with atomic_write(args.out, "w") as fh:
         fh.write("\n".join(lines) + "\n")
     print(f"classified {len(lines) - 1} windows into {args.out}")

@@ -26,11 +26,7 @@ class MalformedRow(FloodgateError):
 
 
 class DimensionMismatch(FloodgateError):
-    """An input vector does not have the expected length."""
-
-
-class EmptyBatch(FloodgateError):
-    """Gradient computation received an empty batch."""
+    """An input array does not have the expected shape."""
 
 
 class NonFiniteLoss(FloodgateError):
@@ -51,10 +47,6 @@ class CorruptModel(FloodgateError):
 
 class InvalidClass(FloodgateError):
     """A per-attack operation was asked about the normal class."""
-
-
-class EmptyMatrix(FloodgateError):
-    """A confusion matrix with zero total where a total is required."""
 
 
 class TruncatedRecord(FloodgateError):

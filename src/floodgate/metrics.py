@@ -14,7 +14,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .dataset import NUM_CLASSES, TrafficClass
-from .errors import EmptyMatrix, InvalidClass
+from .errors import InvalidClass
 
 ATTACK_CLASSES = tuple(c for c in TrafficClass if c is not TrafficClass.NORMAL)
 
@@ -117,14 +117,6 @@ def metric_set(c: BinaryCounts) -> MetricSet:
         p, r = precision / 100.0, recall / 100.0
         f_score = 2.0 * r * p / (r + p)
     return MetricSet(accuracy, precision, recall, specificity, f_score)
-
-
-def overall_accuracy(cm: ConfusionMatrix) -> float:
-    """Percentage of records on the diagonal (all five classes)."""
-    total = cm.total
-    if total == 0:
-        raise EmptyMatrix("confusion matrix has no entries")
-    return 100.0 * float(np.trace(cm.cells)) / total
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,11 @@
 One hidden layer of 106 tanh units, a 5-unit softmax output, categorical
 cross-entropy, and Adam over seeded mini-batches. All arithmetic is float64
 and every operation is deterministic for a given seed.
+
+There is one forward computation, `_forward_batch`, over a matrix of rows:
+training, `forward` (which `classify` calls once per capture) and
+`predict_batch` (which `eval` calls) all use it. There is one backward
+computation, `_backward`, which `train` calls on each mini-batch.
 """
 
 from __future__ import annotations
@@ -16,9 +21,7 @@ from .dataset import (
     NUM_CLASSES,
     NUM_FEATURES,
     Dataset,
-    LabeledRecord,
     NormalizationStats,
-    TrafficClass,
     apply_normalization,
     fit_normalization,
 )
@@ -26,7 +29,6 @@ from .errors import (
     BadMagic,
     CorruptModel,
     DimensionMismatch,
-    EmptyBatch,
     EmptyDataset,
     NonFiniteLoss,
     VersionMismatch,
@@ -55,19 +57,16 @@ MIN_IMPROVEMENT = 1e-4
 
 @dataclass
 class DenseLayer:
-    """Weights (out x in), biases (out,) and the activation applied on top."""
+    """Weights (out x in) and biases (out,); the hidden layer applies tanh, the output softmax."""
 
     weights: np.ndarray
     biases: np.ndarray
-    activation: str
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=np.float64)
         self.biases = np.asarray(self.biases, dtype=np.float64)
         if self.weights.ndim != 2 or self.biases.shape != (self.weights.shape[0],):
             raise ValueError("weight/bias shapes are inconsistent")
-        if self.activation not in (ACT_TANH, ACT_SOFTMAX):
-            raise ValueError(f"unknown activation {self.activation!r}")
         if not (np.isfinite(self.weights).all() and np.isfinite(self.biases).all()):
             raise ValueError("layer parameters must be finite")
 
@@ -84,12 +83,8 @@ class MlpModel:
     def __post_init__(self):
         if self.hidden.weights.shape != (HIDDEN_UNITS, INPUT_UNITS):
             raise ValueError(f"hidden layer must be {HIDDEN_UNITS}x{INPUT_UNITS}")
-        if self.hidden.activation != ACT_TANH:
-            raise ValueError("hidden activation must be tanh")
         if self.output.weights.shape != (OUTPUT_UNITS, HIDDEN_UNITS):
             raise ValueError(f"output layer must be {OUTPUT_UNITS}x{HIDDEN_UNITS}")
-        if self.output.activation != ACT_SOFTMAX:
-            raise ValueError("output activation must be softmax")
 
 
 def glorot_limit(fan_in: int, fan_out: int) -> float:
@@ -103,77 +98,11 @@ def init_model(seed: int, norm: NormalizationStats) -> MlpModel:
     l2 = glorot_limit(HIDDEN_UNITS, OUTPUT_UNITS)
     w1 = rng.uniform(-l1, l1, size=(HIDDEN_UNITS, INPUT_UNITS))
     w2 = rng.uniform(-l2, l2, size=(OUTPUT_UNITS, HIDDEN_UNITS))
-    return MlpModel(
-        hidden=DenseLayer(w1, np.zeros(HIDDEN_UNITS), ACT_TANH),
-        output=DenseLayer(w2, np.zeros(OUTPUT_UNITS), ACT_SOFTMAX),
-        norm=norm,
-    )
-
-
-def tanh_activate(x: float) -> float:
-    """Hyperbolic tangent, kept strictly inside (-1, 1) even when saturated."""
-    y = math.tanh(x)
-    if y >= 1.0:
-        return math.nextafter(1.0, 0.0)
-    if y <= -1.0:
-        return math.nextafter(-1.0, 0.0)
-    return y
+    return MlpModel(DenseLayer(w1, np.zeros(HIDDEN_UNITS)), DenseLayer(w2, np.zeros(OUTPUT_UNITS)), norm)
 
 
 _OPEN_LO = 5e-324
 _OPEN_HI = math.nextafter(1.0, 0.0)
-
-
-def softmax(z) -> np.ndarray:
-    """Max-shifted softmax: outputs strictly inside (0, 1), summing to 1.
-
-    Extreme logit gaps would otherwise round entries to exactly 0 or 1;
-    those are nudged to the nearest representable value inside the interval.
-    """
-    z = np.asarray(z, dtype=np.float64)
-    if z.ndim != 1:
-        raise DimensionMismatch("softmax expects a 1-d logit vector")
-    e = np.exp(z - z.max())
-    return np.clip(e / e.sum(), _OPEN_LO, _OPEN_HI)
-
-
-def forward(m: MlpModel, x) -> np.ndarray:
-    """Class probabilities for one already-normalized feature vector."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (INPUT_UNITS,):
-        raise DimensionMismatch(f"expected {INPUT_UNITS} inputs, got shape {x.shape}")
-    h = np.tanh(m.hidden.weights @ x + m.hidden.biases)
-    return softmax(m.output.weights @ h + m.output.biases)
-
-
-def predict(m: MlpModel, x) -> TrafficClass:
-    """Argmax class; ties resolve to the lowest ordinal."""
-    return TrafficClass(int(np.argmax(forward(m, x))))
-
-
-def predict_batch(m: MlpModel, x_rows: np.ndarray) -> np.ndarray:
-    """Vectorized predict over an (n, 24) matrix of normalized features."""
-    x_rows = np.asarray(x_rows, dtype=np.float64)
-    if x_rows.ndim != 2 or x_rows.shape[1] != INPUT_UNITS:
-        raise DimensionMismatch(f"expected (n, {INPUT_UNITS}), got {x_rows.shape}")
-    _, probs = _forward_batch(m.hidden.weights, m.hidden.biases, m.output.weights, m.output.biases, x_rows)
-    return probs.argmax(axis=1)
-
-
-def cross_entropy_loss(p, label: TrafficClass) -> float:
-    """-ln of the probability assigned to the true class, clamped at 1e-15."""
-    p = np.asarray(p, dtype=np.float64)
-    return -math.log(max(float(p[int(label)]), LOSS_CLAMP))
-
-
-@dataclass
-class Gradients:
-    """Mean-over-batch gradient for every parameter array."""
-
-    hidden_w: np.ndarray
-    hidden_b: np.ndarray
-    output_w: np.ndarray
-    output_b: np.ndarray
 
 
 def _forward_batch(w1, b1, w2, b2, x_rows):
@@ -185,10 +114,15 @@ def _forward_batch(w1, b1, w2, b2, x_rows):
     return h, p
 
 
-def _batch_gradients(w1, b1, w2, b2, x_rows, y):
-    n = x_rows.shape[0]
-    h, p = _forward_batch(w1, b1, w2, b2, x_rows)
-    d2 = p.copy()
+def _backward(w2, x_rows, y, h, p):
+    """Gradients of the mean cross-entropy over a batch, from its forward pass.
+
+    `h` and `p` are the hidden activations and probabilities `_forward_batch`
+    returned for `x_rows`; `p` is overwritten with the output-layer error.
+    Returns the gradients of the hidden weights and biases, then the output's.
+    """
+    n = len(y)
+    d2 = p
     d2[np.arange(n), y] -= 1.0
     d2 /= n
     gw2 = d2.T @ h
@@ -199,17 +133,27 @@ def _batch_gradients(w1, b1, w2, b2, x_rows, y):
     return gw1, gb1, gw2, gb2
 
 
-def gradients(m: MlpModel, batch) -> Gradients:
-    """Backprop gradients of the mean cross-entropy over a batch of records."""
-    batch = list(batch)
-    if not batch:
-        raise EmptyBatch("gradient computation needs at least one record")
-    x_rows = np.stack([r.features for r in batch])
-    y = np.array([int(r.label) for r in batch], dtype=np.int64)
-    gw1, gb1, gw2, gb2 = _batch_gradients(
-        m.hidden.weights, m.hidden.biases, m.output.weights, m.output.biases, x_rows, y
-    )
-    return Gradients(hidden_w=gw1, hidden_b=gb1, output_w=gw2, output_b=gb2)
+def forward(m: MlpModel, x_rows) -> np.ndarray:
+    """Class probabilities, (n, 5), for an (n, 24) matrix of normalized features.
+
+    Each row is a max-shifted softmax over its logits, kept strictly inside
+    (0, 1): an extreme logit gap that would round an entry to exactly 0 or 1
+    is nudged to the nearest representable value inside the interval. A
+    single row is passed as `x[None]`. A row's last bits can depend on the
+    batch it is computed in, because the matrix products block the rows
+    differently for different batch sizes, so `classify` computes each
+    capture in one call.
+    """
+    x_rows = np.asarray(x_rows, dtype=np.float64)
+    if x_rows.ndim != 2 or x_rows.shape[1] != INPUT_UNITS:
+        raise DimensionMismatch(f"expected (n, {INPUT_UNITS}), got {x_rows.shape}")
+    _, p = _forward_batch(m.hidden.weights, m.hidden.biases, m.output.weights, m.output.biases, x_rows)
+    return np.clip(p, _OPEN_LO, _OPEN_HI)
+
+
+def predict_batch(m: MlpModel, x_rows) -> np.ndarray:
+    """Argmax class of each row of `forward`; ties resolve to the lowest ordinal."""
+    return forward(m, x_rows).argmax(axis=1)
 
 
 @dataclass
@@ -307,21 +251,12 @@ def train(train_ds: Dataset, val_ds: Dataset, cfg: TrainConfig | None = None) ->
             w1, b1, w2, b2 = params
             h, p = _forward_batch(w1, b1, w2, b2, xb)
             batch_losses.append(_checked_loss(p, yb, f"epoch {epoch + 1}"))
-
-            nb = len(yb)
-            d2 = p
-            d2[np.arange(nb), yb] -= 1.0
-            d2 /= nb
-            gw2 = d2.T @ h
-            gb2 = d2.sum(axis=0)
-            d1 = (d2 @ w2) * (1.0 - h * h)
-            gw1 = d1.T @ xb
-            gb1 = d1.sum(axis=0)
+            grads = _backward(w2, xb, yb, h, p)
 
             step += 1
             bias1 = 1.0 - cfg.beta1**step
             bias2 = 1.0 - cfg.beta2**step
-            for param, grad, m_acc, v_acc in zip(params, (gw1, gb1, gw2, gb2), m_state, v_state):
+            for param, grad, m_acc, v_acc in zip(params, grads, m_state, v_state):
                 m_acc *= cfg.beta1
                 m_acc += (1.0 - cfg.beta1) * grad
                 v_acc *= cfg.beta2
@@ -348,12 +283,7 @@ def train(train_ds: Dataset, val_ds: Dataset, cfg: TrainConfig | None = None) ->
                 break
 
     w1, b1, w2, b2 = best_params
-    best_model = MlpModel(
-        hidden=DenseLayer(w1, b1, ACT_TANH),
-        output=DenseLayer(w2, b2, ACT_SOFTMAX),
-        norm=norm,
-    )
-    return best_model, history
+    return MlpModel(DenseLayer(w1, b1), DenseLayer(w2, b2), norm), history
 
 
 def _fmt(value: float) -> str:
@@ -434,10 +364,7 @@ def load_model(path) -> MlpModel:
     std = take_floats(INPUT_UNITS)
 
     layers = []
-    for expected_shape, activation in (
-        ((HIDDEN_UNITS, INPUT_UNITS), ACT_TANH),
-        ((OUTPUT_UNITS, HIDDEN_UNITS), ACT_SOFTMAX),
-    ):
+    for expected_shape in ((HIDDEN_UNITS, INPUT_UNITS), (OUTPUT_UNITS, HIDDEN_UNITS)):
         expect("weights")
         rows, cols = take_int(), take_int()
         if (rows, cols) != expected_shape:
@@ -448,17 +375,13 @@ def load_model(path) -> MlpModel:
         if count != rows:
             raise CorruptModel(f"{path}: biases declared {count}, expected {rows}")
         biases = take_floats(count)
-        layers.append((weights, biases, activation))
+        layers.append((weights, biases))
 
     if pos != len(tokens):
         raise CorruptModel(f"{path}: trailing data after model parameters")
 
     try:
         norm = NormalizationStats(mean, std)
-        return MlpModel(
-            hidden=DenseLayer(*layers[0]),
-            output=DenseLayer(*layers[1]),
-            norm=norm,
-        )
+        return MlpModel(hidden=DenseLayer(*layers[0]), output=DenseLayer(*layers[1]), norm=norm)
     except ValueError as exc:
         raise CorruptModel(f"{path}: {exc}") from None

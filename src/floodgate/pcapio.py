@@ -27,6 +27,8 @@ from .ioutil import atomic_write
 
 MAGIC_USEC = 0xA1B2C3D4
 MAGIC_USEC_SWAPPED = 0xD4C3B2A1
+# Other capture formats, by their first four bytes, named when a file is rejected.
+_OTHER_FORMATS = {0x0A0D0D0A: "pcapng", 0xA1B23C4D: "nanosecond pcap", 0x4D3CB2A1: "nanosecond pcap"}
 SNAPLEN = 65535
 LINKTYPE_ETHERNET = 1
 MAX_FRAME_LEN = 65535
@@ -293,6 +295,8 @@ def _walk(path) -> tuple[bytes, str, list[int]]:
         endian = "<"
     elif magic == MAGIC_USEC_SWAPPED:
         endian = ">"
+    elif magic in _OTHER_FORMATS:
+        raise BadMagic(f"{path}: {_OTHER_FORMATS[magic]} is not supported; convert with editcap -F pcap")
     else:
         raise BadMagic(f"{path}: unknown magic 0x{magic:08x}")
     if len(data) < 24:

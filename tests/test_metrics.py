@@ -2,14 +2,13 @@ import numpy as np
 import pytest
 
 from floodgate.dataset import TrafficClass
-from floodgate.errors import EmptyMatrix, InvalidClass
+from floodgate.errors import InvalidClass
 from floodgate.metrics import (
     BinaryCounts,
     ConfusionMatrix,
     build_confusion,
     collapse_binary,
     metric_set,
-    overall_accuracy,
     pairwise_counts,
     render_report,
 )
@@ -157,22 +156,6 @@ class TestMetricSet:
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError):
             BinaryCounts(tp=-1, tn=0, fp=0, fn=0)
-
-
-class TestOverallAccuracy:
-    def test_detection(self):
-        assert overall_accuracy(DETECTION_MATRIX) == pytest.approx(100 * 5725 / 5762, abs=1e-12)
-
-    def test_field(self):
-        assert overall_accuracy(FIELD_MATRIX) == pytest.approx(100 * 10042 / 10564, abs=1e-12)
-
-    def test_perfect_classifier(self):
-        cm = ConfusionMatrix(np.diag([5, 4, 3, 2, 1]))
-        assert overall_accuracy(cm) == 100.0
-
-    def test_empty_matrix(self):
-        with pytest.raises(EmptyMatrix):
-            overall_accuracy(ConfusionMatrix())
 
 
 class TestRenderReport:

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from floodgate import mlp
 from floodgate.dataset import (
     NUM_FEATURES,
     Dataset,
-    LabeledRecord,
     NormalizationStats,
     TrafficClass,
     apply_normalization,
@@ -17,31 +17,26 @@ from floodgate.errors import (
     BadMagic,
     CorruptModel,
     DimensionMismatch,
-    EmptyBatch,
     EmptyDataset,
     NonFiniteLoss,
     VersionMismatch,
 )
 from floodgate.mlp import (
-    ACT_SOFTMAX,
-    ACT_TANH,
     HIDDEN_UNITS,
     INPUT_UNITS,
     OUTPUT_UNITS,
     DenseLayer,
     MlpModel,
     TrainConfig,
-    cross_entropy_loss,
+    _backward,
+    _checked_loss,
+    _forward_batch,
     forward,
     glorot_limit,
-    gradients,
     init_model,
     load_model,
-    predict,
     predict_batch,
     save_model,
-    softmax,
-    tanh_activate,
     train,
 )
 
@@ -53,36 +48,54 @@ def random_model(seed):
 
 
 def random_batch(rng, size):
-    return [
-        LabeledRecord(rng.normal(size=NUM_FEATURES), TrafficClass(int(rng.integers(0, 5))))
-        for _ in range(size)
-    ]
+    return rng.normal(size=(size, NUM_FEATURES)), rng.integers(0, 5, size=size)
 
 
-def batch_loss(model, batch):
-    return float(
-        np.mean([cross_entropy_loss(forward(model, r.features), r.label) for r in batch])
+def logit_model(logits, hidden_biases=0.0):
+    """Zero weights, so the hidden layer is tanh(hidden_biases) and the output biases are the logits."""
+    return MlpModel(
+        hidden=DenseLayer(np.zeros((HIDDEN_UNITS, INPUT_UNITS)), np.full(HIDDEN_UNITS, hidden_biases)),
+        output=DenseLayer(np.zeros((OUTPUT_UNITS, HIDDEN_UNITS)), logits),
+        norm=UNIT_NORM,
     )
 
 
-def finite_difference_check(model, batch, h=1e-5, tol=1e-6):
+def softmax_of(logits):
+    return forward(logit_model(logits), np.zeros((1, NUM_FEATURES)))[0]
+
+
+def hidden_of(value):
+    """Hidden activations of the forward pass when every hidden unit's input is `value`."""
+    m = logit_model(np.zeros(OUTPUT_UNITS), value)
+    x = np.zeros((1, NUM_FEATURES))
+    h, _ = _forward_batch(m.hidden.weights, m.hidden.biases, m.output.weights, m.output.biases, x)
+    return h[0]
+
+
+def gradients(model, x, y):
+    """The backward pass `train` runs, on the forward pass it runs."""
+    w1, b1, w2, b2 = model.hidden.weights, model.hidden.biases, model.output.weights, model.output.biases
+    return _backward(w2, x, y, *_forward_batch(w1, b1, w2, b2, x))
+
+
+def batch_loss(model, x, y):
+    return float(np.mean(-np.log(forward(model, x)[np.arange(len(y)), y])))
+
+
+def finite_difference_check(model, x, y, h=1e-5, tol=1e-6):
     """Central-difference oracle over every parameter; returns worst relative error."""
-    grads = gradients(model, batch)
+    grads = gradients(model, x, y)
     worst = 0.0
-    for arr, grad in (
-        (model.hidden.weights, grads.hidden_w),
-        (model.hidden.biases, grads.hidden_b),
-        (model.output.weights, grads.output_w),
-        (model.output.biases, grads.output_b),
-    ):
+    params = (model.hidden.weights, model.hidden.biases, model.output.weights, model.output.biases)
+    for arr, grad in zip(params, grads):
         flat = arr.reshape(-1)
         gflat = grad.reshape(-1)
         for i in range(flat.size):
             keep = flat[i]
             flat[i] = keep + h
-            up = batch_loss(model, batch)
+            up = batch_loss(model, x, y)
             flat[i] = keep - h
-            down = batch_loss(model, batch)
+            down = batch_loss(model, x, y)
             flat[i] = keep
             numeric = (up - down) / (2 * h)
             rel = abs(gflat[i] - numeric) / max(1.0, abs(gflat[i]))
@@ -120,35 +133,33 @@ class TestInit:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             MlpModel(
-                hidden=DenseLayer(np.zeros((10, INPUT_UNITS)), np.zeros(10), ACT_TANH),
-                output=DenseLayer(np.zeros((OUTPUT_UNITS, 10)), np.zeros(OUTPUT_UNITS), ACT_SOFTMAX),
+                hidden=DenseLayer(np.zeros((10, INPUT_UNITS)), np.zeros(10)),
+                output=DenseLayer(np.zeros((OUTPUT_UNITS, 10)), np.zeros(OUTPUT_UNITS)),
                 norm=UNIT_NORM,
             )
 
 
 class TestActivations:
+    """The hidden layer's tanh and the output layer's softmax, seen through the forward pass."""
+
     def test_tanh_zero(self):
-        assert tanh_activate(0.0) == 0.0
+        assert np.all(hidden_of(0.0) == 0.0)
 
     def test_tanh_reference_value(self):
-        assert tanh_activate(1.0) == pytest.approx(0.7615941559557649, abs=1e-15)
+        assert hidden_of(1.0)[0] == pytest.approx(0.7615941559557649, abs=1e-15)
 
     @given(x=st.floats(-50, 50, allow_nan=False))
     def test_tanh_odd_and_bounded(self, x):
-        assert tanh_activate(-x) == -tanh_activate(x)
-        assert -1.0 < tanh_activate(x) < 1.0
-
-    def test_tanh_strict_bounds_when_saturated(self):
-        assert tanh_activate(1000.0) < 1.0
-        assert tanh_activate(-1000.0) > -1.0
+        assert hidden_of(-x)[0] == -hidden_of(x)[0]
+        assert -1.0 <= hidden_of(x)[0] <= 1.0
 
     def test_softmax_uniform_on_constant(self):
         for c in (-3.0, 0.0, 7.5):
-            assert np.allclose(softmax([c] * 5), 0.2, atol=1e-15)
+            assert np.allclose(softmax_of([c] * 5), 0.2, atol=1e-15)
 
     def test_softmax_reference_value(self):
         # Direct evaluation: p0 = e / (e + 4), others 1 / (e + 4).
-        p = softmax([1.0, 0.0, 0.0, 0.0, 0.0])
+        p = softmax_of([1.0, 0.0, 0.0, 0.0, 0.0])
         e = math.exp(1.0)
         assert p[0] == pytest.approx(e / (e + 4), abs=1e-12)
         assert p[1] == pytest.approx(1 / (e + 4), abs=1e-12)
@@ -158,15 +169,17 @@ class TestActivations:
         shift=st.floats(-200, 200, allow_nan=False),
     )
     def test_softmax_contract(self, z, shift):
-        p = softmax(z)
+        p = softmax_of(z)
         assert abs(p.sum() - 1.0) <= 1e-12
         assert np.all(p > 0) and np.all(p < 1)
-        assert np.allclose(softmax(np.asarray(z) + shift), p, atol=1e-12)
+        assert np.allclose(softmax_of(np.asarray(z) + shift), p, atol=1e-12)
 
     def test_softmax_extreme_logits_stable(self):
-        p = softmax([800.0, 0.0, -800.0, 0.0, 0.0])
+        p = softmax_of([800.0, 0.0, -800.0, 0.0, 0.0])
         assert np.isfinite(p).all()
         assert p.sum() == pytest.approx(1.0, abs=1e-12)
+        # exp(-800) underflows to 0; the entries stay strictly inside (0, 1).
+        assert np.all(p > 0) and np.all(p < 1)
 
 
 class TestForwardPredict:
@@ -174,99 +187,126 @@ class TestForwardPredict:
         m = random_model(0)
         m.hidden.weights[:] = 0
         m.output.weights[:] = 0
-        p = forward(m, np.zeros(NUM_FEATURES))
+        p = forward(m, np.zeros((1, NUM_FEATURES)))
+        assert p.shape == (1, OUTPUT_UNITS)
         assert np.allclose(p, 0.2, atol=1e-15)
-        assert predict(m, np.zeros(NUM_FEATURES)) is TrafficClass.NORMAL
+        assert predict_batch(m, np.zeros((1, NUM_FEATURES))).tolist() == [int(TrafficClass.NORMAL)]
 
     def test_wrong_length_rejected(self):
         m = random_model(0)
         with pytest.raises(DimensionMismatch):
-            forward(m, np.zeros(23))
+            forward(m, np.zeros((1, 23)))
+        with pytest.raises(DimensionMismatch):
+            predict_batch(m, np.zeros((1, 23)))
+
+    def test_single_vector_rejected(self):
+        m = random_model(0)
+        with pytest.raises(DimensionMismatch):
+            forward(m, np.zeros(NUM_FEATURES))
+        with pytest.raises(DimensionMismatch):
+            forward(m, np.zeros((1, 1, NUM_FEATURES)))
+
+    def test_no_rows_give_no_results(self):
+        m = random_model(0)
+        assert forward(m, np.zeros((0, NUM_FEATURES))).shape == (0, OUTPUT_UNITS)
+        assert predict_batch(m, np.zeros((0, NUM_FEATURES))).shape == (0,)
 
     def test_probability_contract(self, rng):
         m = random_model(3)
-        for _ in range(20):
-            p = forward(m, rng.normal(size=NUM_FEATURES))
-            assert abs(p.sum() - 1.0) <= 1e-12
-            assert np.all(p > 0) and np.all(p < 1)
+        p = forward(m, rng.normal(size=(20, NUM_FEATURES)))
+        assert np.all(np.abs(p.sum(axis=1) - 1.0) <= 1e-12)
+        assert np.all(p > 0) and np.all(p < 1)
 
     def test_argmax_semantics(self):
-        m = random_model(0)
-        m.hidden.weights[:] = 0
-        m.output.weights[:] = 0
-        m.output.biases[:] = [0.1, 2.0, 0.1, 0.1, 0.1]
-        assert predict(m, np.zeros(NUM_FEATURES)) is TrafficClass.SYN_FLOOD
+        m = logit_model([0.1, 2.0, 0.1, 0.1, 0.1])
+        assert predict_batch(m, np.zeros((1, NUM_FEATURES))).tolist() == [int(TrafficClass.SYN_FLOOD)]
+
+    def test_ties_resolve_to_lowest_ordinal(self):
+        m = logit_model([0.1, 2.0, 0.1, 2.0, 0.1])
+        assert predict_batch(m, np.zeros((1, NUM_FEATURES))).tolist() == [int(TrafficClass.SYN_FLOOD)]
 
     def test_monotone_logit_transform_preserves_predictions(self, rng):
         m = random_model(9)
         scaled = MlpModel(
-            hidden=DenseLayer(m.hidden.weights.copy(), m.hidden.biases.copy(), ACT_TANH),
-            output=DenseLayer(3.0 * m.output.weights, 3.0 * m.output.biases + 0.7, ACT_SOFTMAX),
+            hidden=DenseLayer(m.hidden.weights.copy(), m.hidden.biases.copy()),
+            output=DenseLayer(3.0 * m.output.weights, 3.0 * m.output.biases + 0.7),
             norm=m.norm,
         )
-        for _ in range(30):
-            x = rng.normal(size=NUM_FEATURES)
-            assert predict(m, x) is predict(scaled, x)
+        xs = rng.normal(size=(30, NUM_FEATURES))
+        assert np.array_equal(predict_batch(m, xs), predict_batch(scaled, xs))
 
-    def test_predict_batch_matches_predict(self, rng):
+    def test_predict_batch_is_forward_argmax(self, rng):
         m = random_model(4)
         xs = rng.normal(size=(40, NUM_FEATURES))
-        batched = predict_batch(m, xs)
-        assert [int(predict(m, x)) for x in xs] == batched.tolist()
+        assert np.array_equal(predict_batch(m, xs), forward(m, xs).argmax(axis=1))
+
+    def test_row_agrees_with_its_batch(self, rng):
+        # Matrix products block the rows of a batch differently from a single
+        # row, so the last bits can differ; agreement is to 1e-15, not ==.
+        m = random_model(4)
+        xs = rng.normal(size=(40, NUM_FEATURES))
+        batched = forward(m, xs)
+        for i in range(len(xs)):
+            assert np.max(np.abs(forward(m, xs[i : i + 1])[0] - batched[i])) <= 1e-15
 
 
 class TestCrossEntropy:
+    """The training loss, `_checked_loss`: mean -ln of the true-class probability."""
+
     def test_uniform_is_ln5(self):
-        assert cross_entropy_loss([0.2] * 5, TrafficClass.ACK_FLOOD) == pytest.approx(
+        p = np.full((1, OUTPUT_UNITS), 0.2)
+        assert _checked_loss(p, np.array([int(TrafficClass.ACK_FLOOD)]), "test") == pytest.approx(
             math.log(5), abs=1e-9
         )
 
     def test_perfect_prediction(self):
-        assert cross_entropy_loss([0, 1, 0, 0, 0], TrafficClass.SYN_FLOOD) == 0.0
+        p = np.array([[0.0, 1.0, 0.0, 0.0, 0.0]])
+        assert _checked_loss(p, np.array([int(TrafficClass.SYN_FLOOD)]), "test") == 0.0
 
     def test_zero_probability_clamped(self):
-        loss = cross_entropy_loss([1, 0, 0, 0, 0], TrafficClass.UDP_FLOOD)
+        # A true-class probability below 1e-15 counts as 1e-15; exactly 0 means divergence.
+        p = np.array([[1.0, 0.0, 0.0, 0.0, 1e-300]])
+        loss = _checked_loss(p, np.array([int(TrafficClass.UDP_FLOOD)]), "test")
         assert loss == pytest.approx(-math.log(1e-15), abs=1e-9)
         assert loss == pytest.approx(34.538776394910684, abs=1e-9)
+        with pytest.raises(NonFiniteLoss):
+            _checked_loss(p, np.array([int(TrafficClass.SYN_FLOOD)]), "test")
 
 
 class TestGradients:
-    def test_empty_batch(self):
-        with pytest.raises(EmptyBatch):
-            gradients(random_model(0), [])
-
     def test_finite_difference_small_sweep(self, rng):
         # The full sweep over >=5 models lives in the acceptance suite; keep
         # one pair here so module tests stay fast.
         model = random_model(11)
-        batch = random_batch(rng, 6)
-        worst = finite_difference_check(model, batch)
+        x, y = random_batch(rng, 6)
+        worst = finite_difference_check(model, x, y)
         assert worst < 1e-6
+
+    def test_train_runs_the_checked_backward_pass(self, rng, monkeypatch):
+        calls = []
+
+        def spy(*args):
+            calls.append(len(args[2]))
+            return _backward(*args)
+
+        monkeypatch.setattr(mlp, "_backward", spy)
+        train(separable_dataset(rng, 50), separable_dataset(rng, 20), TrainConfig(epochs=2, batch_size=16))
+        assert calls == [16, 16, 16, 2] * 2
 
     def test_duplicated_batch_mean_invariance(self, rng):
         model = random_model(12)
-        batch = random_batch(rng, 5)
-        g1 = gradients(model, batch)
-        g2 = gradients(model, batch + batch)
-        for a, b in (
-            (g1.hidden_w, g2.hidden_w),
-            (g1.hidden_b, g2.hidden_b),
-            (g1.output_w, g2.output_w),
-            (g1.output_b, g2.output_b),
-        ):
+        x, y = random_batch(rng, 5)
+        g1 = gradients(model, x, y)
+        g2 = gradients(model, np.concatenate([x, x]), np.concatenate([y, y]))
+        for a, b in zip(g1, g2):
             assert np.allclose(a, b, rtol=1e-12, atol=1e-12)
 
     def test_saturated_correct_prediction_has_zero_output_bias_gradient(self, rng):
-        model = random_model(13)
-        model.hidden.weights[:] = 0
-        model.output.weights[:] = 0
-        model.output.biases[:] = [-800, -800, 800, -800, -800]
-        batch = [
-            LabeledRecord(rng.normal(size=NUM_FEATURES), TrafficClass.ACK_FLOOD)
-            for _ in range(4)
-        ]
-        grads = gradients(model, batch)
-        assert np.allclose(grads.output_b, 0.0, atol=1e-12)
+        model = logit_model([-800, -800, 800, -800, -800])
+        x = rng.normal(size=(4, NUM_FEATURES))
+        y = np.full(4, int(TrafficClass.ACK_FLOOD))
+        _, _, _, output_b = gradients(model, x, y)
+        assert np.allclose(output_b, 0.0, atol=1e-12)
 
 
 def separable_dataset(rng, n, spread=0.4):
@@ -353,9 +393,7 @@ class TestTrain:
         model, history = train(train_ds, val_ds, cfg)
         assert len(history) < cfg.epochs
         normalized = apply_normalization(val_ds.features, model.norm)
-        val_loss = float(
-            np.mean([cross_entropy_loss(forward(model, x), y) for x, y in zip(normalized, val_ds.labels)])
-        )
+        val_loss = batch_loss(model, normalized, val_ds.labels)
         assert val_loss == pytest.approx(min(history.val_loss), rel=1e-9)
 
     def test_config_validation(self):
@@ -393,9 +431,8 @@ class TestPersistence:
         path = tmp_path / "m.model"
         save_model(model, path)
         loaded = load_model(path)
-        for _ in range(100):
-            x = rng.normal(size=NUM_FEATURES)
-            assert np.array_equal(forward(model, x), forward(loaded, x))
+        xs = rng.normal(size=(100, NUM_FEATURES))
+        assert np.array_equal(forward(model, xs), forward(loaded, xs))
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "m.model"

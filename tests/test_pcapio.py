@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from floodgate.cli import main
 from floodgate.errors import BadMagic, FrameTooLarge, TruncatedRecord, UnsupportedLinkType
 from floodgate.pcapio import (
     Frame,
@@ -67,8 +68,24 @@ class TestFileErrors:
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.pcap"
         path.write_bytes(struct.pack("<I", 0xDEADBEEF) + b"\x00" * 20)
-        with pytest.raises(BadMagic):
+        with pytest.raises(BadMagic, match="unknown magic 0xdeadbeef"):
             read_pcap(path)
+
+    def test_pcapng_named(self, tmp_path):
+        # Section header block: type 0x0A0D0D0A, then the byte-order magic.
+        path = tmp_path / "capture.pcapng"
+        path.write_bytes(struct.pack("<III", 0x0A0D0D0A, 28, 0x1A2B3C4D) + b"\x00" * 16)
+        with pytest.raises(BadMagic, match="pcapng is not supported; convert with editcap -F pcap"):
+            read_pcap(path)
+        assert main(["extract", "--pcap", str(path), "--out", str(tmp_path / "f.csv")]) == 2
+
+    @pytest.mark.parametrize("endian", ["<", ">"])
+    def test_nanosecond_pcap_named(self, tmp_path, endian):
+        path = tmp_path / "nsec.pcap"
+        path.write_bytes(struct.pack(endian + "IHHiIII", 0xA1B23C4D, 2, 4, 0, 0, 65535, 1))
+        with pytest.raises(BadMagic, match="nanosecond pcap is not supported"):
+            read_frames(path)
+        assert main(["extract", "--pcap", str(path), "--out", str(tmp_path / "f.csv")]) == 2
 
     def test_big_endian_accepted(self, tmp_path):
         path = tmp_path / "be.pcap"
