@@ -186,12 +186,9 @@ def stratified_split(
     if abs(train_ratio + val_ratio + test_ratio - 1.0) > 1e-9:
         raise BadRatios("ratios must sum to 1")
 
-    counts = ds.class_counts()
-    for c, n in enumerate(counts):
-        if n < 3:
-            raise EmptyClass(
-                f"class {TrafficClass(c).alias} has {n} records; at least 3 are required"
-            )
+    short = [f"{TrafficClass(c).alias} ({n})" for c, n in enumerate(ds.class_counts()) if n < 3]
+    if short:
+        raise EmptyClass(f"every class needs at least 3 records to split; too few in: {', '.join(short)}")
 
     rng = np.random.default_rng(seed)
     train_parts, val_parts, test_parts = [], [], []

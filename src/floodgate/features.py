@@ -86,7 +86,7 @@ HTTP_METHODS = (b"GET ", b"POST", b"HEAD", b"PUT ")
 SMALL_UDP_MAX_PAYLOAD = 64
 
 _HTTP_METHOD_CODES = [int.from_bytes(m, "big") for m in HTTP_METHODS]
-# TCP flag bits, as TcpFlags.from_byte reads them.
+# Bits of the `tcp_flags` column (the low six bits of the TCP flags octet).
 _FIN, _SYN, _RST, _ACK = 0x01, 0x02, 0x04, 0x10
 
 TRUTH_HEADER = ("start_ts", "end_ts", "label")

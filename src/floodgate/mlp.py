@@ -54,6 +54,11 @@ LOSS_CLAMP = 1e-15
 # enough to be useful would never let patience run out.
 MIN_IMPROVEMENT = 1e-4
 
+# Adam's moment decay rates and denominator guard (Kingma and Ba's defaults).
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+
 
 @dataclass
 class DenseLayer:
@@ -78,7 +83,6 @@ class MlpModel:
     hidden: DenseLayer
     output: DenseLayer
     norm: NormalizationStats
-    version: int = MODEL_VERSION
 
     def __post_init__(self):
         if self.hidden.weights.shape != (HIDDEN_UNITS, INPUT_UNITS):
@@ -162,9 +166,6 @@ class TrainConfig:
     epochs: int = 100
     batch_size: int = 64
     seed: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     patience: int = 10
 
     def __post_init__(self):
@@ -174,10 +175,6 @@ class TrainConfig:
             raise ValueError("epochs must be at least 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
-        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
-            raise ValueError("beta1/beta2 must be in [0, 1)")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
         if self.patience < 0:
             raise ValueError("patience must be non-negative")
 
@@ -254,14 +251,14 @@ def train(train_ds: Dataset, val_ds: Dataset, cfg: TrainConfig | None = None) ->
             grads = _backward(w2, xb, yb, h, p)
 
             step += 1
-            bias1 = 1.0 - cfg.beta1**step
-            bias2 = 1.0 - cfg.beta2**step
+            bias1 = 1.0 - ADAM_BETA1**step
+            bias2 = 1.0 - ADAM_BETA2**step
             for param, grad, m_acc, v_acc in zip(params, grads, m_state, v_state):
-                m_acc *= cfg.beta1
-                m_acc += (1.0 - cfg.beta1) * grad
-                v_acc *= cfg.beta2
-                v_acc += (1.0 - cfg.beta2) * (grad * grad)
-                param -= cfg.learning_rate * (m_acc / bias1) / (np.sqrt(v_acc / bias2) + cfg.epsilon)
+                m_acc *= ADAM_BETA1
+                m_acc += (1.0 - ADAM_BETA1) * grad
+                v_acc *= ADAM_BETA2
+                v_acc += (1.0 - ADAM_BETA2) * (grad * grad)
+                param -= cfg.learning_rate * (m_acc / bias1) / (np.sqrt(v_acc / bias2) + ADAM_EPSILON)
 
         w1, b1, w2, b2 = params
         _, p_val = _forward_batch(w1, b1, w2, b2, x_val)
@@ -293,7 +290,7 @@ def _fmt(value: float) -> str:
 def save_model(m: MlpModel, path) -> None:
     """Write the model as whitespace-separated text with exact float round-trip."""
     with atomic_write(path, "w") as fh:
-        fh.write(f"{MODEL_MAGIC} v{m.version}\n")
+        fh.write(f"{MODEL_MAGIC} v{MODEL_VERSION}\n")
         fh.write(f"layers {INPUT_UNITS} {HIDDEN_UNITS} {OUTPUT_UNITS}\n")
         fh.write(f"activations {ACT_TANH} {ACT_SOFTMAX}\n")
         fh.write("norm_mean " + " ".join(_fmt(v) for v in m.norm.mean) + "\n")

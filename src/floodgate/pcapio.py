@@ -9,7 +9,8 @@ specific layer that was reached.
 `read_pcap` decodes a whole capture at once into `Packets` columns: one
 Python pass finds the records, then each header field is read for all
 records with one array gather, masked by the same tests `decode_frame`
-makes for one frame. `decode_frame` stays as the one-frame reference.
+makes for one frame. `decode_frame` stays as the one-frame reference;
+its `PacketMeta` is one row of `Packets`, field for field.
 """
 
 from __future__ import annotations
@@ -42,41 +43,16 @@ _GLOBAL_LE = struct.Struct("<IHHiIII")
 _RECORD_LE = struct.Struct("<IIII")
 
 
-class LinkProtocol(Enum):
-    IPV4 = "ipv4"
-    OTHER = "other"
-
-
 class Transport(Enum):
+    NON_IP = "non_ip"
+    OTHER_IP = "other_ip"
     TCP = "tcp"
     UDP = "udp"
-    OTHER_IP = "other_ip"
-    NON_IP = "non_ip"
 
 
-@dataclass(frozen=True)
-class TcpFlags:
-    syn: bool = False
-    ack: bool = False
-    fin: bool = False
-    rst: bool = False
-    psh: bool = False
-    urg: bool = False
-
-    @classmethod
-    def from_byte(cls, b: int) -> "TcpFlags":
-        # Low six bits of the TCP flags octet: FIN SYN RST PSH ACK URG.
-        return cls(
-            fin=bool(b & 0x01),
-            syn=bool(b & 0x02),
-            rst=bool(b & 0x04),
-            psh=bool(b & 0x08),
-            ack=bool(b & 0x10),
-            urg=bool(b & 0x20),
-        )
-
-
-NO_FLAGS = TcpFlags()
+# The code of each transport in the `Packets.transport` column.
+NON_IP, OTHER_IP, TCP, UDP = range(len(Transport))
+_TRANSPORTS = tuple(Transport)
 
 
 @dataclass(frozen=True)
@@ -94,20 +70,25 @@ class Frame:
 
 @dataclass
 class PacketMeta:
-    """Decoded per-packet metadata used by feature extraction."""
+    """One row of `Packets`: the decoded fields of one record, encoded as the columns are.
+
+    The IPv4 fields (`src_ip`, `dst_ip`, `ttl`) are 0 where `transport` is
+    NON_IP, and the ports are 0 where it is not TCP or UDP. `tcp_flags` holds
+    the low six bits of the TCP flags octet (FIN SYN RST PSH ACK URG), and
+    `payload_prefix` at most PAYLOAD_PREFIX_LEN leading payload bytes.
+    """
 
     ts_sec: int
     ts_usec: int
     captured_len: int
     original_len: int
-    link: LinkProtocol = LinkProtocol.OTHER
     transport: Transport = Transport.NON_IP
-    src_ip: int | None = None
-    dst_ip: int | None = None
-    src_port: int | None = None
-    dst_port: int | None = None
-    tcp_flags: TcpFlags = NO_FLAGS
-    ttl: int | None = None
+    src_ip: int = 0
+    dst_ip: int = 0
+    src_port: int = 0
+    dst_port: int = 0
+    tcp_flags: int = 0
+    ttl: int = 0
     payload_len: int = 0
     payload_prefix: bytes = b""
 
@@ -138,7 +119,6 @@ def decode_frame(data: bytes, ts_sec: int = 0, ts_usec: int = 0, original_len: i
         return meta
 
     total_len = int.from_bytes(ip[2:4], "big")
-    meta.link = LinkProtocol.IPV4
     meta.transport = Transport.OTHER_IP
     meta.ttl = ip[8]
     meta.src_ip = int.from_bytes(ip[12:16], "big")
@@ -160,7 +140,7 @@ def decode_frame(data: bytes, ts_sec: int = 0, ts_usec: int = 0, original_len: i
         meta.transport = Transport.TCP
         meta.src_port = int.from_bytes(body[0:2], "big")
         meta.dst_port = int.from_bytes(body[2:4], "big")
-        meta.tcp_flags = TcpFlags.from_byte(body[13])
+        meta.tcp_flags = body[13] & 0x3F
         meta.payload_len = max(0, total_len - ihl - data_off)
         meta.payload_prefix = bytes(body[data_off : data_off + PAYLOAD_PREFIX_LEN])
     elif proto == PROTO_UDP:
@@ -176,22 +156,15 @@ def decode_frame(data: bytes, ts_sec: int = 0, ts_usec: int = 0, original_len: i
     return meta
 
 
-_TRANSPORTS = (Transport.NON_IP, Transport.OTHER_IP, Transport.TCP, Transport.UDP)
-NON_IP, OTHER_IP, TCP, UDP = range(len(_TRANSPORTS))
-_CODES = {t: code for code, t in enumerate(_TRANSPORTS)}
-
-
 @dataclass(frozen=True, eq=False)
 class Packets:
     """Decoded packet metadata of a whole capture as columns, one row per record.
 
-    Row i holds what `decode_frame` gives for record i. `transport` holds the
-    codes NON_IP, OTHER_IP, TCP and UDP; the IPv4 columns (`src_ip`, `dst_ip`,
-    `ttl`) are meaningful only where it is not NON_IP, and the port columns
-    only where it is TCP or UDP (elsewhere they hold 0). `tcp_flags` holds the
-    low six bits of the TCP flags octet, and `payload_prefix` the prefix bytes
-    zero-padded to PAYLOAD_PREFIX_LEN, with their count in `prefix_len`.
-    Indexing and iteration yield the equivalent PacketMeta records.
+    Row i holds what `decode_frame` gives for record i, with the encodings of
+    PacketMeta: `transport` holds the codes NON_IP, OTHER_IP, TCP and UDP, and
+    `payload_prefix` the prefix bytes zero-padded to PAYLOAD_PREFIX_LEN, with
+    their count in `prefix_len`. Indexing and iteration yield the rows as
+    PacketMeta records.
     """
 
     ts_sec: np.ndarray
@@ -219,32 +192,19 @@ class Packets:
 
     @classmethod
     def from_metas(cls, metas: Sequence[PacketMeta]) -> "Packets":
-        """Columns from PacketMeta records shaped as `decode_frame` makes them.
-
-        The inverse of indexing: IPv4 fields must be present exactly when the
-        transport is not NON_IP, and ports exactly when it is TCP or UDP.
-        """
+        """Columns from PacketMeta records; the inverse of indexing."""
         out = cls.empty(len(metas))
         for i, m in enumerate(metas):
-            ip = m.transport is not Transport.NON_IP
-            ported = m.transport in (Transport.TCP, Transport.UDP)
-            if (
-                (m.link is LinkProtocol.IPV4) != ip
-                or any((v is None) == ip for v in (m.src_ip, m.dst_ip, m.ttl))
-                or any((v is None) == ported for v in (m.src_port, m.dst_port))
-                or len(m.payload_prefix) > PAYLOAD_PREFIX_LEN
-            ):
-                raise ValueError(f"packet {i} is not shaped like a decoded frame: {m}")
-            f = m.tcp_flags
+            prefix = m.payload_prefix
+            if len(prefix) > PAYLOAD_PREFIX_LEN:
+                raise ValueError(f"packet {i}: payload prefix of {len(prefix)} bytes exceeds {PAYLOAD_PREFIX_LEN}")
             row = (
-                m.ts_sec, m.ts_usec, m.captured_len, m.original_len, _CODES[m.transport],
-                m.src_ip or 0, m.dst_ip or 0, m.src_port or 0, m.dst_port or 0,
-                f.fin | f.syn << 1 | f.rst << 2 | f.psh << 3 | f.ack << 4 | f.urg << 5,
-                m.ttl or 0, m.payload_len, len(m.payload_prefix),
+                m.ts_sec, m.ts_usec, m.captured_len, m.original_len, _TRANSPORTS.index(m.transport),
+                m.src_ip, m.dst_ip, m.src_port, m.dst_port, m.tcp_flags, m.ttl, m.payload_len, len(prefix),
             )
             for name, value in zip(_INT_COLUMNS, row):
                 getattr(out, name)[i] = value
-            out.payload_prefix[i, : len(m.payload_prefix)] = np.frombuffer(m.payload_prefix, np.uint8)
+            out.payload_prefix[i, : len(prefix)] = np.frombuffer(prefix, np.uint8)
         return out
 
     def __len__(self) -> int:
@@ -262,21 +222,9 @@ _INT_COLUMNS = tuple(Packets.__dataclass_fields__)[:-1]
 
 
 def _meta(ts_sec, ts_usec, cap, orig, code, src, dst, sport, dport, flags, ttl, plen, prefix_len, prefix):
-    """One row of Packets as the PacketMeta that decode_frame gives."""
-    ip = code != NON_IP
-    ported = code in (TCP, UDP)
+    """One row of Packets, its values in column order, as a PacketMeta."""
     return PacketMeta(
-        ts_sec, ts_usec, cap, orig,
-        LinkProtocol.IPV4 if ip else LinkProtocol.OTHER,
-        _TRANSPORTS[code],
-        src if ip else None,
-        dst if ip else None,
-        sport if ported else None,
-        dport if ported else None,
-        TcpFlags.from_byte(flags),
-        ttl if ip else None,
-        plen,
-        prefix[:prefix_len],
+        ts_sec, ts_usec, cap, orig, _TRANSPORTS[code], src, dst, sport, dport, flags, ttl, plen, prefix[:prefix_len]
     )
 
 

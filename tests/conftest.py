@@ -9,7 +9,7 @@ import struct
 import numpy as np
 import pytest
 
-from floodgate.pcapio import PacketMeta, TcpFlags, Transport, LinkProtocol
+from floodgate.pcapio import PacketMeta, Transport
 
 
 def ethernet(payload: bytes, ethertype: int = 0x0800) -> bytes:
@@ -89,24 +89,22 @@ def make_meta(
     ts: float = 0.0,
     size: int = 60,
     transport: Transport = Transport.TCP,
-    src_ip: int | None = 0x0A000001,
-    dst_ip: int | None = 0x0A000002,
-    src_port: int | None = 1234,
-    dst_port: int | None = 80,
-    flags: TcpFlags = TcpFlags(),
-    ttl: int | None = 64,
+    src_ip: int = 0x0A000001,
+    dst_ip: int = 0x0A000002,
+    src_port: int = 1234,
+    dst_port: int = 80,
+    flags: int = 0,
+    ttl: int = 64,
     payload_len: int = 0,
     payload_prefix: bytes = b"",
 ) -> PacketMeta:
     sec = int(ts)
     usec = round((ts - sec) * 1e6)
-    link = LinkProtocol.IPV4 if src_ip is not None else LinkProtocol.OTHER
     return PacketMeta(
         ts_sec=sec,
         ts_usec=usec,
         captured_len=size,
         original_len=size,
-        link=link,
         transport=transport,
         src_ip=src_ip,
         dst_ip=dst_ip,

@@ -14,6 +14,9 @@ import numpy as np
 from floodgate.features import HTTP_METHODS, HTTP_PORTS, SMALL_UDP_MAX_PAYLOAD
 from floodgate.pcapio import Transport
 
+# TCP flag bits, written out here rather than taken from the package.
+FIN, SYN, RST, ACK = 0x01, 0x02, 0x04, 0x10
+
 
 def windows(metas, window_len):
     """(start_ts, end_ts, packets) of each non-empty window of a sorted stream."""
@@ -63,13 +66,13 @@ def window_features(pkts):
         if p.transport is Transport.TCP:
             tcp += 1
             f = p.tcp_flags
-            if f.syn and not f.ack:
+            if f & SYN and not f & ACK:
                 syn += 1
-            elif f.syn and f.ack:
+            elif f & SYN and f & ACK:
                 synack += 1
-            elif f.ack and p.payload_len == 0:
+            elif f & ACK and p.payload_len == 0:
                 pure_ack += 1
-            if f.fin or f.rst:
+            if f & (FIN | RST):
                 finrst += 1
             if p.dst_port in HTTP_PORTS and p.payload_prefix[:4] in HTTP_METHODS:
                 http_req += 1
@@ -77,7 +80,7 @@ def window_features(pkts):
             udp += 1
             if p.payload_len <= SMALL_UDP_MAX_PAYLOAD:
                 small_udp += 1
-        if p.src_ip is not None:
+        if p.transport is not Transport.NON_IP:
             src_counts[p.src_ip] = src_counts.get(p.src_ip, 0) + 1
             ipv4_count += 1
             ttl_sum += p.ttl

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from floodgate.cli import SEED_ENV_VAR, main
-from floodgate.dataset import TrafficClass, apply_normalization, read_csv
+from floodgate.dataset import TrafficClass, apply_normalization, read_csv, write_csv
 from floodgate.mlp import forward, load_model, predict_batch
 
 # Eight seconds with all four floods, one after another.
@@ -105,6 +105,16 @@ class TestExitCodes:
         else:
             argv = ["classify", "--pcap", bad, "--model", d / "model.txt", "--out", tmp_path / "out.csv"]
         assert_fails_cleanly(tmp_path, 2, *argv)
+
+    def test_missing_classes_are_named_input_error(self, scenario, tmp_path, capsys):
+        d, _ = scenario
+        ds = read_csv(d / "train.csv")
+        write_csv(ds.subset(np.flatnonzero(np.isin(ds.labels, [TrafficClass.NORMAL, TrafficClass.ACK_FLOOD]))),
+                  tmp_path / "two.csv")
+        capsys.readouterr()
+        assert_fails_cleanly(tmp_path, 2, "train", "--data", tmp_path / "two.csv", "--out-model", tmp_path / "m.txt")
+        err = capsys.readouterr().err
+        assert "too few in: syn_flood (0), http_flood (0), udp_flood (0)" in err
 
     def test_divergence_is_runtime_error(self, scenario, tmp_path):
         d, _ = scenario

@@ -19,10 +19,8 @@ from hypothesis import strategies as st
 from floodgate.features import extract_features, window_packets
 from floodgate.pcapio import (
     Frame,
-    LinkProtocol,
     PacketMeta,
     Packets,
-    TcpFlags,
     Transport,
     decode_frame,
     read_frames,
@@ -109,13 +107,8 @@ def test_read_pcap_decodes_every_record_like_decode_frame(records, endian):
 def test_from_metas_rejects_records_decode_frame_cannot_make():
     good = decode_frame(ethernet(ipv4(udp(b"x"), proto=17)))
     assert Packets.from_metas([good])[0] == good
-    for bad in (
-        PacketMeta(0, 0, 60, 60, transport=Transport.NON_IP, src_ip=1),
-        PacketMeta(0, 0, 60, 60, transport=Transport.OTHER_IP),
-        PacketMeta(0, 0, 60, 60, payload_prefix=b"123456789"),
-    ):
-        with pytest.raises(ValueError):
-            Packets.from_metas([good, bad])
+    with pytest.raises(ValueError, match="packet 1: payload prefix of 9 bytes exceeds 8"):
+        Packets.from_metas([good, PacketMeta(0, 0, 60, 60, payload_prefix=b"123456789")])
 
 
 # --- features -----------------------------------------------------------------
@@ -141,14 +134,13 @@ def packet_streams(draw):
                 ts_usec=clock % 1_000_000,
                 captured_len=min(size, 96),
                 original_len=size,
-                link=LinkProtocol.IPV4 if ip else LinkProtocol.OTHER,
                 transport=transport,
-                src_ip=draw(st.sampled_from([1, 2, 0xC0A8010A, 2**32 - 1])) if ip else None,
-                dst_ip=draw(st.sampled_from([3, 0x0A00000A])) if ip else None,
-                src_port=draw(st.sampled_from([0, 1024, 40000, 65535])) if ported else None,
-                dst_port=draw(st.sampled_from([53, 80, 8080, 65535])) if ported else None,
-                tcp_flags=TcpFlags.from_byte(draw(st.integers(0, 63))),
-                ttl=draw(st.sampled_from([1, 64, 128, 255])) if ip else None,
+                src_ip=draw(st.sampled_from([1, 2, 0xC0A8010A, 2**32 - 1])) if ip else 0,
+                dst_ip=draw(st.sampled_from([3, 0x0A00000A])) if ip else 0,
+                src_port=draw(st.sampled_from([0, 1024, 40000, 65535])) if ported else 0,
+                dst_port=draw(st.sampled_from([53, 80, 8080, 65535])) if ported else 0,
+                tcp_flags=draw(st.integers(0, 63)),
+                ttl=draw(st.sampled_from([1, 64, 128, 255])) if ip else 0,
                 payload_len=draw(st.sampled_from([0, 1, 64, 65, 1400])),
                 payload_prefix=draw(st.sampled_from([b"", b"GET", b"GET / HT", b"POST /x", b"PUT \x00", b"HTTP/1.1"])),
             )
@@ -173,7 +165,7 @@ def test_last_bit_cases_of_log2_and_squares():
     # need pow: x * x rounds differently for these four stamps' gaps.
     flows = [53] * 28 + [1, 2, 3]
     first = [
-        make_meta(transport=Transport.UDP, src_ip=port, dst_port=port, flags=TcpFlags())
+        make_meta(transport=Transport.UDP, src_ip=port, dst_port=port)
         for port in flows
     ]
     second = [replace(make_meta(), ts_sec=1_731_009_969, ts_usec=us) for us in (25_176, 83_773, 85_718, 87_730)]

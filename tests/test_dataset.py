@@ -115,6 +115,12 @@ class TestSplit:
         with pytest.raises(EmptyClass):
             stratified_split(ds, self.RATIOS, seed=0)
 
+    def test_every_short_class_is_named(self):
+        ds = make_dataset((5, 0, 5, 1, 2))
+        with pytest.raises(EmptyClass) as err:
+            stratified_split(ds, self.RATIOS, seed=0)
+        assert str(err.value).endswith("too few in: syn_flood (0), http_flood (1), udp_flood (2)")
+
     def test_same_seed_same_partitions(self):
         rng = np.random.default_rng(7)
         ds = make_dataset((20, 11, 9, 5, 30), rng)

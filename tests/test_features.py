@@ -15,7 +15,7 @@ from floodgate.features import (
     window_packets,
     write_truth,
 )
-from floodgate.pcapio import Packets, TcpFlags, Transport
+from floodgate.pcapio import Packets, Transport
 
 from conftest import make_meta
 
@@ -38,10 +38,12 @@ def features(pkts, length=1.0):
     assert len(windows) == 1
     return extract_features(packets, windows)[0]
 
-SYN = TcpFlags(syn=True)
-SYNACK = TcpFlags(syn=True, ack=True)
-ACK = TcpFlags(ack=True)
-FIN = TcpFlags(fin=True, ack=True)
+# TCP flags octets: FIN 0x01, SYN 0x02, RST 0x04, ACK 0x10.
+SYN = 0x02
+SYNACK = 0x12
+ACK = 0x10
+FIN = 0x11
+RST = 0x04
 
 
 class TestWindowing:
@@ -127,7 +129,7 @@ class TestExtract:
 
     def test_two_port_uniform_entropy(self):
         pkts = [
-            make_meta(ts=0.1, transport=Transport.UDP, dst_port=53, flags=TcpFlags()),
+            make_meta(ts=0.1, transport=Transport.UDP, dst_port=53, flags=0),
             make_meta(ts=0.2, transport=Transport.UDP, dst_port=53),
             make_meta(ts=0.3, transport=Transport.UDP, dst_port=123),
             make_meta(ts=0.4, transport=Transport.UDP, dst_port=123),
@@ -159,7 +161,7 @@ class TestExtract:
     def test_fin_rst_ratio(self):
         pkts = [
             make_meta(ts=0.1, flags=FIN),
-            make_meta(ts=0.2, flags=TcpFlags(rst=True)),
+            make_meta(ts=0.2, flags=RST),
             make_meta(ts=0.3, flags=ACK),
             make_meta(ts=0.4, transport=Transport.UDP),
         ]
@@ -192,8 +194,8 @@ class TestExtract:
             make_meta(ts=0.1, ttl=64),
             make_meta(ts=0.2, ttl=128),
             make_meta(
-                ts=0.3, transport=Transport.NON_IP, src_ip=None, dst_ip=None,
-                src_port=None, dst_port=None, ttl=None,
+                ts=0.3, transport=Transport.NON_IP, src_ip=0, dst_ip=0,
+                src_port=0, dst_port=0, ttl=0,
             ),
         ]
         v = features(pkts)
@@ -203,8 +205,8 @@ class TestExtract:
     def test_window_of_only_non_ip_packets(self):
         pkts = [
             make_meta(
-                ts=0.1 * i, transport=Transport.NON_IP, src_ip=None, dst_ip=None,
-                src_port=None, dst_port=None, ttl=None,
+                ts=0.1 * i, transport=Transport.NON_IP, src_ip=0, dst_ip=0,
+                src_port=0, dst_port=0, ttl=0,
             )
             for i in range(3)
         ]
@@ -230,12 +232,12 @@ class TestExtract:
                         ts=t,
                         size=int(rng.integers(54, 1500)),
                         transport=tr,
-                        src_ip=int(rng.integers(1, 6)) if has_ip else None,
-                        dst_ip=2 if has_ip else None,
-                        src_port=int(rng.integers(1024, 1030)) if has_port else None,
-                        dst_port=int(rng.integers(1, 5)) if has_port else None,
-                        flags=TcpFlags(syn=bool(rng.integers(2))) if tr is Transport.TCP else TcpFlags(),
-                        ttl=64 if has_ip else None,
+                        src_ip=int(rng.integers(1, 6)) if has_ip else 0,
+                        dst_ip=2 if has_ip else 0,
+                        src_port=int(rng.integers(1024, 1030)) if has_port else 0,
+                        dst_port=int(rng.integers(1, 5)) if has_port else 0,
+                        flags=SYN * int(rng.integers(2)) if tr is Transport.TCP else 0,
+                        ttl=64 if has_ip else 0,
                         payload_len=int(rng.integers(0, 200)),
                     )
                 )

@@ -9,7 +9,6 @@ from floodgate.cli import main
 from floodgate.errors import BadMagic, FrameTooLarge, TruncatedRecord, UnsupportedLinkType
 from floodgate.pcapio import (
     Frame,
-    LinkProtocol,
     Transport,
     decode_frame,
     read_frames,
@@ -122,9 +121,8 @@ class TestDecode:
     def test_minimal_tcp_syn(self):
         frame = ethernet(ipv4(tcp(flags=0x02, sport=40000, dport=80), proto=6, ttl=64))
         meta = decode_frame(frame, 5, 123456)
-        assert meta.link is LinkProtocol.IPV4
         assert meta.transport is Transport.TCP
-        assert meta.tcp_flags.syn and not meta.tcp_flags.ack
+        assert meta.tcp_flags == 0x02
         assert meta.payload_len == 0
         assert meta.src_port == 40000 and meta.dst_port == 80
         assert meta.ttl == 64
@@ -132,13 +130,12 @@ class TestDecode:
 
     def test_syn_ack_flag_bits(self):
         meta = decode_frame(ethernet(ipv4(tcp(flags=0x12), proto=6)))
-        assert meta.tcp_flags.syn and meta.tcp_flags.ack
-        assert not (meta.tcp_flags.fin or meta.tcp_flags.rst or meta.tcp_flags.psh)
+        assert meta.tcp_flags == 0x12
 
     def test_all_flag_bits(self):
-        meta = decode_frame(ethernet(ipv4(tcp(flags=0x3F), proto=6)))
-        f = meta.tcp_flags
-        assert f.fin and f.syn and f.rst and f.psh and f.ack and f.urg
+        assert decode_frame(ethernet(ipv4(tcp(flags=0x3F), proto=6))).tcp_flags == 0x3F
+        # The two bits above URG (ECE, CWR) are not kept.
+        assert decode_frame(ethernet(ipv4(tcp(flags=0xFF), proto=6))).tcp_flags == 0x3F
 
     def test_udp_payload_from_length_field(self):
         # UDP length 108 means 100 payload bytes regardless of capture size.
@@ -166,28 +163,27 @@ class TestDecode:
 
     def test_arp_is_non_ip(self):
         meta = decode_frame(ethernet(b"\x00" * 28, ethertype=0x0806))
-        assert meta.link is LinkProtocol.OTHER
         assert meta.transport is Transport.NON_IP
-        assert meta.src_ip is None and meta.dst_ip is None
-        assert meta.tcp_flags == decode_frame(b"").tcp_flags
+        assert meta.src_ip == 0 and meta.dst_ip == 0 and meta.ttl == 0
+        assert meta.tcp_flags == 0 == decode_frame(b"").tcp_flags
 
     def test_non_first_fragment_degrades_to_other_ip(self):
         frame = ethernet(ipv4(tcp(), proto=6, frag_offset=5))
         meta = decode_frame(frame)
         assert meta.transport is Transport.OTHER_IP
-        assert meta.src_port is None
+        assert meta.src_port == 0 and meta.dst_port == 0 and meta.tcp_flags == 0
 
     def test_unknown_ip_protocol(self):
         frame = ethernet(ipv4(b"\x00" * 8, proto=47))
         meta = decode_frame(frame)
-        assert meta.link is LinkProtocol.IPV4
         assert meta.transport is Transport.OTHER_IP
+        assert meta.src_ip == 0x0A000001 and meta.ttl == 64
 
     def test_truncated_ip_header(self):
         frame = ethernet(b"\x45\x00\x00")
         meta = decode_frame(frame)
-        assert meta.link is LinkProtocol.OTHER
         assert meta.transport is Transport.NON_IP
+        assert meta.src_ip == 0
 
     def test_short_frame(self):
         meta = decode_frame(b"\x01\x02\x03")
@@ -207,4 +203,4 @@ class TestDecode:
         assert meta.captured_len == len(data)
         assert len(meta.payload_prefix) <= 8
         if meta.transport is not Transport.TCP:
-            assert not meta.tcp_flags.syn and not meta.tcp_flags.ack
+            assert meta.tcp_flags == 0
