@@ -8,6 +8,7 @@ atomically, so a failed run never leaves partial files behind.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -44,14 +45,32 @@ class _UsageError(Exception):
     """Flag values that parse but are semantically invalid."""
 
 
+def _integer(text: str, minimum: int) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+    if value < minimum:
+        raise argparse.ArgumentTypeError(f"value must be at least {minimum}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    return _integer(text, 1)
+
+
+def _seed(text: str) -> int:
+    return _integer(text, 0)
+
+
 def _default_seed() -> int:
     raw = os.environ.get(SEED_ENV_VAR)
     if raw is None:
         return 0
     try:
-        return int(raw)
-    except ValueError:
-        raise _UsageError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from None
+        return _seed(raw)
+    except argparse.ArgumentTypeError:
+        raise _UsageError(f"{SEED_ENV_VAR} must be a non-negative integer, got {raw!r}") from None
 
 
 def _positive_float(text: str) -> float:
@@ -59,18 +78,15 @@ def _positive_float(text: str) -> float:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
-    if value <= 0:
-        raise argparse.ArgumentTypeError("value must be positive")
+    if not (0 < value < math.inf):
+        raise argparse.ArgumentTypeError("value must be positive and finite")
     return value
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-    if value <= 0:
-        raise argparse.ArgumentTypeError("value must be positive")
+def _window(text: str) -> float:
+    value = _positive_float(text)
+    if value < 1e-6:
+        raise argparse.ArgumentTypeError("window must be at least one microsecond (1e-6)")
     return value
 
 
@@ -105,14 +121,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("extract", help="extract windowed features from a pcap")
     p.add_argument("--pcap", required=True, help="input pcap file")
     p.add_argument("--truth", help="ground-truth CSV; windows default to normal without it")
-    p.add_argument("--window", type=_positive_float, default=1.0, help="window length in seconds")
+    p.add_argument("--window", type=_window, default=1.0, help="window length in seconds")
     p.add_argument("--out", required=True, help="output dataset CSV path")
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("train", help="train the classifier on a dataset CSV")
     p.add_argument("--data", required=True, help="dataset CSV")
     p.add_argument("--out-model", required=True, help="output model path")
-    p.add_argument("--seed", type=int, default=None, help=f"RNG seed (default {SEED_ENV_VAR} or 0)")
+    p.add_argument("--seed", type=_seed, default=None, help=f"RNG seed (default {SEED_ENV_VAR} or 0)")
     p.add_argument("--epochs", type=_positive_int, default=100)
     p.add_argument("--lr", type=_positive_float, default=1e-3, help="learning rate")
     p.add_argument("--batch", type=_positive_int, default=64, help="mini-batch size")
@@ -129,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="classify each window of a pcap")
     p.add_argument("--pcap", required=True, help="input pcap file")
     p.add_argument("--model", required=True, help="model file")
-    p.add_argument("--window", type=_positive_float, default=1.0, help="window length in seconds")
+    p.add_argument("--window", type=_window, default=1.0, help="window length in seconds")
     p.add_argument("--out", required=True, help="output predictions CSV")
     p.set_defaults(func=cmd_classify)
 
@@ -191,10 +207,7 @@ def cmd_eval(args) -> int:
     ds = read_csv(args.data)
     normalized = apply_normalization(ds.features, model.norm)
     predicted = predict_batch(model, normalized)
-    pairs = [
-        (TrafficClass(int(t)), TrafficClass(int(p))) for t, p in zip(ds.labels, predicted)
-    ]
-    report = render_report(build_confusion(pairs))
+    report = render_report(build_confusion(ds.labels, predicted))
     with atomic_write(args.report, "w") as fh:
         fh.write(report.text)
     csv_path = f"{args.report}.csv"
@@ -237,10 +250,7 @@ def main(argv=None) -> int:
     except NonFiniteLoss as exc:
         print(f"floodgate {args.command}: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    except FloodgateError as exc:
-        print(f"floodgate {args.command}: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
+    except (FloodgateError, OSError) as exc:
         print(f"floodgate {args.command}: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

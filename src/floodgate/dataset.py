@@ -31,20 +31,17 @@ class TrafficClass(IntEnum):
     @property
     def alias(self) -> str:
         """Canonical label text used in CSV files."""
-        return _CANONICAL[self]
+        return self.name.lower()
+
+    @property
+    def short(self) -> str:
+        """The alias without its "_flood" suffix ("syn" for SYN_FLOOD)."""
+        return self.alias.removesuffix("_flood")
 
     @property
     def display_name(self) -> str:
         return _DISPLAY[self]
 
-
-_CANONICAL = {
-    TrafficClass.NORMAL: "normal",
-    TrafficClass.SYN_FLOOD: "syn_flood",
-    TrafficClass.ACK_FLOOD: "ack_flood",
-    TrafficClass.HTTP_FLOOD: "http_flood",
-    TrafficClass.UDP_FLOOD: "udp_flood",
-}
 
 _DISPLAY = {
     TrafficClass.NORMAL: "Normal traffic",
@@ -54,17 +51,7 @@ _DISPLAY = {
     TrafficClass.UDP_FLOOD: "UDP Flooding",
 }
 
-_ALIASES = {
-    "normal": TrafficClass.NORMAL,
-    "syn": TrafficClass.SYN_FLOOD,
-    "syn_flood": TrafficClass.SYN_FLOOD,
-    "ack": TrafficClass.ACK_FLOOD,
-    "ack_flood": TrafficClass.ACK_FLOOD,
-    "http": TrafficClass.HTTP_FLOOD,
-    "http_flood": TrafficClass.HTTP_FLOOD,
-    "udp": TrafficClass.UDP_FLOOD,
-    "udp_flood": TrafficClass.UDP_FLOOD,
-}
+_ALIASES = {name: c for c in TrafficClass for name in (c.alias, c.short)}
 
 
 def encode_label(name: str) -> TrafficClass:

@@ -1,55 +1,28 @@
 """Confusion matrices and the detection metric suite.
 
-Two evaluation scopes are supported: "overall" collapses the 5x5 matrix to
-normal-vs-any-flood, and the per-attack scope restricts it to the four cells
-of the {normal, attack} submatrix (only packets of those two classes that
-were predicted as one of those two classes participate).
+A confusion matrix is a (5, 5) int64 array of window counts, rows the true
+class and columns the predicted one. The "overall" scope collapses it to
+normal-vs-any-flood; a per-attack scope keeps the four cells of the {normal,
+attack} submatrix (only windows of those two classes predicted as one of them).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .dataset import NUM_CLASSES, TrafficClass
 from .errors import InvalidClass
 
-ATTACK_CLASSES = tuple(c for c in TrafficClass if c is not TrafficClass.NORMAL)
+
+def build_confusion(true, predicted) -> np.ndarray:
+    """Count (true, predicted) label pairs into a (5, 5) matrix."""
+    codes = NUM_CLASSES * np.asarray(true, dtype=np.int64) + np.asarray(predicted, dtype=np.int64)
+    return np.bincount(codes, minlength=NUM_CLASSES * NUM_CLASSES).reshape(NUM_CLASSES, NUM_CLASSES)
 
 
-class ConfusionMatrix:
-    """5x5 count matrix; rows are true classes, columns predicted classes."""
-
-    def __init__(self, cells=None):
-        if cells is None:
-            cells = np.zeros((NUM_CLASSES, NUM_CLASSES), dtype=np.int64)
-        cells = np.asarray(cells, dtype=np.int64)
-        if cells.shape != (NUM_CLASSES, NUM_CLASSES):
-            raise ValueError(f"confusion matrix must be {NUM_CLASSES}x{NUM_CLASSES}")
-        if (cells < 0).any():
-            raise ValueError("confusion matrix cells must be non-negative")
-        self.cells = cells
-
-    @property
-    def total(self) -> int:
-        return int(self.cells.sum())
-
-    def row_sums(self) -> list[int]:
-        return [int(s) for s in self.cells.sum(axis=1)]
-
-
-def build_confusion(pairs: Iterable[tuple[TrafficClass, TrafficClass]]) -> ConfusionMatrix:
-    """Count (true, predicted) pairs into a confusion matrix."""
-    cells = np.zeros((NUM_CLASSES, NUM_CLASSES), dtype=np.int64)
-    for true, predicted in pairs:
-        cells[int(true), int(predicted)] += 1
-    return ConfusionMatrix(cells)
-
-
-@dataclass(frozen=True)
-class BinaryCounts:
+class BinaryCounts(NamedTuple):
     """Two-class outcome counts: attacks are the positive class."""
 
     tp: int
@@ -57,38 +30,24 @@ class BinaryCounts:
     fp: int
     fn: int
 
-    def __post_init__(self):
-        if min(self.tp, self.tn, self.fp, self.fn) < 0:
-            raise ValueError("counts must be non-negative")
 
-    @property
-    def total(self) -> int:
-        return self.tp + self.tn + self.fp + self.fn
-
-
-def collapse_binary(cm: ConfusionMatrix) -> BinaryCounts:
+def collapse_binary(cm: np.ndarray) -> BinaryCounts:
     """Collapse to normal-vs-flood: any attack predicted as any attack is a TP."""
-    c = cm.cells
     return BinaryCounts(
-        tp=int(c[1:, 1:].sum()),
-        tn=int(c[0, 0]),
-        fp=int(c[0, 1:].sum()),
-        fn=int(c[1:, 0].sum()),
+        tp=int(cm[1:, 1:].sum()), tn=int(cm[0, 0]), fp=int(cm[0, 1:].sum()), fn=int(cm[1:, 0].sum())
     )
 
 
-def pairwise_counts(cm: ConfusionMatrix, attack: TrafficClass) -> BinaryCounts:
+def pairwise_counts(cm: np.ndarray, attack: TrafficClass) -> BinaryCounts:
     """Restrict to the {normal, attack} submatrix: four cells only."""
     attack = TrafficClass(attack)
     if attack is TrafficClass.NORMAL:
         raise InvalidClass("pairwise counts need one of the four attack classes")
     a = int(attack)
-    c = cm.cells
-    return BinaryCounts(tp=int(c[a, a]), tn=int(c[0, 0]), fp=int(c[0, a]), fn=int(c[a, 0]))
+    return BinaryCounts(tp=int(cm[a, a]), tn=int(cm[0, 0]), fp=int(cm[0, a]), fn=int(cm[a, 0]))
 
 
-@dataclass(frozen=True)
-class MetricSet:
+class MetricSet(NamedTuple):
     """Percent metrics plus F-score; None marks an undefined (0/0) value."""
 
     accuracy: Optional[float]
@@ -107,7 +66,7 @@ def metric_set(c: BinaryCounts) -> MetricSet:
     def pct(num: int, den: int) -> Optional[float]:
         return 100.0 * num / den if den else None
 
-    accuracy = pct(c.tp + c.tn, c.total)
+    accuracy = pct(c.tp + c.tn, sum(c))
     precision = pct(c.tp, c.tp + c.fp)
     recall = pct(c.tp, c.tp + c.fn)
     specificity = pct(c.tn, c.tn + c.fp)
@@ -119,76 +78,41 @@ def metric_set(c: BinaryCounts) -> MetricSet:
     return MetricSet(accuracy, precision, recall, specificity, f_score)
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     """Rendered evaluation report: aligned text plus machine-readable CSV."""
 
     text: str
     csv: str
 
 
-_CSV_SCOPES = (
-    ("overall", None),
-    ("syn", TrafficClass.SYN_FLOOD),
-    ("ack", TrafficClass.ACK_FLOOD),
-    ("http", TrafficClass.HTTP_FLOOD),
-    ("udp", TrafficClass.UDP_FLOOD),
+# (CSV key, report name, attack class or None for the overall scope).
+_SCOPES = (("overall", "All DDoS Flooding", None),) + tuple(
+    (c.short, c.display_name, c) for c in TrafficClass if c is not TrafficClass.NORMAL
 )
+_HEADINGS = ("Accuracy", "Precision", "Recall", "Specificity", "F-score")
 
 
 def _fmt(value: Optional[float], undefined: str) -> str:
     return undefined if value is None else f"{value:.2f}"
 
 
-def render_report(cm: ConfusionMatrix) -> Report:
+def render_report(cm: np.ndarray) -> Report:
     """Render the 5x5 matrix, the overall metric row, and the four pairwise rows."""
     names = [c.display_name for c in TrafficClass]
-    scope_metrics = []
-    for key, attack in _CSV_SCOPES:
-        counts = collapse_binary(cm) if attack is None else pairwise_counts(cm, attack)
-        scope_metrics.append((key, attack, metric_set(counts)))
-
-    lines = ["Confusion matrix (rows: true class, columns: predicted class)", ""]
     name_w = max(len(n) for n in names)
-    cell_w = max(6, max(len(str(int(v))) for v in cm.cells.flat))
-    header = " " * (name_w + 2) + "  ".join(f"{n:>{max(cell_w, len(n))}}" for n in names)
-    lines.append(header)
-    for i, n in enumerate(names):
-        row = "  ".join(
-            f"{int(v):>{max(cell_w, len(names[j]))}}" for j, v in enumerate(cm.cells[i])
-        )
-        lines.append(f"{n:<{name_w}}  " + row)
-    lines.append("")
+    cell_w = max(6, max(len(str(v)) for v in cm.ravel().tolist()))
+    widths = [max(cell_w, len(n)) for n in names]
+    lines = ["Confusion matrix (rows: true class, columns: predicted class)", ""]
+    lines.append(" " * (name_w + 2) + "  ".join(f"{n:>{w}}" for n, w in zip(names, widths)))
+    for n, row in zip(names, cm.tolist()):
+        lines.append(f"{n:<{name_w}}  " + "  ".join(f"{v:>{w}}" for v, w in zip(row, widths)))
+    lines += ["", "Performance indicators", ""]
 
-    lines.append("Performance indicators")
-    lines.append("")
-    scope_names = ["All DDoS Flooding"] + [a.display_name for _, a in _CSV_SCOPES[1:]]
-    scope_w = max(len(s) for s in scope_names)
-    cols = ("Accuracy", "Precision", "Recall", "Specificity", "F-score")
-    lines.append(f"{'Scope':<{scope_w}}  " + "  ".join(f"{c:>11}" for c in cols))
-    for (key, attack, ms), scope_name in zip(scope_metrics, scope_names):
-        cells = [
-            _fmt(ms.accuracy, "undefined"),
-            _fmt(ms.precision, "undefined"),
-            _fmt(ms.recall, "undefined"),
-            _fmt(ms.specificity, "undefined"),
-            _fmt(ms.f_score, "undefined"),
-        ]
-        lines.append(f"{scope_name:<{scope_w}}  " + "  ".join(f"{c:>11}" for c in cells))
-    text = "\n".join(lines) + "\n"
-
-    csv_lines = ["scope,accuracy,precision,recall,specificity,f_score"]
-    for key, attack, ms in scope_metrics:
-        csv_lines.append(
-            ",".join(
-                [
-                    key,
-                    _fmt(ms.accuracy, "NA"),
-                    _fmt(ms.precision, "NA"),
-                    _fmt(ms.recall, "NA"),
-                    _fmt(ms.specificity, "NA"),
-                    _fmt(ms.f_score, "NA"),
-                ]
-            )
-        )
-    return Report(text=text, csv="\n".join(csv_lines) + "\n")
+    scope_w = max(len(name) for _, name, _ in _SCOPES)
+    lines.append(f"{'Scope':<{scope_w}}  " + "  ".join(f"{h:>11}" for h in _HEADINGS))
+    csv_lines = [",".join(("scope",) + MetricSet._fields)]
+    for key, name, attack in _SCOPES:
+        ms = metric_set(collapse_binary(cm) if attack is None else pairwise_counts(cm, attack))
+        lines.append(f"{name:<{scope_w}}  " + "  ".join(f"{_fmt(v, 'undefined'):>11}" for v in ms))
+        csv_lines.append(",".join([key] + [_fmt(v, "NA") for v in ms]))
+    return Report(text="\n".join(lines) + "\n", csv="\n".join(csv_lines) + "\n")

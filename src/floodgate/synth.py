@@ -20,6 +20,7 @@ uniformly random ports. Everything is reproducible from the seed.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -137,10 +138,13 @@ class ScenarioConfig:
     episodes: list[Episode] = field(default_factory=list)
 
     def __post_init__(self):
-        if self.duration <= 0:
-            raise BadScenario("duration must be positive")
-        if self.benign_rate < 0:
-            raise BadScenario("benign_rate must be non-negative")
+        # Comparisons against inf also reject nan, which fails every comparison.
+        if not 0 < self.duration < math.inf:
+            raise BadScenario("duration must be positive and finite")
+        if self.seed < 0:
+            raise BadScenario("seed must be non-negative")
+        if not 0 <= self.benign_rate < math.inf:
+            raise BadScenario("benign_rate must be non-negative and finite")
         if not 1 <= self.victim_port <= 65535:
             raise BadScenario(f"victim_port {self.victim_port} out of range")
         try:
@@ -154,8 +158,8 @@ class ScenarioConfig:
                 raise BadScenario(
                     f"episode [{ep.start}, {ep.end}) falls outside [0, {self.duration}]"
                 )
-            if ep.rate <= 0:
-                raise BadScenario("episode rate must be positive")
+            if not 0 < ep.rate < math.inf:
+                raise BadScenario("episode rate must be positive and finite")
             if ep.attackers < 1:
                 raise BadScenario("episode needs at least one attacker")
         ordered = sorted(self.episodes, key=lambda e: e.start)

@@ -66,6 +66,15 @@ def assert_fails_cleanly(directory, code, *argv):
     assert sorted(p.name for p in directory.iterdir()) == before
 
 
+def seed_env_argv(command, d, tmp_path):
+    """A `synth` or `train` command line that takes its seed from the environment."""
+    (tmp_path / "s.cfg").write_text(SCENARIO)
+    if command == "synth":
+        return ["synth", "--config", tmp_path / "s.cfg", "--out-pcap", tmp_path / "s.pcap",
+                "--out-truth", tmp_path / "s.truth"]
+    return ["train", "--data", d / "train.csv", "--out-model", tmp_path / "m.txt", "--epochs", 1]
+
+
 class TestExitCodes:
     @pytest.mark.parametrize("command", ["synth", "extract", "train", "eval", "classify"])
     def test_success_is_0(self, scenario, command):
@@ -83,16 +92,32 @@ class TestExitCodes:
         train = ["train", "--data", d / "train.csv", "--out-model", tmp_path / "m.txt"]
         assert_fails_cleanly(tmp_path, 1, *train, "--split", "0.5,0.5,0.5")
 
+    @pytest.mark.parametrize("window", ["1e-7", "nan", "inf"])
+    @pytest.mark.parametrize("command", ["extract", "classify"])
+    def test_bad_window_is_usage_error(self, scenario, tmp_path, command, window):
+        d, _ = scenario
+        model = ["--model", d / "model.txt"] if command == "classify" else []
+        assert_fails_cleanly(tmp_path, 1, command, "--pcap", d / "test.pcap", *model, "--window", window,
+                             "--out", tmp_path / "out.csv")
+
+    @pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--lr", "nan"), ("--lr", "inf")])
+    def test_bad_train_number_is_usage_error(self, scenario, tmp_path, flag, value):
+        d, _ = scenario
+        train = ["train", "--data", d / "train.csv", "--out-model", tmp_path / "m.txt", "--epochs", 1]
+        assert_fails_cleanly(tmp_path, 1, *train, flag, value)
+
     @pytest.mark.parametrize("command", ["synth", "train"])
     def test_non_integer_seed_env_is_usage_error(self, scenario, tmp_path, monkeypatch, command):
         d, _ = scenario
+        argv = seed_env_argv(command, d, tmp_path)
         monkeypatch.setenv(SEED_ENV_VAR, "seven")
-        (tmp_path / "s.cfg").write_text(SCENARIO)
-        if command == "synth":
-            argv = ["synth", "--config", tmp_path / "s.cfg", "--out-pcap", tmp_path / "s.pcap",
-                    "--out-truth", tmp_path / "s.truth"]
-        else:
-            argv = ["train", "--data", d / "train.csv", "--out-model", tmp_path / "m.txt", "--epochs", 1]
+        assert_fails_cleanly(tmp_path, 1, *argv)
+
+    @pytest.mark.parametrize("command", ["synth", "train"])
+    def test_negative_seed_env_is_usage_error(self, scenario, tmp_path, monkeypatch, command):
+        d, _ = scenario
+        argv = seed_env_argv(command, d, tmp_path)
+        monkeypatch.setenv(SEED_ENV_VAR, "-1")
         assert_fails_cleanly(tmp_path, 1, *argv)
 
     @pytest.mark.parametrize("command", ["extract", "classify"])

@@ -43,6 +43,14 @@ class TestGrammar:
             ("duration 5\nepisode syn 1 2 0 4\n", "episode rate must be positive"),
             ("duration 5\nepisode syn 1 2 100 0\n", "episode needs at least one attacker"),
             ("duration 0\n", "duration must be positive"),
+            ("duration inf\n", "duration must be positive and finite"),
+            ("duration nan\n", "duration must be positive and finite"),
+            ("duration 5\nbenign_rate inf\n", "benign_rate must be non-negative and finite"),
+            ("duration 5\nbenign_rate nan\n", "benign_rate must be non-negative and finite"),
+            ("duration 5\nbenign_rate -1\n", "benign_rate must be non-negative and finite"),
+            ("duration 5\nepisode syn_flood 0 1 inf 1\n", "episode rate must be positive and finite"),
+            ("duration 5\nepisode syn_flood 0 1 nan 1\n", "episode rate must be positive and finite"),
+            ("duration 5\nseed -3\n", "seed must be non-negative"),
             ("duration 5\nvictim_port 70000\n", "victim_port 70000 out of range"),
             ("duration 5\nvictim_ip 10.0.0\n", "bad IPv4 address"),
         ],
