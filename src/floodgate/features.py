@@ -209,15 +209,16 @@ def extract_features(packets: Packets, windows: Windows) -> np.ndarray:
     ttl_sum = np.bincount(ip_owner, weights=packets.ttl[ipv4], minlength=n_windows)
     unique_src, src_entropy = _distinct_and_entropy(ip_owner, packets.src_ip[ipv4], n_windows)
     unique_ports, port_entropy = _distinct_and_entropy(owner[ported], packets.dst_port[ported], n_windows)
-    flows = np.unique(
-        np.column_stack((
-            owner[ported],
-            packets.src_ip[ported] << 32 | packets.dst_ip[ported],  # wraps, but stays one key per pair
-            packets.src_port[ported] << 17 | packets.dst_port[ported] << 1 | udp[ported],
-        )),
-        axis=0,
-    )
-    five_tuples = np.bincount(flows[:, 0], minlength=n_windows)
+    # Distinct flows per window: sort the (window, address pair, ports and
+    # transport) keys and count the runs that start in each window.
+    flow_owner = owner[ported]
+    pair = packets.src_ip[ported] << 32 | packets.dst_ip[ported]  # wraps, but stays one key per pair
+    ports = packets.src_port[ported] << 17 | packets.dst_port[ported] << 1 | udp[ported]
+    order = np.lexsort((ports, pair, flow_owner))
+    flow_owner, pair, ports = flow_owner[order], pair[order], ports[order]
+    new_flow = np.ones(len(order), dtype=bool)
+    new_flow[1:] = (flow_owner[1:] != flow_owner[:-1]) | (pair[1:] != pair[:-1]) | (ports[1:] != ports[:-1])
+    five_tuples = np.bincount(flow_owner[new_flow], minlength=n_windows)
 
     # Gaps between consecutive packets of a window, from float timestamps.
     stamps = packets.ts_sec + packets.ts_usec / 1e6

@@ -40,7 +40,7 @@ PROTO_TCP = 6
 PROTO_UDP = 17
 
 _GLOBAL_LE = struct.Struct("<IHHiIII")
-_RECORD_LE = struct.Struct("<IIII")
+_RECORD_LE = np.dtype([("ts_sec", "<u4"), ("ts_usec", "<u4"), ("incl_len", "<u4"), ("orig_len", "<u4")])
 
 
 class Transport(Enum):
@@ -356,12 +356,36 @@ def read_frames(path) -> list[Frame]:
     return frames
 
 
-def write_pcap(path, frames: Iterable[Frame]) -> None:
-    """Write frames as a little-endian microsecond pcap file."""
+def record_headers(ts_sec, ts_usec, frame_len) -> np.ndarray:
+    """The 16-byte little-endian record header of each frame, as an (n, 16) uint8 array.
+
+    Raises FrameTooLarge for a frame longer than MAX_FRAME_LEN, and
+    ValueError for a timestamp outside the format's unsigned 32 bits.
+    """
+    ts_sec, ts_usec, frame_len = (np.asarray(a, dtype=np.int64) for a in (ts_sec, ts_usec, frame_len))
+    if len(frame_len) and frame_len.max() > MAX_FRAME_LEN:
+        raise FrameTooLarge(f"frame of {frame_len.max()} bytes exceeds {MAX_FRAME_LEN}")
+    for stamp in (ts_sec, ts_usec):
+        if len(stamp) and not 0 <= stamp.min() <= stamp.max() <= 0xFFFFFFFF:
+            raise ValueError("timestamp outside the 32-bit range of a pcap record")
+    out = np.empty(len(frame_len), _RECORD_LE)
+    out["ts_sec"], out["ts_usec"], out["incl_len"], out["orig_len"] = ts_sec, ts_usec, frame_len, frame_len
+    return out.view(np.uint8).reshape(-1, 16)
+
+
+def write_records(path, chunks: Iterable) -> None:
+    """Write a little-endian microsecond pcap file: the global header, then
+    each chunk of records (`record_headers` rows, each followed by its frame)."""
     with atomic_write(path, "wb") as fh:
         fh.write(_GLOBAL_LE.pack(MAGIC_USEC, 2, 4, 0, 0, SNAPLEN, LINKTYPE_ETHERNET))
-        for frame in frames:
-            if len(frame.data) > MAX_FRAME_LEN:
-                raise FrameTooLarge(f"frame of {len(frame.data)} bytes exceeds {MAX_FRAME_LEN}")
-            fh.write(_RECORD_LE.pack(frame.ts_sec, frame.ts_usec, len(frame.data), len(frame.data)))
-            fh.write(frame.data)
+        for chunk in chunks:
+            fh.write(chunk)
+
+
+def write_pcap(path, frames: Iterable[Frame]) -> None:
+    """Write frames as a little-endian microsecond pcap file."""
+    frames = list(frames)
+    headers = record_headers(
+        [f.ts_sec for f in frames], [f.ts_usec for f in frames], [len(f.data) for f in frames]
+    )
+    write_records(path, (header.tobytes() + frame.data for header, frame in zip(headers, frames)))

@@ -16,12 +16,21 @@ SYN-only packets from spoofed 198.18/16 sources; ack_flood sends bare ACKs
 belonging to no connection; http_flood completes minimal handshakes and
 hammers "GET /" requests at port 80; udp_flood sprays small datagrams at
 uniformly random ports. Everything is reproducible from the seed.
+
+The draws fix the bytes: each stream calls its seeded generator in a fixed
+order and records every packet as one row of fields (time, addresses,
+ports, flags, protocol, TTL, payload kind and length), and changing that
+order changes the capture. `encode_records` turns rows into pcap records,
+headers, checksums and payloads of many rows at once; it holds the one
+frame layout, which `build_tcp_frame` and `build_udp_frame` use for one
+frame. A scenario may expect at most MAX_EXPECTED_PACKETS packets, so that
+synth stays within SYNTH_MEMORY_BUDGET.
 """
 
 from __future__ import annotations
 
 import math
-import struct
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,14 +38,7 @@ import numpy as np
 from .dataset import TrafficClass, encode_label
 from .errors import BadScenario, UnknownLabel
 from .features import write_truth
-from .pcapio import Frame, write_pcap
-
-_ETH = struct.Struct("!6s6sH")
-_IPV4 = struct.Struct("!BBHHHBBH4s4s")
-_TCP = struct.Struct("!HHIIBBHHH")
-_UDP = struct.Struct("!HHHH")
-
-ETHERTYPE_IPV4 = 0x0800
+from .pcapio import ETHERTYPE_IPV4, PROTO_TCP, PROTO_UDP, record_headers, write_records
 
 FLAG_FIN = 0x01
 FLAG_SYN = 0x02
@@ -52,7 +54,9 @@ _BENIGN_MIX = (
     ("bulk", 0.20, 1),
 )
 _MEAN_EVENT_PKTS = sum(w * k for _, w, k in _BENIGN_MIX)
-_MIX_WEIGHTS = np.array([w for _, w, _ in _BENIGN_MIX])
+# What Generator.choice(p=weights) computes from one rng.random() draw.
+_MIX_CDF = np.array([w for _, w, _ in _BENIGN_MIX]).cumsum()
+_MIX_CDF /= _MIX_CDF[-1]
 
 _HTTP_SESSION_MIN_GETS = 5
 _HTTP_SESSION_MAX_GETS = 14
@@ -63,6 +67,57 @@ HTTP_RESPONSE = b"HTTP/1.1 200 OK\r\nContent-Length: 0\r\n\r\n"
 
 SPOOF_NET = "198.18.0.0"  # benchmark-reserved range used for spoofed SYN sources
 ATTACKER_NET = "198.19.0.0"  # deterministic per-episode attacker hosts
+
+# One packet is one row of N_FIELDS float64s (every integer field is below
+# 2**53): time, source and destination IPv4 address, source and destination
+# port, TCP flags, IP protocol, TTL, payload kind and payload length.
+N_FIELDS = 10
+
+# Payload kinds: a payload is its kind's prefix, cut or filled out to the
+# row's payload length with its kind's fill byte.
+_PAYLOADS = (
+    (b"", 0),
+    (HTTP_GET, 0),
+    (HTTP_RESPONSE, ord("x")),
+    (b"\x00\x01\x01\x00", ord("q")),
+    (b"\x00\x01\x81\x80", ord("a")),
+    (b"", ord("d")),
+)
+ZEROS, GET, RESPONSE, DNS_QUERY, DNS_ANSWER, BULK = range(len(_PAYLOADS))
+_PREFIX_LEN = np.array([len(prefix) for prefix, _ in _PAYLOADS])
+_PREFIX = np.array([list(prefix.ljust(_PREFIX_LEN.max(), b"\0")) for prefix, _ in _PAYLOADS], dtype=np.uint8)
+_FILL = np.array([fill for _, fill in _PAYLOADS], dtype=np.uint8)
+
+# The one frame layout: Ethernet (locally administered MACs 02:00 + the IPv4
+# address), IPv4 without options (DF set, checksum filled in afterwards), and
+# TCP (data offset 5 words, window 65535) or UDP, which overlays the start of
+# the TCP header. Every field not named here is zero.
+_FRAME_HEAD = np.dtype({
+    "names": ["dst_mac", "dst_mac_ip", "src_mac", "src_mac_ip", "ethertype", "version_ihl", "ip_len",
+              "ip_flags", "ttl", "proto", "checksum", "src", "dst", "sport", "dport", "udp_len",
+              "data_offset", "tcp_flags", "window"],
+    "formats": [">u2", ">u4", ">u2", ">u4", ">u2", "u1", ">u2",
+                ">u2", "u1", "u1", ">u2", ">u4", ">u4", ">u2", ">u2", ">u2",
+                "u1", "u1", ">u2"],
+    "offsets": [0, 2, 6, 8, 12, 14, 16, 20, 22, 23, 24, 26, 30, 34, 36, 38, 46, 47, 48],
+    "itemsize": 54,
+})
+_TCP_HEAD, _UDP_HEAD = 54, 42
+_IP_HEAD = slice(14, 34)
+_RECORD_HEAD = 16  # the pcap record header before each frame
+
+# Rows encoded at a time: the encoder's working set stays small however long the capture.
+CHUNK_ROWS = 2048
+
+# The most packets a scenario may expect. Until the capture is written, synth
+# holds each packet's row plus its sort key and index: a tracemalloc peak of
+# 125-126 B/packet at 0.38M and 0.86M packets, rounded up to 128. A 1 GiB
+# budget then allows 8,388,608 packets (a pcap of about 0.8 GB).
+SYNTH_MEMORY_BUDGET = 1 << 30
+SYNTH_PEAK_BYTES_PER_PACKET = 128
+MAX_EXPECTED_PACKETS = SYNTH_MEMORY_BUDGET // SYNTH_PEAK_BYTES_PER_PACKET
+# A pcap record holds the seconds of its timestamp in 32 bits.
+MAX_DURATION_S = 2**32 - 1
 
 
 def ip_to_int(dotted: str) -> int:
@@ -78,45 +133,81 @@ def ip_to_int(dotted: str) -> int:
     return value
 
 
-def _mac_for(ip: int) -> bytes:
-    # Locally administered MAC derived from the IPv4 address.
-    return b"\x02\x00" + ip.to_bytes(4, "big")
+def _pcap_time(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Whole seconds and microseconds of non-negative float timestamps:
+    `int(t)` and round-half-even microseconds, carried into the seconds at 10**6."""
+    sec = t.astype(np.int64)
+    usec = np.rint((t - sec) * 1e6).astype(np.int64)
+    carry = usec >= 1_000_000
+    return sec + carry, usec - carry * 1_000_000
 
 
-def _ip_checksum(header: bytes) -> int:
-    total = 0
-    for i in range(0, len(header), 2):
-        total += (header[i] << 8) | header[i + 1]
+def encode_records(rows: np.ndarray) -> np.ndarray:
+    """The pcap records of packet rows, in row order, back to back as one uint8 buffer.
+
+    `rows` is an (n, N_FIELDS) float64 array; each record is the 16-byte
+    record header and the frame in the one layout above.
+    """
+    sec, usec = _pcap_time(rows[:, 0])
+    src, dst, sport, dport, flags, proto, ttl, kind, plen = rows[:, 1:].T.astype(np.int64)
+    tcp = proto == PROTO_TCP
+    head_len = np.where(tcp, _TCP_HEAD, _UDP_HEAD)
+    frame_len = head_len + plen
+
+    head = np.zeros(len(rows), _FRAME_HEAD)
+    head["dst_mac"] = head["src_mac"] = 0x0200
+    head["dst_mac_ip"], head["src_mac_ip"] = dst, src
+    head["ethertype"] = ETHERTYPE_IPV4
+    head["version_ihl"] = 0x45
+    head["ip_len"] = frame_len - 14
+    head["ip_flags"] = 0x4000
+    head["ttl"], head["proto"], head["src"], head["dst"] = ttl, proto, src, dst
+    head["sport"], head["dport"] = sport, dport
+    head["udp_len"] = np.where(tcp, 0, frame_len - 34)
+    head["data_offset"], head["tcp_flags"], head["window"] = 5 << 4, flags, 0xFFFF
+    head_bytes = head.view(np.uint8).reshape(len(rows), -1)
+    # One's-complement sum of the IPv4 header's ten words; the first fold can carry again.
+    total = head_bytes[:, _IP_HEAD].view(">u2").sum(axis=1)
     total = (total & 0xFFFF) + (total >> 16)
     total = (total & 0xFFFF) + (total >> 16)
-    return ~total & 0xFFFF
+    head["checksum"] = ~total & 0xFFFF
+
+    # Each record starts with the bytes of `lead`: record header, frame
+    # header, then as much of the payload prefix as the payload holds. The
+    # rest of the record is the kind's fill byte.
+    lead = np.zeros((len(rows), _RECORD_HEAD + _TCP_HEAD + _PREFIX.shape[1]), dtype=np.uint8)
+    lead[:, :_RECORD_HEAD] = record_headers(sec, usec, frame_len)
+    lead[:, _RECORD_HEAD : _RECORD_HEAD + _TCP_HEAD] = head_bytes
+    for rows_of, at in ((tcp, _RECORD_HEAD + _TCP_HEAD), (~tcp, _RECORD_HEAD + _UDP_HEAD)):
+        lead[rows_of, at : at + _PREFIX.shape[1]] = _PREFIX[kind[rows_of]]
+    lead_len = _RECORD_HEAD + head_len + np.minimum(_PREFIX_LEN[kind], plen)
+    record_len = _RECORD_HEAD + frame_len
+    out = np.repeat(_FILL[kind], record_len)
+    start = np.cumsum(record_len) - record_len
+    # +1 where a lead starts and -1 where it ends: the running sum is 1 on lead bytes.
+    edge = np.zeros(len(out) + 1, dtype=np.int8)
+    edge[start] = 1
+    edge[start + lead_len] -= 1
+    out[np.cumsum(edge[:-1], dtype=np.int8).view(bool)] = lead[np.arange(lead.shape[1]) < lead_len[:, None]]
+    return out
 
 
-def _ipv4(src: int, dst: int, proto: int, payload: bytes, ttl: int) -> bytes:
-    header = _IPV4.pack(
-        0x45, 0, 20 + len(payload), 0, 0x4000, ttl, proto, 0,
-        src.to_bytes(4, "big"), dst.to_bytes(4, "big"),
-    )
-    checksum = _ip_checksum(header)
-    return header[:10] + checksum.to_bytes(2, "big") + header[12:] + payload
+def _build_frame(src_ip, dst_ip, src_port, dst_port, flags, proto, ttl, payload: bytes) -> bytes:
+    row = np.array([[0, src_ip, dst_ip, src_port, dst_port, flags, proto, ttl, ZEROS, len(payload)]], np.float64)
+    frame = encode_records(row)[_RECORD_HEAD:]
+    return frame[: len(frame) - len(payload)].tobytes() + payload
 
 
 def build_tcp_frame(
-    src_ip: int, dst_ip: int, src_port: int, dst_port: int, flags: int,
-    payload: bytes = b"", ttl: int = 64, seq: int = 0, ack_no: int = 0,
+    src_ip: int, dst_ip: int, src_port: int, dst_port: int, flags: int, payload: bytes = b"", ttl: int = 64
 ) -> bytes:
-    tcp = _TCP.pack(src_port, dst_port, seq, ack_no, 5 << 4, flags, 65535, 0, 0) + payload
-    packet = _ipv4(src_ip, dst_ip, 6, tcp, ttl)
-    return _ETH.pack(_mac_for(dst_ip), _mac_for(src_ip), ETHERTYPE_IPV4) + packet
+    return _build_frame(src_ip, dst_ip, src_port, dst_port, flags, PROTO_TCP, ttl, payload)
 
 
 def build_udp_frame(
-    src_ip: int, dst_ip: int, src_port: int, dst_port: int,
-    payload: bytes = b"", ttl: int = 64,
+    src_ip: int, dst_ip: int, src_port: int, dst_port: int, payload: bytes = b"", ttl: int = 64
 ) -> bytes:
-    udp = _UDP.pack(src_port, dst_port, 8 + len(payload), 0) + payload
-    packet = _ipv4(src_ip, dst_ip, 17, udp, ttl)
-    return _ETH.pack(_mac_for(dst_ip), _mac_for(src_ip), ETHERTYPE_IPV4) + packet
+    return _build_frame(src_ip, dst_ip, src_port, dst_port, 0, PROTO_UDP, ttl, payload)
 
 
 @dataclass(frozen=True)
@@ -138,9 +229,9 @@ class ScenarioConfig:
     episodes: list[Episode] = field(default_factory=list)
 
     def __post_init__(self):
-        # Comparisons against inf also reject nan, which fails every comparison.
-        if not 0 < self.duration < math.inf:
-            raise BadScenario("duration must be positive and finite")
+        # Each range test also rejects nan, which fails every comparison.
+        if not 0 < self.duration <= MAX_DURATION_S:
+            raise BadScenario(f"duration must be positive and finite, at most {MAX_DURATION_S} s (a pcap timestamp)")
         if self.seed < 0:
             raise BadScenario("seed must be non-negative")
         if not 0 <= self.benign_rate < math.inf:
@@ -168,6 +259,12 @@ class ScenarioConfig:
                 raise BadScenario(
                     f"episodes overlap: [{a.start}, {a.end}) and [{b.start}, {b.end})"
                 )
+        expected = self.benign_rate * self.duration + sum(ep.rate * (ep.end - ep.start) for ep in self.episodes)
+        if expected > MAX_EXPECTED_PACKETS:
+            raise BadScenario(
+                f"scenario expects {expected:.4g} packets, more than the {MAX_EXPECTED_PACKETS} "
+                f"that fit synth's {SYNTH_MEMORY_BUDGET >> 20} MiB memory budget"
+            )
 
 
 _SCALAR_KEYS = ("duration", "seed", "benign_rate", "victim_ip", "victim_port")
@@ -230,58 +327,47 @@ _CLIENTS = tuple(ip_to_int(f"192.168.1.{10 + i}") for i in range(12))
 _DNS_SERVER = ip_to_int("192.168.1.2")
 
 
-def gen_benign(cfg: ScenarioConfig, start: float, end: float, rng: np.random.Generator) -> list[tuple[float, bytes]]:
-    """Background conversations as (timestamp, frame) events over [start, end)."""
-    out: list[tuple[float, bytes]] = []
+def gen_benign(cfg: ScenarioConfig, start: float, end: float, rng: np.random.Generator, rows: array) -> None:
+    """Record background conversations' packets over [start, end) as rows appended to `rows`."""
     if cfg.benign_rate <= 0 or end <= start:
-        return out
-    victim = ip_to_int(cfg.victim_ip)
+        return
+    victim, vport = ip_to_int(cfg.victim_ip), cfg.victim_port
     event_rate = cfg.benign_rate / _MEAN_EVENT_PKTS
+    put = rows.extend
 
     t = start + rng.exponential(1.0 / event_rate)
     while t < end:
-        kind = _BENIGN_MIX[rng.choice(len(_BENIGN_MIX), p=_MIX_WEIGHTS)][0]
+        kind = _BENIGN_MIX[_MIX_CDF.searchsorted(rng.random(), side="right")][0]
         client_idx = int(rng.integers(len(_CLIENTS)))
         client = _CLIENTS[client_idx]
         ttl = 64 if client_idx % 2 == 0 else 128
         cport = int(rng.integers(1024, 65536))
         when = t
 
-        def push(frame: bytes) -> None:
+        def push(*fields) -> None:
             nonlocal when
             if when < end:
-                out.append((when, frame))
+                put((when, *fields))
             when += rng.exponential(0.001)
 
         if kind in ("handshake", "http"):
-            push(build_tcp_frame(client, victim, cport, cfg.victim_port, FLAG_SYN, ttl=ttl))
-            push(build_tcp_frame(victim, client, cfg.victim_port, cport, FLAG_SYN | FLAG_ACK))
-            push(build_tcp_frame(client, victim, cport, cfg.victim_port, FLAG_ACK, ttl=ttl))
+            push(client, victim, cport, vport, FLAG_SYN, PROTO_TCP, ttl, ZEROS, 0)
+            push(victim, client, vport, cport, FLAG_SYN | FLAG_ACK, PROTO_TCP, 64, ZEROS, 0)
+            push(client, victim, cport, vport, FLAG_ACK, PROTO_TCP, ttl, ZEROS, 0)
             if kind == "http":
-                push(
-                    build_tcp_frame(
-                        client, victim, cport, cfg.victim_port,
-                        FLAG_PSH | FLAG_ACK, payload=HTTP_GET, ttl=ttl,
-                    )
-                )
-                body = HTTP_RESPONSE + b"x" * int(rng.integers(100, 900))
-                push(
-                    build_tcp_frame(
-                        victim, client, cfg.victim_port, cport,
-                        FLAG_PSH | FLAG_ACK, payload=body,
-                    )
-                )
+                push(client, victim, cport, vport, FLAG_PSH | FLAG_ACK, PROTO_TCP, ttl, GET, len(HTTP_GET))
+                body_len = len(HTTP_RESPONSE) + int(rng.integers(100, 900))
+                push(victim, client, vport, cport, FLAG_PSH | FLAG_ACK, PROTO_TCP, 64, RESPONSE, body_len)
         elif kind == "dns":
-            query = b"\x00\x01\x01\x00" + b"q" * int(rng.integers(12, 40))
-            push(build_udp_frame(client, _DNS_SERVER, cport, 53, payload=query, ttl=ttl))
-            answer = b"\x00\x01\x81\x80" + b"a" * int(rng.integers(20, 80))
-            push(build_udp_frame(_DNS_SERVER, client, 53, cport, payload=answer))
+            query_len = 4 + int(rng.integers(12, 40))
+            push(client, _DNS_SERVER, cport, 53, 0, PROTO_UDP, ttl, DNS_QUERY, query_len)
+            answer_len = 4 + int(rng.integers(20, 80))
+            push(_DNS_SERVER, client, 53, cport, 0, PROTO_UDP, 64, DNS_ANSWER, answer_len)
         else:  # bulk data from the server
-            body = b"d" * int(rng.integers(400, 1400))
-            push(build_tcp_frame(victim, client, cfg.victim_port, cport, FLAG_PSH | FLAG_ACK, payload=body))
+            body_len = int(rng.integers(400, 1400))
+            push(victim, client, vport, cport, FLAG_PSH | FLAG_ACK, PROTO_TCP, 64, BULK, body_len)
 
         t += rng.exponential(1.0 / event_rate)
-    return out
 
 
 def _attacker_pool(count: int) -> list[int]:
@@ -289,21 +375,19 @@ def _attacker_pool(count: int) -> list[int]:
     return [base + 1 + i for i in range(count)]
 
 
-def gen_attack(ep: Episode, cfg: ScenarioConfig, rng: np.random.Generator) -> list[tuple[float, bytes]]:
-    """One episode's packets as (timestamp, frame) events over [start, end)."""
-    victim = ip_to_int(cfg.victim_ip)
-    out: list[tuple[float, bytes]] = []
+def gen_attack(ep: Episode, cfg: ScenarioConfig, rng: np.random.Generator, rows: array) -> None:
+    """Record one episode's packets over [start, end) as rows appended to `rows`."""
+    victim, vport = ip_to_int(cfg.victim_ip), cfg.victim_port
+    put = rows.extend
 
     if ep.attack is TrafficClass.SYN_FLOOD:
         spoof_base = ip_to_int(SPOOF_NET)
         t = ep.start + rng.exponential(1.0 / ep.rate)
         while t < ep.end:
             src = spoof_base + int(rng.integers(1, 65535))
-            frame = build_tcp_frame(
-                src, victim, int(rng.integers(1024, 65536)), cfg.victim_port,
-                FLAG_SYN, ttl=int(rng.integers(32, 256)),
-            )
-            out.append((t, frame))
+            sport = int(rng.integers(1024, 65536))
+            ttl = int(rng.integers(32, 256))
+            put((t, src, victim, sport, vport, FLAG_SYN, PROTO_TCP, ttl, ZEROS, 0))
             t += rng.exponential(1.0 / ep.rate)
 
     elif ep.attack is TrafficClass.ACK_FLOOD:
@@ -311,10 +395,8 @@ def gen_attack(ep: Episode, cfg: ScenarioConfig, rng: np.random.Generator) -> li
         t = ep.start + rng.exponential(1.0 / ep.rate)
         while t < ep.end:
             src = pool[int(rng.integers(len(pool)))]
-            frame = build_tcp_frame(
-                src, victim, int(rng.integers(1024, 65536)), cfg.victim_port, FLAG_ACK
-            )
-            out.append((t, frame))
+            sport = int(rng.integers(1024, 65536))
+            put((t, src, victim, sport, vport, FLAG_ACK, PROTO_TCP, 64, ZEROS, 0))
             t += rng.exponential(1.0 / ep.rate)
 
     elif ep.attack is TrafficClass.HTTP_FLOOD:
@@ -326,18 +408,15 @@ def gen_attack(ep: Episode, cfg: ScenarioConfig, rng: np.random.Generator) -> li
             sport = int(rng.integers(1024, 65536))
             when = t
             packets = [
-                build_tcp_frame(src, victim, sport, 80, FLAG_SYN),
-                build_tcp_frame(victim, src, 80, sport, FLAG_SYN | FLAG_ACK),
-                build_tcp_frame(src, victim, sport, 80, FLAG_ACK),
+                (src, victim, sport, 80, FLAG_SYN, PROTO_TCP, 64, ZEROS, 0),
+                (victim, src, 80, sport, FLAG_SYN | FLAG_ACK, PROTO_TCP, 64, ZEROS, 0),
+                (src, victim, sport, 80, FLAG_ACK, PROTO_TCP, 64, ZEROS, 0),
             ]
             gets = int(rng.integers(_HTTP_SESSION_MIN_GETS, _HTTP_SESSION_MAX_GETS + 1))
-            packets += [
-                build_tcp_frame(src, victim, sport, 80, FLAG_PSH | FLAG_ACK, payload=HTTP_GET)
-                for _ in range(gets)
-            ]
-            for frame in packets:
+            packets += [(src, victim, sport, 80, FLAG_PSH | FLAG_ACK, PROTO_TCP, 64, GET, len(HTTP_GET))] * gets
+            for fields in packets:
                 if when < ep.end:
-                    out.append((when, frame))
+                    put((when, *fields))
                 when += rng.exponential(0.002)
             t += rng.exponential(1.0 / session_rate)
 
@@ -346,25 +425,14 @@ def gen_attack(ep: Episode, cfg: ScenarioConfig, rng: np.random.Generator) -> li
         t = ep.start + rng.exponential(1.0 / ep.rate)
         while t < ep.end:
             src = pool[int(rng.integers(len(pool)))]
-            payload = b"\x00" * int(rng.integers(8, 65))
-            frame = build_udp_frame(
-                src, victim, int(rng.integers(1024, 65536)), int(rng.integers(1, 65536)), payload
-            )
-            out.append((t, frame))
+            payload_len = int(rng.integers(8, 65))
+            sport = int(rng.integers(1024, 65536))
+            dport = int(rng.integers(1, 65536))
+            put((t, src, victim, sport, dport, 0, PROTO_UDP, 64, ZEROS, payload_len))
             t += rng.exponential(1.0 / ep.rate)
 
     else:  # pragma: no cover - ScenarioConfig validation rejects this
         raise BadScenario(f"unsupported episode kind {ep.attack}")
-    return out
-
-
-def _to_frame(t: float, data: bytes) -> Frame:
-    sec = int(t)
-    usec = round((t - sec) * 1e6)
-    if usec >= 1_000_000:
-        sec += 1
-        usec -= 1_000_000
-    return Frame(sec, usec, data)
 
 
 def run_scenario(cfg: ScenarioConfig, out_pcap_path, out_truth_path) -> int:
@@ -372,13 +440,21 @@ def run_scenario(cfg: ScenarioConfig, out_pcap_path, out_truth_path) -> int:
 
     Each stream (benign, then each episode in config order) draws from its own
     seeded generator, so output is byte-identical for a given config and seed.
+    Records are written in timestamp order; packets with equal timestamps keep
+    the order in which they were drawn.
     """
-    events = gen_benign(cfg, 0.0, cfg.duration, np.random.default_rng((cfg.seed, 0)))
+    rec = array("d")
+    gen_benign(cfg, 0.0, cfg.duration, np.random.default_rng((cfg.seed, 0)), rec)
     for index, ep in enumerate(cfg.episodes):
-        events.extend(gen_attack(ep, cfg, np.random.default_rng((cfg.seed, index + 1))))
+        gen_attack(ep, cfg, np.random.default_rng((cfg.seed, index + 1)), rec)
 
-    frames = [_to_frame(t, data) for t, data in events]
-    frames.sort(key=lambda f: (f.ts_sec, f.ts_usec))
-    write_pcap(out_pcap_path, frames)
+    rows = np.frombuffer(rec, dtype=np.float64).reshape(-1, N_FIELDS)
+    sec, usec = _pcap_time(rows[:, 0])
+    order = np.argsort(sec * 1_000_000 + usec, kind="stable")
+    del sec, usec
+    write_records(
+        out_pcap_path,
+        (encode_records(rows[order[i : i + CHUNK_ROWS]]) for i in range(0, len(order), CHUNK_ROWS)),
+    )
     write_truth(out_truth_path, [(ep.start, ep.end, ep.attack) for ep in cfg.episodes])
-    return len(frames)
+    return len(rows)

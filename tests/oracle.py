@@ -1,13 +1,17 @@
-"""Per-packet reference for the columnar windowing and feature path.
+"""Per-packet references for the columnar synth encoder and feature path.
 
-`window_features` is the loop over one window's PacketMeta records that the
-columnar `features.extract_features` replaced, and `windows` the windowing
-rule restricted to non-empty windows. The columnar code must equal them bit
-for bit. Float sums are explicit loops so that they stay sequential: from
+`build_tcp_frame` and `build_udp_frame` pack one synth frame with `struct`,
+as synth did before `synth.encode_records` built every record at once; the
+encoder must equal them byte for byte. `window_features` is the loop over
+one window's PacketMeta records that the columnar
+`features.extract_features` replaced, and `windows` the windowing rule
+restricted to non-empty windows. The columnar code must equal them bit for
+bit. Float sums are explicit loops so that they stay sequential: from
 Python 3.12 on, `sum()` of floats is compensated.
 """
 
 import math
+import struct
 
 import numpy as np
 
@@ -16,6 +20,47 @@ from floodgate.pcapio import Transport
 
 # TCP flag bits, written out here rather than taken from the package.
 FIN, SYN, RST, ACK = 0x01, 0x02, 0x04, 0x10
+
+_ETH = struct.Struct("!6s6sH")
+_IPV4 = struct.Struct("!BBHHHBBH4s4s")
+_TCP = struct.Struct("!HHIIBBHHH")
+_UDP = struct.Struct("!HHHH")
+
+
+def _mac_for(ip: int) -> bytes:
+    # Locally administered MAC derived from the IPv4 address.
+    return b"\x02\x00" + ip.to_bytes(4, "big")
+
+
+def ip_checksum(header: bytes) -> int:
+    """The IPv4 header checksum: one's-complement sum of 16-bit words, folded twice."""
+    total = 0
+    for i in range(0, len(header), 2):
+        total += (header[i] << 8) | header[i + 1]
+    total = (total & 0xFFFF) + (total >> 16)
+    total = (total & 0xFFFF) + (total >> 16)
+    return ~total & 0xFFFF
+
+
+def _ipv4(src: int, dst: int, proto: int, payload: bytes, ttl: int) -> bytes:
+    header = _IPV4.pack(
+        0x45, 0, 20 + len(payload), 0, 0x4000, ttl, proto, 0,
+        src.to_bytes(4, "big"), dst.to_bytes(4, "big"),
+    )
+    checksum = ip_checksum(header)
+    return header[:10] + checksum.to_bytes(2, "big") + header[12:] + payload
+
+
+def build_tcp_frame(src_ip, dst_ip, src_port, dst_port, flags, payload=b"", ttl=64):
+    tcp = _TCP.pack(src_port, dst_port, 0, 0, 5 << 4, flags, 65535, 0, 0) + payload
+    packet = _ipv4(src_ip, dst_ip, 6, tcp, ttl)
+    return _ETH.pack(_mac_for(dst_ip), _mac_for(src_ip), 0x0800) + packet
+
+
+def build_udp_frame(src_ip, dst_ip, src_port, dst_port, payload=b"", ttl=64):
+    udp = _UDP.pack(src_port, dst_port, 8 + len(payload), 0) + payload
+    packet = _ipv4(src_ip, dst_ip, 17, udp, ttl)
+    return _ETH.pack(_mac_for(dst_ip), _mac_for(src_ip), 0x0800) + packet
 
 
 def windows(metas, window_len):

@@ -62,6 +62,12 @@ class TestRoundTrip:
             write_pcap(tmp_path / "huge.pcap", [Frame(0, 0, b"\x00" * 70000)])
         assert not (tmp_path / "huge.pcap").exists()
 
+    @pytest.mark.parametrize("ts_sec, ts_usec", [(2**32, 0), (-1, 0), (0, 2**32)])
+    def test_timestamp_outside_32_bits(self, tmp_path, ts_sec, ts_usec):
+        with pytest.raises(ValueError, match="32-bit range"):
+            write_pcap(tmp_path / "late.pcap", [Frame(0, 0, b"ok"), Frame(ts_sec, ts_usec, b"late")])
+        assert not (tmp_path / "late.pcap").exists()
+
 
 class TestFileErrors:
     def test_bad_magic(self, tmp_path):

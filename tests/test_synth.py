@@ -1,17 +1,28 @@
-"""The scenario grammar, the packets each episode kind sends, and seeded reproducibility.
+"""The scenario grammar, the packets each episode kind sends, seeded
+reproducibility, and the record encoder against the struct reference.
 
 Packet shapes are read back through `read_pcap`, the decoder the pipeline
 uses, from captures holding one episode and no benign traffic.
 """
 
+import hashlib
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from floodgate import synth
+from floodgate.cli import main
 from floodgate.dataset import TrafficClass
 from floodgate.errors import BadScenario
 from floodgate.features import read_truth
 from floodgate.pcapio import TCP, UDP, read_pcap
 from floodgate.synth import ATTACKER_NET, HTTP_GET, SPOOF_NET, ip_to_int, parse_scenario, run_scenario
+
+import oracle
 
 VICTIM = "10.0.0.10"
 VICTIM_PORT = 8443
@@ -45,6 +56,9 @@ class TestGrammar:
             ("duration 0\n", "duration must be positive"),
             ("duration inf\n", "duration must be positive and finite"),
             ("duration nan\n", "duration must be positive and finite"),
+            ("duration 4294967296\nbenign_rate 0\n", "duration must be positive and finite, at most 4294967295 s"),
+            ("duration 5\nbenign_rate 1e12\n", "scenario expects 5e\\+12 packets, more than the 8388608"),
+            ("duration 5\nbenign_rate 0\nepisode udp 1 2 1e7 4\n", "scenario expects 1e\\+07 packets"),
             ("duration 5\nbenign_rate inf\n", "benign_rate must be non-negative and finite"),
             ("duration 5\nbenign_rate nan\n", "benign_rate must be non-negative and finite"),
             ("duration 5\nbenign_rate -1\n", "benign_rate must be non-negative and finite"),
@@ -159,3 +173,143 @@ class TestReproducible:
         stamps = p.ts_sec * 1_000_000 + p.ts_usec
         assert (np.diff(stamps) >= 0).all()
         assert (p.ts_usec < 1_000_000).all()
+
+
+# Benign traffic plus one episode of each kind: every packet shape and payload synth makes.
+PINNED = """duration 8
+seed 3
+benign_rate 200
+episode syn_flood 1 2.5 2000 20
+episode ack_flood 3 4.2 2000 20
+episode http_flood 5 6.5 2000 20
+episode udp_flood 6.5 7.5 2000 20
+"""
+PINNED_PACKETS = 12259
+PINNED_PCAP_SHA256 = "9d3c8a92faeecfe5404ed9182edffb5c94f19e11457c63cf02e8743392074762"
+PINNED_TRUTH_SHA256 = "0a53c00a6a7b318765f043fae0e77f4bcd10fa2522140dcac95e7999280b9568"
+
+
+def test_pinned_scenario_bytes(tmp_path):
+    """The capture and truth bytes of a fixed scenario, as the struct-per-packet synth wrote them."""
+    pcap, truth = tmp_path / "p.pcap", tmp_path / "p.truth"
+    assert run_scenario(parse_scenario(PINNED), pcap, truth) == PINNED_PACKETS
+    assert hashlib.sha256(pcap.read_bytes()).hexdigest() == PINNED_PCAP_SHA256
+    assert hashlib.sha256(truth.read_bytes()).hexdigest() == PINNED_TRUTH_SHA256
+
+
+# tracemalloc peak of `run_scenario` on PINNED with the struct-per-packet
+# synth that built a Frame per packet and sorted them: 4,824,045-4,829,635 B
+# over three runs, 393.5-394.0 B/packet.
+STRUCT_SYNTH_PEAK_BYTES_PER_PACKET = 394
+
+
+def test_pinned_scenario_peak_memory(tmp_path):
+    """Chunked encoding keeps synth's peak below the struct-per-packet synth's."""
+    pcap, truth = tmp_path / "p.pcap", tmp_path / "p.truth"
+    run_scenario(parse_scenario(PINNED), pcap, truth)  # first-call allocations stay out of the peak
+    tracemalloc.start()
+    try:
+        run_scenario(parse_scenario(PINNED), pcap, truth)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / PINNED_PACKETS <= STRUCT_SYNTH_PEAK_BYTES_PER_PACKET
+
+
+class TestPacketBudget:
+    def test_budget_is_exact(self):
+        limit = synth.MAX_EXPECTED_PACKETS
+        assert limit == synth.SYNTH_MEMORY_BUDGET // synth.SYNTH_PEAK_BYTES_PER_PACKET
+        parse_scenario(f"duration 2\nbenign_rate {limit / 4}\nepisode ack 0 1 {limit / 2} 4\n")
+        with pytest.raises(BadScenario, match="memory budget"):
+            parse_scenario(f"duration 2\nbenign_rate {limit / 4}\nepisode ack 0 1 {limit / 2 + 1} 4\n")
+
+    def test_huge_rate_is_rejected_before_any_draw(self, tmp_path, capsys):
+        (tmp_path / "s.cfg").write_text("duration 10\nbenign_rate 1e12\n")
+        code = main(["synth", "--config", str(tmp_path / "s.cfg"), "--out-pcap", str(tmp_path / "s.pcap"),
+                     "--out-truth", str(tmp_path / "s.truth")])
+        assert code == 2
+        assert "scenario expects 1e+13 packets" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s.cfg"]
+
+
+# --- the record encoder against oracle.py's struct frames ----------------------
+
+IP = st.one_of(st.sampled_from([0, 0xFFFFFFFF]), st.integers(0, 0xFFFFFFFF))
+PORT = st.one_of(st.sampled_from([0, 65535]), st.integers(0, 65535))
+# The longest payload of each kind that synth draws.
+LONGEST = {synth.ZEROS: 64, synth.GET: len(HTTP_GET), synth.RESPONSE: len(synth.HTTP_RESPONSE) + 899,
+           synth.DNS_QUERY: 4 + 39, synth.DNS_ANSWER: 4 + 79, synth.BULK: 1399}
+PREFIX_AND_FILL = {
+    synth.ZEROS: (b"", b"\x00"), synth.GET: (HTTP_GET, b"\x00"), synth.RESPONSE: (synth.HTTP_RESPONSE, b"x"),
+    synth.DNS_QUERY: (b"\x00\x01\x01\x00", b"q"), synth.DNS_ANSWER: (b"\x00\x01\x81\x80", b"a"),
+    synth.BULK: (b"", b"d"),
+}
+
+
+@st.composite
+def packet_rows(draw):
+    kind = draw(st.sampled_from(sorted(LONGEST)))
+    length = draw(st.one_of(st.sampled_from([0, LONGEST[kind]]), st.integers(0, LONGEST[kind])))
+    # Whole seconds, half microseconds (round half to even) and carries into the next second.
+    t = draw(st.one_of(
+        st.floats(0, 2e9, allow_nan=False),
+        st.builds(lambda s, u: s + u / 2e6, st.integers(0, 2**31), st.integers(0, 2 * 10**6)),
+    ))
+    return (t, draw(IP), draw(IP), draw(PORT), draw(PORT), draw(st.integers(0, 255)),
+            draw(st.sampled_from([6, 17])), draw(st.integers(0, 255)), kind, length)
+
+
+def reference_record(row):
+    """One row's pcap record, packed with struct as synth packed it before the encoder."""
+    t, src, dst, sport, dport, flags, proto, ttl, kind, length = row
+    prefix, fill = PREFIX_AND_FILL[kind]
+    payload = (prefix + fill * length)[:length]
+    if proto == 6:
+        frame = oracle.build_tcp_frame(src, dst, sport, dport, flags, payload, ttl)
+    else:
+        frame = oracle.build_udp_frame(src, dst, sport, dport, payload, ttl)
+    sec = int(t)
+    usec = round((t - sec) * 1e6)
+    if usec >= 1_000_000:
+        sec, usec = sec + 1, usec - 1_000_000
+    return struct.pack("<IIII", sec, usec, len(frame), len(frame)) + frame
+
+
+def folds_twice(row):
+    """Whether the row's IPv4 header sum still carries after its first fold."""
+    header = bytearray(reference_record(row)[16 + 14 : 16 + 34])
+    header[10:12] = b"\x00\x00"  # the sum the checksum is computed from
+    total = sum(struct.unpack("!10H", header))
+    return (total & 0xFFFF) + (total >> 16) > 0xFFFF
+
+
+# All-ones addresses with these TTLs and lengths sum to 0x4FFFE, 0x4FFFE and
+# 0x4FFFF, so the first fold carries again.
+DOUBLE_FOLDS = [
+    (1.0, 0xFFFFFFFF, 0xFFFFFFFF, 1, 2, 0x18, 6, 122, synth.BULK, 212),
+    (2.0, 0xFFFFFFFF, 0xFFFFFFFF, 1, 2, 0, 17, 122, synth.ZEROS, 213),
+    (3.0, 0xFFFFFFFF, 0xFFFFFFFF, 65535, 65535, 0xFF, 6, 122, synth.RESPONSE, 213),
+]
+
+
+def test_double_fold_rows_fold_twice():
+    assert [folds_twice(row) for row in DOUBLE_FOLDS] == [True, True, True]
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(packet_rows(), min_size=1, max_size=40))
+@example(rows=DOUBLE_FOLDS)
+def test_encoder_equals_struct_reference(rows):
+    got = synth.encode_records(np.array(rows, dtype=np.float64))
+    assert got.tobytes() == b"".join(reference_record(row) for row in rows)
+
+
+def test_frame_builders_equal_struct_reference():
+    assert synth.build_tcp_frame(1, 0xFFFFFFFF, 0, 65535, 0xFF, b"payload", 0) == oracle.build_tcp_frame(
+        1, 0xFFFFFFFF, 0, 65535, 0xFF, b"payload", 0
+    )
+    assert synth.build_tcp_frame(7, 8, 9, 10, 0x02) == oracle.build_tcp_frame(7, 8, 9, 10, 0x02)
+    assert synth.build_udp_frame(0xFFFFFFFF, 0, 65535, 0, bytes(range(256)), 255) == oracle.build_udp_frame(
+        0xFFFFFFFF, 0, 65535, 0, bytes(range(256)), 255
+    )
