@@ -54,12 +54,15 @@ _DISPLAY = {
 _ALIASES = {name: c for c in TrafficClass for name in (c.alias, c.short)}
 
 
-def encode_label(name: str) -> TrafficClass:
-    """Map a case-insensitive label alias ("syn", "UDP_FLOOD", ...) to its class."""
+def encode_label(name: str, where: str = "") -> TrafficClass:
+    """Map a case-insensitive label alias ("syn", "UDP_FLOOD", ...) to its class.
+
+    `where` (say `path:line: `) starts the UnknownLabel message.
+    """
     try:
         return _ALIASES[name.strip().lower()]
     except KeyError:
-        raise UnknownLabel(f"unknown traffic label: {name!r}") from None
+        raise UnknownLabel(f"{where}unknown traffic label: {name!r}") from None
 
 
 def as_features(values) -> np.ndarray:
@@ -168,8 +171,9 @@ def stratified_split(
         train_ratio, val_ratio, test_ratio = (float(r) for r in ratios)
     except (TypeError, ValueError):
         raise BadRatios(f"ratios must be three numbers, got {ratios!r}") from None
-    if min(train_ratio, val_ratio, test_ratio) <= 0:
-        raise BadRatios("all three ratios must be positive")
+    # A range test, so that nan, which fails every comparison, is rejected too.
+    if not all(0 < r < math.inf for r in (train_ratio, val_ratio, test_ratio)):
+        raise BadRatios("all three ratios must be positive and finite")
     if abs(train_ratio + val_ratio + test_ratio - 1.0) > 1e-9:
         raise BadRatios("ratios must sum to 1")
 
@@ -245,7 +249,7 @@ def read_csv(path) -> Dataset:
             if not all(math.isfinite(v) for v in values):
                 raise MalformedRow(f"{path}:{lineno}: non-finite feature value")
             feats.append(values)
-            labels.append(int(encode_label(row[NUM_FEATURES])))
+            labels.append(int(encode_label(row[NUM_FEATURES], f"{path}:{lineno}: ")))
     if not feats:
         return Dataset()
     return Dataset(np.asarray(feats, dtype=np.float64), np.asarray(labels, dtype=np.int64))

@@ -10,7 +10,7 @@ class UnknownLabel(FloodgateError):
 
 
 class BadRatios(FloodgateError):
-    """Split ratios are not three positive numbers summing to 1."""
+    """Split ratios are not three positive finite numbers summing to 1."""
 
 
 class EmptyClass(FloodgateError):

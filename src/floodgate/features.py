@@ -318,5 +318,5 @@ def read_truth(path) -> list[TruthInterval]:
                 raise MalformedRow(f"{path}:{lineno}: non-numeric interval bound") from None
             if not (math.isfinite(start) and math.isfinite(end)) or end <= start:
                 raise MalformedRow(f"{path}:{lineno}: invalid interval [{row[0]}, {row[1]}]")
-            out.append((start, end, encode_label(row[2])))
+            out.append((start, end, encode_label(row[2], f"{path}:{lineno}: ")))
     return out

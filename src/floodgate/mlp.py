@@ -51,8 +51,10 @@ LOSS_CLAMP = 1e-15
 # loss (mean cross-entropy, nats) is more than this below the loss at the last
 # counted improvement. Absolute, not relative: on separable data the loss
 # keeps falling by a steady fraction per epoch, so any relative margin small
-# enough to be useful would never let patience run out.
+# enough to be useful would never let patience run out. Training stops after
+# PATIENCE + 1 epochs in a row without an improvement.
 MIN_IMPROVEMENT = 1e-4
+PATIENCE = 10
 
 # Adam's moment decay rates and denominator guard (Kingma and Ba's defaults).
 ADAM_BETA1 = 0.9
@@ -166,7 +168,6 @@ class TrainConfig:
     epochs: int = 100
     batch_size: int = 64
     seed: int = 0
-    patience: int = 10
 
     def __post_init__(self):
         if self.learning_rate <= 0:
@@ -175,8 +176,6 @@ class TrainConfig:
             raise ValueError("epochs must be at least 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
-        if self.patience < 0:
-            raise ValueError("patience must be non-negative")
 
 
 @dataclass
@@ -205,7 +204,7 @@ def train(train_ds: Dataset, val_ds: Dataset, cfg: TrainConfig | None = None) ->
     Mini-batch Adam with a seeded per-epoch shuffle and early stopping on
     validation loss. An epoch is an improvement when its validation loss is
     more than `MIN_IMPROVEMENT` below the loss at the last improvement;
-    training stops after `cfg.patience + 1` epochs in a row without one, or
+    training stops after `PATIENCE + 1` epochs in a row without one, or
     at `cfg.epochs`. Returns the weights of the epoch with the lowest
     validation loss, which may be a later epoch than the last improvement.
     """
@@ -276,7 +275,7 @@ def train(train_ds: Dataset, val_ds: Dataset, cfg: TrainConfig | None = None) ->
             epochs_since_improvement = 0
         else:
             epochs_since_improvement += 1
-            if epochs_since_improvement > cfg.patience:
+            if epochs_since_improvement > PATIENCE:
                 break
 
     w1, b1, w2, b2 = best_params

@@ -6,11 +6,11 @@ microsecond files; the reader accepts either byte order. Decoding degrades
 instead of failing: whatever cannot be parsed is reported at the most
 specific layer that was reached.
 
-`read_pcap` decodes a whole capture at once into `Packets` columns: one
-Python pass finds the records, then each header field is read for all
-records with one array gather, masked by the same tests `decode_frame`
-makes for one frame. `decode_frame` stays as the one-frame reference;
-its `PacketMeta` is one row of `Packets`, field for field.
+There is one decoder, `_decode`, which fills `Packets` columns for all
+records at once: each header field is read for every record with one array
+gather, masked by the tests that record's captured bytes pass. `read_pcap`
+walks a file's records and decodes them all; `decode_frame` is its one-row
+call, and its `PacketMeta` is one row of `Packets`, field for field.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -63,10 +63,6 @@ class Frame:
     ts_usec: int
     data: bytes
 
-    @property
-    def timestamp(self) -> float:
-        return self.ts_sec + self.ts_usec / 1e6
-
 
 @dataclass
 class PacketMeta:
@@ -97,71 +93,12 @@ class PacketMeta:
         return self.ts_sec + self.ts_usec / 1e6
 
 
-def decode_frame(data: bytes, ts_sec: int = 0, ts_usec: int = 0, original_len: int | None = None) -> PacketMeta:
-    """Decode one Ethernet frame; never raises, degrades to the layer reached."""
-    meta = PacketMeta(
-        ts_sec=ts_sec,
-        ts_usec=ts_usec,
-        captured_len=len(data),
-        original_len=len(data) if original_len is None else original_len,
-    )
-    if len(data) < 14:
-        return meta
-    if int.from_bytes(data[12:14], "big") != ETHERTYPE_IPV4:
-        return meta
-
-    ip = data[14:]
-    if len(ip) < 20:
-        return meta
-    version = ip[0] >> 4
-    ihl = (ip[0] & 0x0F) * 4
-    if version != 4 or ihl < 20 or len(ip) < ihl:
-        return meta
-
-    total_len = int.from_bytes(ip[2:4], "big")
-    meta.transport = Transport.OTHER_IP
-    meta.ttl = ip[8]
-    meta.src_ip = int.from_bytes(ip[12:16], "big")
-    meta.dst_ip = int.from_bytes(ip[16:20], "big")
-    meta.payload_len = max(0, total_len - ihl)
-
-    # Non-first fragments carry no transport header.
-    if int.from_bytes(ip[6:8], "big") & 0x1FFF:
-        return meta
-
-    proto = ip[9]
-    body = ip[ihl : max(ihl, total_len)]
-    if proto == PROTO_TCP:
-        if len(body) < 14:
-            return meta
-        data_off = (body[12] >> 4) * 4
-        if data_off < 20:
-            return meta
-        meta.transport = Transport.TCP
-        meta.src_port = int.from_bytes(body[0:2], "big")
-        meta.dst_port = int.from_bytes(body[2:4], "big")
-        meta.tcp_flags = body[13] & 0x3F
-        meta.payload_len = max(0, total_len - ihl - data_off)
-        meta.payload_prefix = bytes(body[data_off : data_off + PAYLOAD_PREFIX_LEN])
-    elif proto == PROTO_UDP:
-        if len(body) < 8:
-            return meta
-        meta.transport = Transport.UDP
-        meta.src_port = int.from_bytes(body[0:2], "big")
-        meta.dst_port = int.from_bytes(body[2:4], "big")
-        udp_len = int.from_bytes(body[4:6], "big")
-        meta.payload_len = max(0, udp_len - 8)
-        end = min(len(body), 8 + meta.payload_len, 8 + PAYLOAD_PREFIX_LEN)
-        meta.payload_prefix = bytes(body[8:end])
-    return meta
-
-
 @dataclass(frozen=True, eq=False)
 class Packets:
     """Decoded packet metadata of a whole capture as columns, one row per record.
 
-    Row i holds what `decode_frame` gives for record i, with the encodings of
-    PacketMeta: `transport` holds the codes NON_IP, OTHER_IP, TCP and UDP, and
+    Row i holds the decoded fields of record i, encoded as in PacketMeta:
+    `transport` holds the codes NON_IP, OTHER_IP, TCP and UDP, and
     `payload_prefix` the prefix bytes zero-padded to PAYLOAD_PREFIX_LEN, with
     their count in `prefix_len`. Indexing and iteration yield the rows as
     PacketMeta records.
@@ -189,23 +126,6 @@ class Packets:
             *(np.zeros(n, dtype=np.int64) for _ in _INT_COLUMNS),
             np.zeros((n, PAYLOAD_PREFIX_LEN), dtype=np.uint8),
         )
-
-    @classmethod
-    def from_metas(cls, metas: Sequence[PacketMeta]) -> "Packets":
-        """Columns from PacketMeta records; the inverse of indexing."""
-        out = cls.empty(len(metas))
-        for i, m in enumerate(metas):
-            prefix = m.payload_prefix
-            if len(prefix) > PAYLOAD_PREFIX_LEN:
-                raise ValueError(f"packet {i}: payload prefix of {len(prefix)} bytes exceeds {PAYLOAD_PREFIX_LEN}")
-            row = (
-                m.ts_sec, m.ts_usec, m.captured_len, m.original_len, _TRANSPORTS.index(m.transport),
-                m.src_ip, m.dst_ip, m.src_port, m.dst_port, m.tcp_flags, m.ttl, m.payload_len, len(prefix),
-            )
-            for name, value in zip(_INT_COLUMNS, row):
-                getattr(out, name)[i] = value
-            out.payload_prefix[i, : len(prefix)] = np.frombuffer(prefix, np.uint8)
-        return out
 
     def __len__(self) -> int:
         return len(self.ts_sec)
@@ -287,17 +207,33 @@ def _set_prefix(out: Packets, buf: np.ndarray, rows: np.ndarray, at: np.ndarray,
 
 
 def read_pcap(path) -> Packets:
-    """Decode every record of a pcap file into packet metadata columns, in file order.
-
-    The same tests as `decode_frame`, applied to all records at once: each
-    step keeps the rows whose captured bytes hold the next header.
-    """
+    """Decode every record of a pcap file into packet metadata columns, in file order."""
     data, endian, offsets = _walk(path)
     offsets = np.array(offsets, dtype=np.int64)  # and let the list go
     buf = np.frombuffer(data, dtype=np.uint8)
     header = sliding_window_view(buf, 16)[offsets - 16].view(endian + "u4")
     out = Packets.empty(len(offsets))
     out.ts_sec[:], out.ts_usec[:], out.captured_len[:], out.original_len[:] = header.T
+    _decode(buf, offsets, out)
+    return out
+
+
+def decode_frame(data: bytes, ts_sec: int = 0, ts_usec: int = 0, original_len: int | None = None) -> PacketMeta:
+    """Decode one Ethernet frame as `read_pcap` decodes a record; never raises."""
+    out = Packets.empty(1)
+    out.ts_sec[0], out.ts_usec[0], out.captured_len[0] = ts_sec, ts_usec, len(data)
+    out.original_len[0] = len(data) if original_len is None else original_len
+    # Four zero bytes give every field gather a window to view; the captured length bounds the reads.
+    _decode(np.frombuffer(data + bytes(4), dtype=np.uint8), np.zeros(1, dtype=np.int64), out)
+    return out[0]
+
+
+def _decode(buf: np.ndarray, offsets: np.ndarray, out: Packets) -> None:
+    """Fill the header columns of `out` from the frame at each offset into `buf`.
+
+    Each step keeps the rows whose captured bytes (`out.captured_len`) hold
+    the next header; the other rows keep the layer they reached.
+    """
     cap = out.captured_len
 
     # Ethernet carrying IPv4, version 4, 20 <= IHL <= captured IP bytes.
@@ -341,7 +277,6 @@ def read_pcap(path) -> Packets:
     u_payload = np.maximum(_field(buf, u_body + 4, ">u2") - 8, 0)
     out.payload_len[u_rows] = u_payload
     _set_prefix(out, buf, u_rows, u_body + 8, np.minimum(np.minimum(u_len - 8, u_payload), PAYLOAD_PREFIX_LEN))
-    return out
 
 
 def read_frames(path) -> list[Frame]:

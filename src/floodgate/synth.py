@@ -67,6 +67,7 @@ HTTP_RESPONSE = b"HTTP/1.1 200 OK\r\nContent-Length: 0\r\n\r\n"
 
 SPOOF_NET = "198.18.0.0"  # benchmark-reserved range used for spoofed SYN sources
 ATTACKER_NET = "198.19.0.0"  # deterministic per-episode attacker hosts
+MAX_ATTACKERS = 65534  # the host addresses of ATTACKER_NET's /16
 
 # One packet is one row of N_FIELDS float64s (every integer field is below
 # 2**53): time, source and destination IPv4 address, source and destination
@@ -251,8 +252,10 @@ class ScenarioConfig:
                 )
             if not 0 < ep.rate < math.inf:
                 raise BadScenario("episode rate must be positive and finite")
-            if ep.attackers < 1:
-                raise BadScenario("episode needs at least one attacker")
+            if not 1 <= ep.attackers <= MAX_ATTACKERS:
+                raise BadScenario(
+                    f"episode needs at least one attacker and at most {MAX_ATTACKERS}, the hosts of {ATTACKER_NET}/16"
+                )
         ordered = sorted(self.episodes, key=lambda e: e.start)
         for a, b in zip(ordered, ordered[1:]):
             if b.start < a.end:
@@ -370,14 +373,10 @@ def gen_benign(cfg: ScenarioConfig, start: float, end: float, rng: np.random.Gen
         t += rng.exponential(1.0 / event_rate)
 
 
-def _attacker_pool(count: int) -> list[int]:
-    base = ip_to_int(ATTACKER_NET)
-    return [base + 1 + i for i in range(count)]
-
-
 def gen_attack(ep: Episode, cfg: ScenarioConfig, rng: np.random.Generator, rows: array) -> None:
     """Record one episode's packets over [start, end) as rows appended to `rows`."""
     victim, vport = ip_to_int(cfg.victim_ip), cfg.victim_port
+    first_attacker = ip_to_int(ATTACKER_NET) + 1  # attacker i is first_attacker + i
     put = rows.extend
 
     if ep.attack is TrafficClass.SYN_FLOOD:
@@ -391,20 +390,18 @@ def gen_attack(ep: Episode, cfg: ScenarioConfig, rng: np.random.Generator, rows:
             t += rng.exponential(1.0 / ep.rate)
 
     elif ep.attack is TrafficClass.ACK_FLOOD:
-        pool = _attacker_pool(ep.attackers)
         t = ep.start + rng.exponential(1.0 / ep.rate)
         while t < ep.end:
-            src = pool[int(rng.integers(len(pool)))]
+            src = first_attacker + int(rng.integers(ep.attackers))
             sport = int(rng.integers(1024, 65536))
             put((t, src, victim, sport, vport, FLAG_ACK, PROTO_TCP, 64, ZEROS, 0))
             t += rng.exponential(1.0 / ep.rate)
 
     elif ep.attack is TrafficClass.HTTP_FLOOD:
-        pool = _attacker_pool(ep.attackers)
         session_rate = ep.rate / _HTTP_SESSION_MEAN_PKTS
         t = ep.start + rng.exponential(1.0 / session_rate)
         while t < ep.end:
-            src = pool[int(rng.integers(len(pool)))]
+            src = first_attacker + int(rng.integers(ep.attackers))
             sport = int(rng.integers(1024, 65536))
             when = t
             packets = [
@@ -421,10 +418,9 @@ def gen_attack(ep: Episode, cfg: ScenarioConfig, rng: np.random.Generator, rows:
             t += rng.exponential(1.0 / session_rate)
 
     elif ep.attack is TrafficClass.UDP_FLOOD:
-        pool = _attacker_pool(ep.attackers)
         t = ep.start + rng.exponential(1.0 / ep.rate)
         while t < ep.end:
-            src = pool[int(rng.integers(len(pool)))]
+            src = first_attacker + int(rng.integers(ep.attackers))
             payload_len = int(rng.integers(8, 65))
             sport = int(rng.integers(1024, 65536))
             dport = int(rng.integers(1, 65536))

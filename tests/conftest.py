@@ -1,4 +1,5 @@
-"""Shared test helpers: byte-level frame and pcap record encoders, PacketMeta factories.
+"""Shared test helpers: byte-level frame and pcap record encoders, PacketMeta factories
+and the `Packets` columns of a list of PacketMeta records.
 
 The frame encoders here are written field-by-field from the wire layouts so
 they stay independent of the package's own builders.
@@ -9,7 +10,7 @@ import struct
 import numpy as np
 import pytest
 
-from floodgate.pcapio import PacketMeta, Transport
+from floodgate.pcapio import PAYLOAD_PREFIX_LEN, PacketMeta, Packets, Transport
 
 
 def ethernet(payload: bytes, ethertype: int = 0x0800) -> bytes:
@@ -115,6 +116,23 @@ def make_meta(
         payload_len=payload_len,
         payload_prefix=payload_prefix,
     )
+
+
+def packets_from_metas(metas) -> Packets:
+    """Columns from PacketMeta records; the inverse of indexing `Packets`."""
+    out = Packets.empty(len(metas))
+    for i, m in enumerate(metas):
+        prefix = m.payload_prefix
+        if len(prefix) > PAYLOAD_PREFIX_LEN:
+            raise ValueError(f"packet {i}: payload prefix of {len(prefix)} bytes exceeds {PAYLOAD_PREFIX_LEN}")
+        row = (
+            m.ts_sec, m.ts_usec, m.captured_len, m.original_len, list(Transport).index(m.transport),
+            m.src_ip, m.dst_ip, m.src_port, m.dst_port, m.tcp_flags, m.ttl, m.payload_len, len(prefix),
+        )
+        for name, value in zip(Packets.__dataclass_fields__, row):  # every column but payload_prefix
+            getattr(out, name)[i] = value
+        out.payload_prefix[i, : len(prefix)] = np.frombuffer(prefix, np.uint8)
+    return out
 
 
 @pytest.fixture

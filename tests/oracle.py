@@ -1,5 +1,8 @@
-"""Per-packet references for the columnar synth encoder and feature path.
+"""Per-packet references for the columnar decoder, synth encoder and feature path.
 
+`decode_frame` decodes one Ethernet frame with byte slices and
+`int.from_bytes`, as the package did before `read_pcap`'s columnar decoder
+became its only decoder; that decoder must equal it field for field.
 `build_tcp_frame` and `build_udp_frame` pack one synth frame with `struct`,
 as synth did before `synth.encode_records` built every record at once; the
 encoder must equal them byte for byte. `window_features` is the loop over
@@ -16,15 +19,78 @@ import struct
 import numpy as np
 
 from floodgate.features import HTTP_METHODS, HTTP_PORTS, SMALL_UDP_MAX_PAYLOAD
-from floodgate.pcapio import Transport
+from floodgate.pcapio import PacketMeta, Transport
 
-# TCP flag bits, written out here rather than taken from the package.
+# TCP flag bits and header constants, written out here rather than taken from the package.
 FIN, SYN, RST, ACK = 0x01, 0x02, 0x04, 0x10
+ETHERTYPE_IPV4 = 0x0800
+PROTO_TCP = 6
+PROTO_UDP = 17
+PAYLOAD_PREFIX_LEN = 8
 
 _ETH = struct.Struct("!6s6sH")
 _IPV4 = struct.Struct("!BBHHHBBH4s4s")
 _TCP = struct.Struct("!HHIIBBHHH")
 _UDP = struct.Struct("!HHHH")
+
+
+def decode_frame(data: bytes, ts_sec: int = 0, ts_usec: int = 0, original_len: int | None = None) -> PacketMeta:
+    """Decode one Ethernet frame; never raises, degrades to the layer reached."""
+    meta = PacketMeta(
+        ts_sec=ts_sec,
+        ts_usec=ts_usec,
+        captured_len=len(data),
+        original_len=len(data) if original_len is None else original_len,
+    )
+    if len(data) < 14:
+        return meta
+    if int.from_bytes(data[12:14], "big") != ETHERTYPE_IPV4:
+        return meta
+
+    ip = data[14:]
+    if len(ip) < 20:
+        return meta
+    version = ip[0] >> 4
+    ihl = (ip[0] & 0x0F) * 4
+    if version != 4 or ihl < 20 or len(ip) < ihl:
+        return meta
+
+    total_len = int.from_bytes(ip[2:4], "big")
+    meta.transport = Transport.OTHER_IP
+    meta.ttl = ip[8]
+    meta.src_ip = int.from_bytes(ip[12:16], "big")
+    meta.dst_ip = int.from_bytes(ip[16:20], "big")
+    meta.payload_len = max(0, total_len - ihl)
+
+    # Non-first fragments carry no transport header.
+    if int.from_bytes(ip[6:8], "big") & 0x1FFF:
+        return meta
+
+    proto = ip[9]
+    body = ip[ihl : max(ihl, total_len)]
+    if proto == PROTO_TCP:
+        if len(body) < 14:
+            return meta
+        data_off = (body[12] >> 4) * 4
+        if data_off < 20:
+            return meta
+        meta.transport = Transport.TCP
+        meta.src_port = int.from_bytes(body[0:2], "big")
+        meta.dst_port = int.from_bytes(body[2:4], "big")
+        meta.tcp_flags = body[13] & 0x3F
+        meta.payload_len = max(0, total_len - ihl - data_off)
+        meta.payload_prefix = bytes(body[data_off : data_off + PAYLOAD_PREFIX_LEN])
+    elif proto == PROTO_UDP:
+        if len(body) < 8:
+            return meta
+        meta.transport = Transport.UDP
+        meta.src_port = int.from_bytes(body[0:2], "big")
+        meta.dst_port = int.from_bytes(body[2:4], "big")
+        udp_len = int.from_bytes(body[4:6], "big")
+        meta.payload_len = max(0, udp_len - 8)
+        end = min(len(body), 8 + meta.payload_len, 8 + PAYLOAD_PREFIX_LEN)
+        meta.payload_prefix = bytes(body[8:end])
+    return meta
 
 
 def _mac_for(ip: int) -> bytes:

@@ -90,7 +90,8 @@ class TestExitCodes:
     def test_bad_split_is_usage_error(self, scenario, tmp_path):
         d, _ = scenario
         train = ["train", "--data", d / "train.csv", "--out-model", tmp_path / "m.txt"]
-        assert_fails_cleanly(tmp_path, 1, *train, "--split", "0.5,0.5,0.5")
+        for split in ("0.5,0.5,0.5", "0.7,nan,0.3", "nan,0.5,0.5"):
+            assert_fails_cleanly(tmp_path, 1, *train, "--split", split)
 
     @pytest.mark.parametrize("window", ["1e-7", "nan", "inf"])
     @pytest.mark.parametrize("command", ["extract", "classify"])

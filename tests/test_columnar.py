@@ -1,9 +1,10 @@
 """The columnar decode and feature path against the per-packet reference.
 
 Decode: every record of a capture read by `read_pcap` must equal what
-`decode_frame` makes of it. Features: every window's row must equal the
-per-packet loop in `oracle.py` bit for bit (compared as uint64, because
-`==` treats -0.0 and 0.0 as equal).
+`oracle.decode_frame` makes of it, and `pcapio.decode_frame`, the one-row
+call of the same decoder, must give that record's row. Features: every
+window's row must equal the per-packet loop in `oracle.py` bit for bit
+(compared as uint64, because `==` treats -0.0 and 0.0 as equal).
 """
 
 import sys
@@ -29,7 +30,7 @@ from floodgate.pcapio import (
 from floodgate.synth import parse_scenario, run_scenario
 
 import oracle
-from conftest import ethernet, ipv4, make_meta, read_records, tcp, udp, write_records
+from conftest import ethernet, ipv4, make_meta, packets_from_metas, read_records, tcp, udp, write_records
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -94,21 +95,23 @@ def test_read_pcap_decodes_every_record_like_decode_frame(records, endian):
         write_records(path, records, endian)
         packets = read_pcap(path)
         frames = read_frames(path)
-    want = [decode_frame(data, s, u, orig) for s, u, orig, data in records]
+    want = [oracle.decode_frame(data, s, u, orig) for s, u, orig, data in records]
     assert len(packets) == len(want)
     assert list(packets) == want
     assert [packets[i] for i in range(len(packets))] == want
+    # One row decoded alone equals the same row decoded in a batch.
+    assert [decode_frame(data, s, u, orig) for s, u, orig, data in records] == list(packets)
     assert frames == [Frame(s, u, data) for s, u, _, data in records]
-    again = Packets.from_metas(want)
+    again = packets_from_metas(want)
     for name in Packets.__dataclass_fields__:
         assert np.array_equal(getattr(again, name), getattr(packets, name)), name
 
 
 def test_from_metas_rejects_records_decode_frame_cannot_make():
     good = decode_frame(ethernet(ipv4(udp(b"x"), proto=17)))
-    assert Packets.from_metas([good])[0] == good
+    assert packets_from_metas([good])[0] == good
     with pytest.raises(ValueError, match="packet 1: payload prefix of 9 bytes exceeds 8"):
-        Packets.from_metas([good, PacketMeta(0, 0, 60, 60, payload_prefix=b"123456789")])
+        packets_from_metas([good, PacketMeta(0, 0, 60, 60, payload_prefix=b"123456789")])
 
 
 # --- features -----------------------------------------------------------------
@@ -151,7 +154,7 @@ def packet_streams(draw):
 @settings(max_examples=300, deadline=None)
 @given(metas=packet_streams(), window_len=st.sampled_from([1e-6, 0.0137, 0.1, 0.25, 1.0, 3600.0]))
 def test_features_equal_the_per_packet_loop(metas, window_len):
-    packets = Packets.from_metas(metas)
+    packets = packets_from_metas(metas)
     windows = window_packets(packets, window_len)
     reference = oracle.windows(metas, window_len)
     assert windows.start_ts.tolist() == [start for start, _, _ in reference]
@@ -170,7 +173,7 @@ def test_last_bit_cases_of_log2_and_squares():
     ]
     second = [replace(make_meta(), ts_sec=1_731_009_969, ts_usec=us) for us in (25_176, 83_773, 85_718, 87_730)]
     metas = [replace(m, ts_sec=100, ts_usec=i) for i, m in enumerate(first)] + second
-    packets = Packets.from_metas(metas)
+    packets = packets_from_metas(metas)
     assert_bitwise_equal(extract_features(packets, window_packets(packets, 1.0)), oracle.features(metas, 1.0))
 
 
@@ -220,7 +223,7 @@ def shaped_captures(tmp_path_factory):
 def test_workload_shaped_captures_match_the_reference(shaped_captures, shape):
     path = shaped_captures[shape]
     packets = read_pcap(path)
-    metas = [decode_frame(data, s, u, orig) for s, u, orig, data in read_records(path)]
+    metas = [oracle.decode_frame(data, s, u, orig) for s, u, orig, data in read_records(path)]
     assert list(packets) == metas
     assert len(metas) > 1000
     windows = window_packets(packets, 0.1)

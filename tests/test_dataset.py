@@ -26,6 +26,7 @@ from floodgate.errors import (
     MalformedRow,
     UnknownLabel,
 )
+from floodgate.features import read_truth
 
 
 def make_dataset(class_counts, rng=None):
@@ -103,7 +104,8 @@ class TestSplit:
             stratified_split(ds, (1.0, 0.0, 0.0), seed=0)
 
     @pytest.mark.parametrize(
-        "ratios", [(0.5, 0.5, 0.5), (0.7, 0.2, 0.2), (-0.1, 0.55, 0.55), (0.7, 0.15)]
+        "ratios",
+        [(0.5, 0.5, 0.5), (0.7, 0.2, 0.2), (-0.1, 0.55, 0.55), (0.7, 0.15), (0.7, math.nan, 0.3), (math.nan, 0.5, 0.5)],
     )
     def test_bad_ratios(self, ratios):
         ds = make_dataset((5, 5, 5, 5, 5))
@@ -256,8 +258,14 @@ class TestCsv:
         path = tmp_path / "unk.csv"
         row = ",".join(["0.0"] * NUM_FEATURES) + ",smurf"
         path.write_text(",".join(CSV_HEADER) + "\n" + row + "\n")
-        with pytest.raises(UnknownLabel):
+        with pytest.raises(UnknownLabel) as raised:
             read_csv(path)
+        assert str(raised.value) == f"{path}:2: unknown traffic label: 'smurf'"
+        truth = tmp_path / "unk.truth"
+        truth.write_text("start_ts,end_ts,label\n0.0,1.0,normal\n1.0,2.0,smurf\n")
+        with pytest.raises(UnknownLabel) as raised:
+            read_truth(truth)
+        assert str(raised.value) == f"{truth}:3: unknown traffic label: 'smurf'"
 
 
 class TestRecordValidation:

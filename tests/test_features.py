@@ -15,15 +15,15 @@ from floodgate.features import (
     window_packets,
     write_truth,
 )
-from floodgate.pcapio import Packets, Transport
+from floodgate.pcapio import Transport
 
-from conftest import make_meta
+from conftest import make_meta, packets_from_metas
 
 F = {name: i for i, name in enumerate(FEATURE_NAMES)}
 
 
 def windowed(pkts, length):
-    return window_packets(Packets.from_metas(pkts), length)
+    return window_packets(packets_from_metas(pkts), length)
 
 
 def counts(windows):
@@ -33,7 +33,7 @@ def counts(windows):
 
 def features(pkts, length=1.0):
     """The feature row of packets that all fall in one window."""
-    packets = Packets.from_metas(pkts)
+    packets = packets_from_metas(pkts)
     windows = window_packets(packets, length)
     assert len(windows) == 1
     return extract_features(packets, windows)[0]
@@ -89,7 +89,7 @@ class TestWindowing:
             windowed([], 0.0)
 
     def test_no_packets_no_windows(self):
-        packets = Packets.from_metas([])
+        packets = packets_from_metas([])
         windows = window_packets(packets, 1.0)
         assert len(windows) == 0
         assert extract_features(packets, windows).shape == (0, len(FEATURE_NAMES))
@@ -282,7 +282,7 @@ class TestExtract:
     def test_packet_count_conserved_across_windows(self, rng):
         stamps = np.sort(rng.uniform(0, 30, size=500))
         pkts = [make_meta(ts=float(t)) for t in stamps]
-        packets = Packets.from_metas(pkts)
+        packets = packets_from_metas(pkts)
         total = extract_features(packets, window_packets(packets, 1.0))[:, F["packet_count"]].sum()
         assert total == 500
 

@@ -374,7 +374,7 @@ class TestTrain:
     def test_history_one_entry_per_epoch(self, rng):
         train_ds = separable_dataset(rng, 60)
         val_ds = separable_dataset(rng, 20)
-        cfg = TrainConfig(epochs=4, seed=1, patience=100)
+        cfg = TrainConfig(epochs=4, seed=1)
         _, history = train(train_ds, val_ds, cfg)
         assert len(history) == 4
         assert len(history.val_loss) == len(history.val_accuracy) == 4
@@ -382,14 +382,14 @@ class TestTrain:
     def test_early_stopping_can_shorten_training(self, rng):
         train_ds = separable_dataset(rng, 60)
         val_ds = separable_dataset(rng, 20)
-        cfg = TrainConfig(epochs=400, seed=1, patience=3)
+        cfg = TrainConfig(epochs=400, seed=1)
         _, history = train(train_ds, val_ds, cfg)
         assert len(history) < 400
 
     def test_early_stop_returns_lowest_validation_loss_weights(self, rng):
         train_ds = separable_dataset(rng, 60)
         val_ds = separable_dataset(rng, 20)
-        cfg = TrainConfig(epochs=400, seed=1, patience=3)
+        cfg = TrainConfig(epochs=400, seed=1)
         model, history = train(train_ds, val_ds, cfg)
         assert len(history) < cfg.epochs
         normalized = apply_normalization(val_ds.features, model.norm)
@@ -403,8 +403,6 @@ class TestTrain:
             TrainConfig(epochs=0)
         with pytest.raises(ValueError):
             TrainConfig(batch_size=0)
-        with pytest.raises(ValueError):
-            TrainConfig(patience=-1)
 
 
 class TestPersistence:

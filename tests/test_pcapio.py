@@ -124,6 +124,8 @@ class TestFileErrors:
 
 
 class TestDecode:
+    """`decode_frame` is a one-row call of `read_pcap`'s decoder, so these cases test its columnar rules."""
+
     def test_minimal_tcp_syn(self):
         frame = ethernet(ipv4(tcp(flags=0x02, sport=40000, dport=80), proto=6, ttl=64))
         meta = decode_frame(frame, 5, 123456)

@@ -175,6 +175,26 @@ class TestReproducible:
         assert (p.ts_usec < 1_000_000).all()
 
 
+class TestAttackerBound:
+    def test_most_attackers_stay_in_the_attacker_net(self, tmp_path):
+        cfg = parse_scenario(f"duration 2\nseed 5\nbenign_rate 0\nepisode ack 0 1 20000 65534\n")
+        run_scenario(cfg, tmp_path / "a.pcap", tmp_path / "a.truth")
+        src = read_pcap(tmp_path / "a.pcap").src_ip
+        assert len(src) > 19000
+        assert in_net(src, ATTACKER_NET).all()
+        # The draws reach both ends of the pool, 198.19.0.1 to 198.19.255.254.
+        offset = src - ip_to_int(ATTACKER_NET)
+        assert offset.min() < 100 and offset.max() > 65534 - 100
+
+    def test_too_many_attackers_is_rejected_by_synth(self, tmp_path, capsys):
+        (tmp_path / "s.cfg").write_text("duration 5\nepisode ack 1 2 100 65535\n")
+        code = main(["synth", "--config", str(tmp_path / "s.cfg"), "--out-pcap", str(tmp_path / "s.pcap"),
+                     "--out-truth", str(tmp_path / "s.truth")])
+        assert code == 2
+        assert "at most 65534, the hosts of 198.19.0.0/16" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s.cfg"]
+
+
 # Benign traffic plus one episode of each kind: every packet shape and payload synth makes.
 PINNED = """duration 8
 seed 3
