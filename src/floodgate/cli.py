@@ -1,8 +1,8 @@
 """Command-line pipeline driver: synth -> extract -> train -> eval -> classify.
 
 Exit codes: 0 success, 1 usage error, 2 input/format error, 3 runtime
-failure (e.g. training divergence). Every subcommand writes output files
-atomically, so a failed run never leaves partial files behind.
+failure (e.g. training divergence). A failed run leaves no output: each file
+is written atomically, and the first of two is removed if the second fails.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .dataset import (
 )
 from .errors import BadRatios, FloodgateError, NonFiniteLoss
 from .features import extract_features, label_windows, read_truth, window_packets
-from .ioutil import atomic_write
+from .ioutil import atomic_write, removed_on_failure
 from .metrics import build_confusion, render_report
 from .mlp import TrainConfig, forward, load_model, predict_batch, save_model, train
 from .pcapio import read_pcap
@@ -176,10 +176,7 @@ def cmd_extract(args) -> int:
 def cmd_train(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
     ds = read_csv(args.data)
-    try:
-        cfg = TrainConfig(learning_rate=args.lr, epochs=args.epochs, batch_size=args.batch, seed=seed)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+    cfg = TrainConfig(learning_rate=args.lr, epochs=args.epochs, batch_size=args.batch, seed=seed)
     try:
         train_ds, val_ds, _test_ds = stratified_split(ds, args.split, seed)
     except BadRatios as exc:
@@ -211,7 +208,7 @@ def cmd_eval(args) -> int:
     with atomic_write(args.report, "w") as fh:
         fh.write(report.text)
     csv_path = f"{args.report}.csv"
-    with atomic_write(csv_path, "w") as fh:
+    with removed_on_failure(args.report), atomic_write(csv_path, "w") as fh:
         fh.write(report.csv)
     print(report.text, end="")
     print(f"wrote report to {args.report} and {csv_path}")

@@ -1,4 +1,9 @@
-"""Labeled traffic records: class labels, stratified splits, normalization, CSV I/O."""
+"""Labeled traffic records: class labels, stratified splits, normalization, CSV I/O.
+
+The dataset CSV (`f01,...,f24,label`) and the ground-truth CSV
+(`start_ts,end_ts,label`) share one row format, k finite floats and then a
+traffic-class alias, written by `write_rows` and read by `read_rows`.
+"""
 
 from __future__ import annotations
 
@@ -11,7 +16,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import BadRatios, EmptyClass, EmptyDataset, MalformedRow, UnknownLabel
-from .ioutil import atomic_write
+from .ioutil import atomic_write, open_text
 
 NUM_FEATURES = 24
 NUM_CLASSES = 5
@@ -164,8 +169,9 @@ def stratified_split(
     """Split per class into (train, val, test) with a seeded shuffle.
 
     Per class, test gets round(count * test_ratio) records, validation gets
-    round(count * val_ratio), and train gets the remainder. The same seed
-    always yields the same partitions.
+    round(count * val_ratio), and train gets the remainder. A class with
+    fewer than 3 records, or none left for training, raises EmptyClass. The
+    same seed always yields the same partitions.
     """
     try:
         train_ratio, val_ratio, test_ratio = (float(r) for r in ratios)
@@ -176,10 +182,6 @@ def stratified_split(
         raise BadRatios("all three ratios must be positive and finite")
     if abs(train_ratio + val_ratio + test_ratio - 1.0) > 1e-9:
         raise BadRatios("ratios must sum to 1")
-
-    short = [f"{TrafficClass(c).alias} ({n})" for c, n in enumerate(ds.class_counts()) if n < 3]
-    if short:
-        raise EmptyClass(f"every class needs at least 3 records to split; too few in: {', '.join(short)}")
 
     rng = np.random.default_rng(seed)
     train_parts, val_parts, test_parts = [], [], []
@@ -192,10 +194,11 @@ def stratified_split(
         val_parts.append(idx[n_test : n_test + n_val])
         train_parts.append(idx[n_test + n_val :])
 
-    def _take(parts):
-        return ds.subset(np.concatenate(parts))
-
-    return _take(train_parts), _take(val_parts), _take(test_parts)
+    counts = ds.class_counts()
+    short = [f"{TrafficClass(c).alias} ({n})" for c, n in enumerate(counts) if n < 3 or not train_parts[c].size]
+    if short:
+        raise EmptyClass(f"a class needs at least 3 records and 1 for training; too few in: {', '.join(short)}")
+    return tuple(ds.subset(np.concatenate(parts)) for parts in (train_parts, val_parts, test_parts))
 
 
 def fit_normalization(train: Dataset) -> NormalizationStats:
@@ -217,39 +220,50 @@ def apply_normalization(v, stats: NormalizationStats) -> np.ndarray:
     return (np.asarray(v, dtype=np.float64) - stats.mean) / stats.std
 
 
-def write_csv(ds: Dataset, path) -> None:
-    """Write the dataset as `f01,...,f24,label` rows with full-precision floats."""
+def write_rows(path, header, values, labels) -> None:
+    """Write `header`, then one row per line of `values`: its floats in full
+    precision, then the alias of its label ordinal."""
     with atomic_write(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        for feats, label in zip(ds.features, ds.labels):
-            writer.writerow([repr(float(v)) for v in feats] + [TrafficClass(int(label)).alias])
+        writer.writerow(header)
+        for row, label in zip(np.asarray(values, dtype=np.float64).tolist(), labels):
+            writer.writerow([repr(v) for v in row] + [TrafficClass(int(label)).alias])
+
+
+def read_rows(path, header) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """Read a file in `write_rows`' format, skipping blank lines.
+
+    Returns the finite float values as an (n, len(header) - 1) array, the n
+    label ordinals, and the line number of each row.
+    """
+    k = len(header) - 1
+    values, labels, lines = [], [], []
+    with open_text(path, MalformedRow, newline="") as fh:
+        reader = csv.reader(fh)
+        if tuple(next(reader, ())) != tuple(header):
+            raise MalformedRow(f"{path}: header does not match {','.join(header)}")
+        for row in filter(None, reader):
+            where = f"{path}:{reader.line_num}: "
+            if len(row) != k + 1:
+                raise MalformedRow(f"{where}expected {k + 1} columns, got {len(row)}")
+            try:
+                floats = [float(cell) for cell in row[:k]]
+            except ValueError:
+                raise MalformedRow(f"{where}non-numeric value") from None
+            if not all(map(math.isfinite, floats)):
+                raise MalformedRow(f"{where}non-finite value")
+            values.append(floats)
+            labels.append(int(encode_label(row[k], where)))
+            lines.append(reader.line_num)
+    return np.array(values, dtype=np.float64).reshape(-1, k), np.array(labels, dtype=np.int64), lines
+
+
+def write_csv(ds: Dataset, path) -> None:
+    """Write the dataset as `f01,...,f24,label` rows with full-precision floats."""
+    write_rows(path, CSV_HEADER, ds.features, ds.labels)
 
 
 def read_csv(path) -> Dataset:
     """Read a dataset CSV produced by write_csv (or shaped like it)."""
-    feats: list[list[float]] = []
-    labels: list[int] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(header) != CSV_HEADER:
-            raise MalformedRow(f"{path}: header does not match f01..f{NUM_FEATURES},label")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != NUM_FEATURES + 1:
-                raise MalformedRow(
-                    f"{path}:{lineno}: expected {NUM_FEATURES + 1} columns, got {len(row)}"
-                )
-            try:
-                values = [float(cell) for cell in row[:NUM_FEATURES]]
-            except ValueError:
-                raise MalformedRow(f"{path}:{lineno}: non-numeric feature value") from None
-            if not all(math.isfinite(v) for v in values):
-                raise MalformedRow(f"{path}:{lineno}: non-finite feature value")
-            feats.append(values)
-            labels.append(int(encode_label(row[NUM_FEATURES], f"{path}:{lineno}: ")))
-    if not feats:
-        return Dataset()
-    return Dataset(np.asarray(feats, dtype=np.float64), np.asarray(labels, dtype=np.int64))
+    features, labels, _ = read_rows(path, CSV_HEADER)
+    return Dataset(features, labels)

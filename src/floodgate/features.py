@@ -40,16 +40,14 @@ bit-for-bit what such a loop gives; the tests keep that loop as the oracle.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .dataset import TrafficClass, encode_label
+from .dataset import TrafficClass, read_rows, write_rows
 from .errors import MalformedRow, OverlappingTruth, UnsortedInput
-from .ioutil import atomic_write
 from .pcapio import NON_IP, TCP, UDP, Packets
 
 SCHEMA_VERSION = 1
@@ -292,31 +290,13 @@ def label_windows(windows: Windows, truth: Sequence[TruthInterval]) -> np.ndarra
 
 def write_truth(path, intervals: Sequence[TruthInterval]) -> None:
     """Write ground-truth label intervals as `start_ts,end_ts,label` CSV."""
-    with atomic_write(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRUTH_HEADER)
-        for start, end, cls in intervals:
-            writer.writerow([repr(float(start)), repr(float(end)), TrafficClass(cls).alias])
+    write_rows(path, TRUTH_HEADER, [(start, end) for start, end, _ in intervals], [c for _, _, c in intervals])
 
 
 def read_truth(path) -> list[TruthInterval]:
     """Read a ground-truth CSV written by write_truth (or shaped like it)."""
-    out: list[TruthInterval] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(header) != TRUTH_HEADER:
-            raise MalformedRow(f"{path}: header does not match start_ts,end_ts,label")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise MalformedRow(f"{path}:{lineno}: expected 3 columns, got {len(row)}")
-            try:
-                start, end = float(row[0]), float(row[1])
-            except ValueError:
-                raise MalformedRow(f"{path}:{lineno}: non-numeric interval bound") from None
-            if not (math.isfinite(start) and math.isfinite(end)) or end <= start:
-                raise MalformedRow(f"{path}:{lineno}: invalid interval [{row[0]}, {row[1]}]")
-            out.append((start, end, encode_label(row[2], f"{path}:{lineno}: ")))
-    return out
+    bounds, labels, lines = read_rows(path, TRUTH_HEADER)
+    for (start, end), line in zip(bounds.tolist(), lines):
+        if end <= start:
+            raise MalformedRow(f"{path}:{line}: interval [{start!r}, {end!r}] does not end after it starts")
+    return [(start, end, TrafficClass(c)) for (start, end), c in zip(bounds.tolist(), labels.tolist())]

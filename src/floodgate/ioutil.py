@@ -2,7 +2,7 @@
 
 import os
 import tempfile
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 
 
 @contextmanager
@@ -14,13 +14,28 @@ def atomic_write(path, mode="w", **kwargs):
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=os.path.basename(path) + ".", suffix=".tmp")
-    try:
+    with removed_on_failure(tmp):
         with os.fdopen(fd, mode, **kwargs) as fh:
             yield fh
         os.replace(tmp, path)
+
+
+@contextmanager
+def open_text(path, error, **kwargs):
+    """Open `path` to read UTF-8 text; a byte that does not decode raises `error`."""
+    try:
+        with open(path, encoding="utf-8", **kwargs) as fh:
+            yield fh
+    except UnicodeDecodeError:
+        raise error(f"{path}: not UTF-8 text") from None
+
+
+@contextmanager
+def removed_on_failure(path):
+    """Delete `path` if the body raises; for a file whose companion is written after it."""
+    try:
+        yield
     except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+        with suppress(OSError):
+            os.unlink(path)
         raise

@@ -8,6 +8,9 @@ There is one forward computation, `_forward_batch`, over a matrix of rows:
 training, `forward` (which `classify` calls once per capture) and
 `predict_batch` (which `eval` calls) all use it. There is one backward
 computation, `_backward`, which `train` calls on each mini-batch.
+
+The model file is a magic line and then the sections listed in
+`_SECTIONS`, the one table that `save_model` and `load_model` both walk.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from .errors import (
     NonFiniteLoss,
     VersionMismatch,
 )
-from .ioutil import atomic_write
+from .ioutil import atomic_write, open_text
 
 INPUT_UNITS = NUM_FEATURES
 HIDDEN_UNITS = 106
@@ -282,30 +285,38 @@ def train(train_ds: Dataset, val_ds: Dataset, cfg: TrainConfig | None = None) ->
     return MlpModel(DenseLayer(w1, b1), DenseLayer(w2, b2), norm), history
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
+# The model file after its magic line, one section per entry in file order:
+# its header words, then floats of the given shape, one row per line (a
+# shape of (0,) is one empty row). A header ending in a space shares a line
+# with its first row; the reader only splits on whitespace.
+_SECTIONS = (
+    (f"layers {INPUT_UNITS} {HIDDEN_UNITS} {OUTPUT_UNITS}", (0,)),
+    (f"activations {ACT_TANH} {ACT_SOFTMAX}", (0,)),
+    ("norm_mean ", (INPUT_UNITS,)),
+    ("norm_std ", (INPUT_UNITS,)),
+    (f"weights {HIDDEN_UNITS} {INPUT_UNITS}\n", (HIDDEN_UNITS, INPUT_UNITS)),
+    (f"biases {HIDDEN_UNITS}\n", (HIDDEN_UNITS,)),
+    (f"weights {OUTPUT_UNITS} {HIDDEN_UNITS}\n", (OUTPUT_UNITS, HIDDEN_UNITS)),
+    (f"biases {OUTPUT_UNITS}\n", (OUTPUT_UNITS,)),
+)
 
 
 def save_model(m: MlpModel, path) -> None:
     """Write the model as whitespace-separated text with exact float round-trip."""
+    no_values = np.empty(0)
+    arrays = (no_values, no_values, m.norm.mean, m.norm.std, m.hidden.weights, m.hidden.biases, m.output.weights,
+              m.output.biases)
     with atomic_write(path, "w") as fh:
         fh.write(f"{MODEL_MAGIC} v{MODEL_VERSION}\n")
-        fh.write(f"layers {INPUT_UNITS} {HIDDEN_UNITS} {OUTPUT_UNITS}\n")
-        fh.write(f"activations {ACT_TANH} {ACT_SOFTMAX}\n")
-        fh.write("norm_mean " + " ".join(_fmt(v) for v in m.norm.mean) + "\n")
-        fh.write("norm_std " + " ".join(_fmt(v) for v in m.norm.std) + "\n")
-        for layer in (m.hidden, m.output):
-            rows, cols = layer.weights.shape
-            fh.write(f"weights {rows} {cols}\n")
-            for row in layer.weights:
-                fh.write(" ".join(_fmt(v) for v in row) + "\n")
-            fh.write(f"biases {rows}\n")
-            fh.write(" ".join(_fmt(v) for v in layer.biases) + "\n")
+        for (head, _), values in zip(_SECTIONS, arrays):
+            fh.write(head)
+            for row in np.atleast_2d(values).tolist():
+                fh.write(" ".join(map(repr, row)) + "\n")
 
 
 def load_model(path) -> MlpModel:
-    """Read a model file written by save_model, validating structure throughout."""
-    with open(path) as fh:
+    """Read a model file written by save_model, checking it against `_SECTIONS`."""
+    with open_text(path, CorruptModel) as fh:
         first = fh.readline().split()
         if len(first) != 2 or first[0] != MODEL_MAGIC:
             raise BadMagic(f"{path}: not a {MODEL_MAGIC} model file")
@@ -313,71 +324,22 @@ def load_model(path) -> MlpModel:
             raise VersionMismatch(f"{path}: unsupported version {first[1]!r}")
         tokens = fh.read().split()
 
-    pos = 0
-
-    def take() -> str:
-        nonlocal pos
-        if pos >= len(tokens):
-            raise CorruptModel(f"{path}: file ends prematurely")
-        tok = tokens[pos]
-        pos += 1
-        return tok
-
-    def expect(word: str) -> None:
-        tok = take()
-        if tok != word:
-            raise CorruptModel(f"{path}: expected {word!r}, found {tok!r}")
-
-    def take_int() -> int:
-        tok = take()
+    arrays, pos = [], 0
+    for head, shape in _SECTIONS:
+        words, count = head.split(), math.prod(shape)
+        found = tokens[pos : pos + len(words)]
+        if found != words:
+            raise CorruptModel(f"{path}: expected {' '.join(words)!r}, found {' '.join(found)!r}")
+        pos += len(words) + count
         try:
-            return int(tok)
+            arrays.append(np.array([float(t) for t in tokens[pos - count : pos]], dtype=np.float64).reshape(shape))
         except ValueError:
-            raise CorruptModel(f"{path}: expected an integer, found {tok!r}") from None
-
-    def take_floats(count: int) -> np.ndarray:
-        nonlocal pos
-        if pos + count > len(tokens):
-            raise CorruptModel(f"{path}: expected {count} values, file ends prematurely")
-        chunk = tokens[pos : pos + count]
-        pos += count
-        try:
-            return np.array([float(t) for t in chunk], dtype=np.float64)
-        except ValueError:
-            raise CorruptModel(f"{path}: non-numeric parameter value") from None
-
-    expect("layers")
-    dims = (take_int(), take_int(), take_int())
-    if dims != (INPUT_UNITS, HIDDEN_UNITS, OUTPUT_UNITS):
-        raise CorruptModel(f"{path}: unsupported layer sizes {dims}")
-    expect("activations")
-    acts = (take(), take())
-    if acts != (ACT_TANH, ACT_SOFTMAX):
-        raise CorruptModel(f"{path}: unsupported activations {acts}")
-    expect("norm_mean")
-    mean = take_floats(INPUT_UNITS)
-    expect("norm_std")
-    std = take_floats(INPUT_UNITS)
-
-    layers = []
-    for expected_shape in ((HIDDEN_UNITS, INPUT_UNITS), (OUTPUT_UNITS, HIDDEN_UNITS)):
-        expect("weights")
-        rows, cols = take_int(), take_int()
-        if (rows, cols) != expected_shape:
-            raise CorruptModel(f"{path}: weights declared {rows}x{cols}, expected {expected_shape}")
-        weights = take_floats(rows * cols).reshape(rows, cols)
-        expect("biases")
-        count = take_int()
-        if count != rows:
-            raise CorruptModel(f"{path}: biases declared {count}, expected {rows}")
-        biases = take_floats(count)
-        layers.append((weights, biases))
-
+            raise CorruptModel(f"{path}: section {words[0]!r} does not hold {count} numbers") from None
     if pos != len(tokens):
         raise CorruptModel(f"{path}: trailing data after model parameters")
 
+    _, _, mean, std, w1, b1, w2, b2 = arrays
     try:
-        norm = NormalizationStats(mean, std)
-        return MlpModel(hidden=DenseLayer(*layers[0]), output=DenseLayer(*layers[1]), norm=norm)
+        return MlpModel(DenseLayer(w1, b1), DenseLayer(w2, b2), NormalizationStats(mean, std))
     except ValueError as exc:
         raise CorruptModel(f"{path}: {exc}") from None

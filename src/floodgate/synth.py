@@ -38,6 +38,7 @@ import numpy as np
 from .dataset import TrafficClass, encode_label
 from .errors import BadScenario, UnknownLabel
 from .features import write_truth
+from .ioutil import open_text, removed_on_failure
 from .pcapio import ETHERTYPE_IPV4, PROTO_TCP, PROTO_UDP, record_headers, write_records
 
 FLAG_FIN = 0x01
@@ -321,7 +322,7 @@ def parse_scenario(text: str, default_seed: int = 0) -> ScenarioConfig:
 
 
 def load_scenario(path, default_seed: int = 0) -> ScenarioConfig:
-    with open(path) as fh:
+    with open_text(path, BadScenario) as fh:
         return parse_scenario(fh.read(), default_seed=default_seed)
 
 
@@ -432,7 +433,7 @@ def gen_attack(ep: Episode, cfg: ScenarioConfig, rng: np.random.Generator, rows:
 
 
 def run_scenario(cfg: ScenarioConfig, out_pcap_path, out_truth_path) -> int:
-    """Generate the scenario, write the pcap and the truth CSV; returns packet count.
+    """Generate the scenario, write the pcap and then the truth CSV (or neither); returns packet count.
 
     Each stream (benign, then each episode in config order) draws from its own
     seeded generator, so output is byte-identical for a given config and seed.
@@ -452,5 +453,6 @@ def run_scenario(cfg: ScenarioConfig, out_pcap_path, out_truth_path) -> int:
         out_pcap_path,
         (encode_records(rows[order[i : i + CHUNK_ROWS]]) for i in range(0, len(order), CHUNK_ROWS)),
     )
-    write_truth(out_truth_path, [(ep.start, ep.end, ep.attack) for ep in cfg.episodes])
+    with removed_on_failure(out_pcap_path):
+        write_truth(out_truth_path, [(ep.start, ep.end, ep.attack) for ep in cfg.episodes])
     return len(rows)

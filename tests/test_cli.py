@@ -142,6 +142,53 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "too few in: syn_flood (0), http_flood (0), udp_flood (0)" in err
 
+    def test_class_without_training_rows_is_input_error(self, scenario, tmp_path, capsys):
+        d, _ = scenario
+        ds = read_csv(d / "train.csv")
+        # Four normal windows at 0.1,0.45,0.45 go two to validation and two to test;
+        # every flood keeps more than ten windows, and so some for training.
+        keep = np.flatnonzero(ds.labels != TrafficClass.NORMAL)
+        assert min(ds.subset(keep).class_counts()[1:]) > 10
+        write_csv(ds.subset(np.concatenate([np.flatnonzero(ds.labels == TrafficClass.NORMAL)[:4], keep])),
+                  tmp_path / "few.csv")
+        capsys.readouterr()
+        assert_fails_cleanly(tmp_path, 2, "train", "--data", tmp_path / "few.csv", "--out-model",
+                             tmp_path / "m.txt", "--split", "0.1,0.45,0.45")
+        assert capsys.readouterr().err.rstrip().endswith("too few in: normal (4)")
+
+    @pytest.mark.parametrize("command, flag", [("eval", "--data"), ("eval", "--model"), ("classify", "--model"),
+                                               ("extract", "--truth"), ("synth", "--config")])
+    def test_non_utf8_input_is_input_error(self, scenario, tmp_path, command, flag):
+        d, _ = scenario
+        argv = {
+            "eval": ["eval", "--data", d / "test.csv", "--model", d / "model.txt", "--report", tmp_path / "r.txt"],
+            "classify": ["classify", "--pcap", d / "test.pcap", "--model", d / "model.txt",
+                         "--out", tmp_path / "p.csv"],
+            "extract": ["extract", "--pcap", d / "test.pcap", "--truth", d / "test.truth",
+                        "--out", tmp_path / "f.csv"],
+            "synth": ["synth", "--config", d / "test.cfg", "--out-pcap", tmp_path / "s.pcap",
+                      "--out-truth", tmp_path / "s.truth"],
+        }[command]
+        bad = tmp_path / "bad"
+        bad.write_bytes(b"\xff\xfe" + "f01,label\n".encode("utf-16-le"))
+        argv[argv.index(flag) + 1] = bad
+        assert_fails_cleanly(tmp_path, 2, *argv)
+
+    @pytest.mark.parametrize("blocked", [0, 1])
+    @pytest.mark.parametrize("command", ["eval", "synth"])
+    def test_two_outputs_are_written_both_or_neither(self, scenario, tmp_path, command, blocked):
+        d, _ = scenario
+        if command == "eval":
+            outputs = [tmp_path / "r.txt", tmp_path / "r.txt.csv"]
+            argv = ["eval", "--data", d / "test.csv", "--model", d / "model.txt", "--report", outputs[0]]
+        else:
+            outputs = [tmp_path / "s.pcap", tmp_path / "s.truth"]
+            argv = ["synth", "--config", d / "test.cfg", "--out-pcap", outputs[0], "--out-truth", outputs[1]]
+        # A directory in the place of one output makes writing that output fail.
+        outputs[blocked].mkdir()
+        assert_fails_cleanly(tmp_path, 2, *argv)
+        assert outputs[blocked].is_dir()
+
     def test_divergence_is_runtime_error(self, scenario, tmp_path):
         d, _ = scenario
         train = ["train", "--data", d / "train.csv", "--out-model", tmp_path / "m.txt"]

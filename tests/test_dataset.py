@@ -16,8 +16,10 @@ from floodgate.dataset import (
     encode_label,
     fit_normalization,
     read_csv,
+    read_rows,
     stratified_split,
     write_csv,
+    write_rows,
 )
 from floodgate.errors import (
     BadRatios,
@@ -122,6 +124,18 @@ class TestSplit:
         with pytest.raises(EmptyClass) as err:
             stratified_split(ds, self.RATIOS, seed=0)
         assert str(err.value).endswith("too few in: syn_flood (0), http_flood (1), udp_flood (2)")
+
+    def test_class_left_without_training_records_is_named(self):
+        # Per class, half-up rounding gives 2 + 2 of 4 records (and 45 + 45
+        # of 100) to validation and test, so normal traffic has none for training.
+        ds = make_dataset((4, 100, 100, 100, 100))
+        with pytest.raises(EmptyClass) as err:
+            stratified_split(ds, (0.1, 0.45, 0.45), seed=0)
+        assert str(err.value).endswith("too few in: normal (4)")
+        ds = make_dataset((4, 4, 4, 4, 4))
+        with pytest.raises(EmptyClass) as err:
+            stratified_split(ds, (0.02, 0.49, 0.49), seed=0)
+        assert str(err.value).endswith("in: normal (4), syn_flood (4), ack_flood (4), http_flood (4), udp_flood (4)")
 
     def test_same_seed_same_partitions(self):
         rng = np.random.default_rng(7)
@@ -246,6 +260,15 @@ class TestCsv:
         path.write_text("a,b,c\n")
         with pytest.raises(MalformedRow):
             read_csv(path)
+
+    def test_rows_round_trip_bit_exact(self, tmp_path):
+        values = np.array([[-0.0, 0.0, 5e-324], [2.2250738585072014e-308 / 3, 1.7e308, -1.7e308]])
+        path = tmp_path / "rows.csv"
+        write_rows(path, ("a", "b", "c", "label"), values, [TrafficClass.NORMAL, TrafficClass.UDP_FLOOD])
+        back, labels, lines = read_rows(path, ("a", "b", "c", "label"))
+        assert back.tobytes() == values.tobytes()
+        assert labels.tolist() == [0, 4]
+        assert lines == [2, 3]
 
     def test_alias_label_accepted(self, tmp_path):
         path = tmp_path / "alias.csv"

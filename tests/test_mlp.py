@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from floodgate import mlp
@@ -457,6 +457,13 @@ class TestPersistence:
         with pytest.raises(CorruptModel):
             load_model(path)
 
+    def test_zero_padded_size_is_corrupt(self, tmp_path):
+        path = tmp_path / "m.model"
+        save_model(random_model(1), path)
+        path.write_text(path.read_text().replace("layers 24 106 5", "layers 024 106 5", 1))
+        with pytest.raises(CorruptModel, match="found 'layers 024 106 5'"):
+            load_model(path)
+
     def test_truncated_file(self, tmp_path, rng):
         model = self.trained_fixture(rng)
         path = tmp_path / "m.model"
@@ -503,5 +510,36 @@ class TestPersistence:
         parts[1] = "-1.0"
         lines[idx] = " ".join(parts)
         path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CorruptModel):
+            load_model(path)
+
+
+# Every token of a model file after its magic line that is not a float value.
+HEADER_WORDS = {"layers", "activations", "tanh", "softmax", "norm_mean", "norm_std", "weights", "biases",
+                "24", "106", "5"}
+
+
+class TestDamagedModelFile:
+    @pytest.fixture(scope="class")
+    def saved(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("model") / "m.model"
+        save_model(random_model(2), path)
+        magic, body = path.read_text().split("\n", 1)
+        return path, magic, body.split()
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_one_token_replaced_or_deleted_is_corrupt(self, saved, data):
+        path, magic, tokens = saved
+        header = [i for i, t in enumerate(tokens) if t in HEADER_WORDS]
+        i = data.draw(st.one_of(st.sampled_from(header), st.integers(0, len(tokens) - 1)), label="position")
+        # None deletes the token. Only a header token is damaged by any change,
+        # so it also gets replacements that would be valid float values.
+        edits = [None, "nan", "inf", "-1e999", "bogus", "0x1p3"]
+        if tokens[i] in HEADER_WORDS:
+            edits += ["0" + tokens[i], "+" + tokens[i], tokens[i] + "0", "0.5"]
+        edit = data.draw(st.sampled_from(edits), label="edit")
+        damaged = tokens[:i] + ([] if edit is None else [edit]) + tokens[i + 1 :]
+        path.write_text(magic + "\n" + " ".join(damaged) + "\n")
         with pytest.raises(CorruptModel):
             load_model(path)
