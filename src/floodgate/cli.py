@@ -15,14 +15,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .dataset import (
-    Dataset,
-    TrafficClass,
-    apply_normalization,
-    read_csv,
-    stratified_split,
-    write_csv,
-)
+from .dataset import Dataset, TrafficClass, read_csv, stratified_split, write_csv
 from .errors import BadRatios, FloodgateError, NonFiniteLoss
 from .features import extract_features, label_windows, read_truth, window_packets
 from .ioutil import atomic_write, removed_on_failure
@@ -202,8 +195,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     model = load_model(args.model)
     ds = read_csv(args.data)
-    normalized = apply_normalization(ds.features, model.norm)
-    predicted = predict_batch(model, normalized)
+    predicted = predict_batch(model, ds.features)
     report = render_report(build_confusion(ds.labels, predicted))
     with atomic_write(args.report, "w") as fh:
         fh.write(report.text)
@@ -219,7 +211,7 @@ def cmd_classify(args) -> int:
     model = load_model(args.model)
     packets = read_pcap(args.pcap)
     windows = window_packets(packets, args.window)
-    probs = forward(model, apply_normalization(extract_features(packets, windows), model.norm))
+    probs = forward(model, extract_features(packets, windows))
     labels = probs.argmax(axis=1).tolist()
     lines = [CLASSIFY_HEADER]
     for start, end, label, row in zip(windows.start_ts.tolist(), windows.end_ts.tolist(), labels, probs.tolist()):

@@ -1,4 +1,4 @@
-"""Labeled traffic records: class labels, stratified splits, normalization, CSV I/O.
+"""Labeled traffic records: class labels, stratified splits, normalization statistics, CSV I/O.
 
 The dataset CSV (`f01,...,f24,label`) and the ground-truth CSV
 (`start_ts,end_ts,label`) share one row format, k finite floats and then a
@@ -16,7 +16,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import BadRatios, EmptyClass, EmptyDataset, MalformedRow, UnknownLabel
-from .ioutil import atomic_write, open_text
+from .ioutil import atomic_write, open_text, strict_floats
 
 NUM_FEATURES = 24
 NUM_CLASSES = 5
@@ -141,24 +141,6 @@ class Dataset:
         return Dataset(self.features[indices], self.labels[indices])
 
 
-@dataclass
-class NormalizationStats:
-    """Per-feature mean and (clamped) population standard deviation."""
-
-    mean: np.ndarray
-    std: np.ndarray
-
-    def __post_init__(self):
-        self.mean = np.asarray(self.mean, dtype=np.float64)
-        self.std = np.asarray(self.std, dtype=np.float64)
-        if self.mean.shape != (NUM_FEATURES,) or self.std.shape != (NUM_FEATURES,):
-            raise ValueError(f"normalization stats must have length {NUM_FEATURES}")
-        if not (np.isfinite(self.mean).all() and np.isfinite(self.std).all()):
-            raise ValueError("normalization stats must be finite")
-        if (self.std <= 0).any():
-            raise ValueError("std values must be positive")
-
-
 def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
@@ -201,23 +183,17 @@ def stratified_split(
     return tuple(ds.subset(np.concatenate(parts)) for parts in (train_parts, val_parts, test_parts))
 
 
-def fit_normalization(train: Dataset) -> NormalizationStats:
+def fit_normalization(train: Dataset) -> tuple[np.ndarray, np.ndarray]:
     """Per-feature mean and population std over the training set.
 
-    Features with std below 1e-12 get std clamped to 1.0 so that applying
-    the stats is always well defined.
+    Features with std below 1e-12 get std clamped to 1.0 so that dividing
+    by it is always well defined.
     """
     if len(train) == 0:
         raise EmptyDataset("cannot fit normalization on an empty dataset")
     mean = train.features.mean(axis=0)
     std = train.features.std(axis=0)
-    std = np.where(std < 1e-12, 1.0, std)
-    return NormalizationStats(mean, std)
-
-
-def apply_normalization(v, stats: NormalizationStats) -> np.ndarray:
-    """Return (v - mean) / std; broadcasts over a (n, 24) matrix as well."""
-    return (np.asarray(v, dtype=np.float64) - stats.mean) / stats.std
+    return mean, np.where(std < 1e-12, 1.0, std)
 
 
 def write_rows(path, header, values, labels) -> None:
@@ -247,7 +223,7 @@ def read_rows(path, header) -> tuple[np.ndarray, np.ndarray, list[int]]:
             if len(row) != k + 1:
                 raise MalformedRow(f"{where}expected {k + 1} columns, got {len(row)}")
             try:
-                floats = [float(cell) for cell in row[:k]]
+                floats = strict_floats(row[:k])
             except ValueError:
                 raise MalformedRow(f"{where}non-numeric value") from None
             if not all(map(math.isfinite, floats)):

@@ -39,3 +39,16 @@ def removed_on_failure(path):
         with suppress(OSError):
             os.unlink(path)
         raise
+
+
+def strict_floats(texts) -> list[float]:
+    """`float` of each text, which must be a plain decimal number, nan or inf.
+
+    `float` alone also reads blanks around a number, `_` between digits and
+    non-ASCII digits; a text with any of these raises ValueError, as does
+    anything `float` rejects.
+    """
+    joined = "".join(texts)
+    if not (joined.isascii() and joined.isprintable()) or " " in joined or "_" in joined:
+        raise ValueError("not a plain number")
+    return [float(t) for t in texts]

@@ -4,13 +4,15 @@ One hidden layer of 106 tanh units, a 5-unit softmax output, categorical
 cross-entropy, and Adam over seeded mini-batches. All arithmetic is float64
 and every operation is deterministic for a given seed.
 
-There is one forward computation, `_forward_batch`, over a matrix of rows:
-training, `forward` (which `classify` calls once per capture) and
-`predict_batch` (which `eval` calls) all use it. There is one backward
-computation, `_backward`, which `train` calls on each mini-batch.
+A model is the six arrays of its file, one entry each in the table
+`_SECTIONS`, which `MlpModel`, `save_model` and `load_model` all walk.
 
-The model file is a magic line and then the sections listed in
-`_SECTIONS`, the one table that `save_model` and `load_model` both walk.
+There is one forward computation, `_forward_batch`, over a matrix of
+normalized rows: training, `forward` (which `classify` calls once per
+capture) and `predict_batch` (which `eval` calls) all use it; the latter two
+take raw features and normalize them with the model's `mean` and `std`.
+There is one backward computation, `_backward`, which `train` calls on each
+mini-batch.
 """
 
 from __future__ import annotations
@@ -20,14 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import (
-    NUM_CLASSES,
-    NUM_FEATURES,
-    Dataset,
-    NormalizationStats,
-    apply_normalization,
-    fit_normalization,
-)
+from .dataset import NUM_CLASSES, NUM_FEATURES, Dataset, fit_normalization
 from .errors import (
     BadMagic,
     CorruptModel,
@@ -36,14 +31,11 @@ from .errors import (
     NonFiniteLoss,
     VersionMismatch,
 )
-from .ioutil import atomic_write, open_text
+from .ioutil import atomic_write, open_text, strict_floats
 
 INPUT_UNITS = NUM_FEATURES
 HIDDEN_UNITS = 106
 OUTPUT_UNITS = NUM_CLASSES
-
-ACT_TANH = "tanh"
-ACT_SOFTMAX = "softmax"
 
 MODEL_MAGIC = "FLOODGATE-MLP"
 MODEL_VERSION = 1
@@ -65,56 +57,73 @@ ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
 
 
-@dataclass
-class DenseLayer:
-    """Weights (out x in) and biases (out,); the hidden layer applies tanh, the output softmax."""
+# The model file after its magic line, one section per entry in file order:
+# the `MlpModel` field it holds (None for a header line), its header words,
+# then floats of the given shape, one row per line (a shape of (0,) is one
+# empty row). A header ending in a space shares a line with its first row;
+# the reader only splits on whitespace.
+_SECTIONS = (
+    (None, f"layers {INPUT_UNITS} {HIDDEN_UNITS} {OUTPUT_UNITS}", (0,)),
+    (None, "activations tanh softmax", (0,)),
+    ("mean", "norm_mean ", (INPUT_UNITS,)),
+    ("std", "norm_std ", (INPUT_UNITS,)),
+    ("w1", f"weights {HIDDEN_UNITS} {INPUT_UNITS}\n", (HIDDEN_UNITS, INPUT_UNITS)),
+    ("b1", f"biases {HIDDEN_UNITS}\n", (HIDDEN_UNITS,)),
+    ("w2", f"weights {OUTPUT_UNITS} {HIDDEN_UNITS}\n", (OUTPUT_UNITS, HIDDEN_UNITS)),
+    ("b2", f"biases {OUTPUT_UNITS}\n", (OUTPUT_UNITS,)),
+)
 
-    weights: np.ndarray
-    biases: np.ndarray
 
-    def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        self.biases = np.asarray(self.biases, dtype=np.float64)
-        if self.weights.ndim != 2 or self.biases.shape != (self.weights.shape[0],):
-            raise ValueError("weight/bias shapes are inconsistent")
-        if not (np.isfinite(self.weights).all() and np.isfinite(self.biases).all()):
-            raise ValueError("layer parameters must be finite")
-
-
-@dataclass
+@dataclass(eq=False)
 class MlpModel:
-    """The fixed 24-106-5 network plus the normalization fitted with it."""
+    """The fixed 24-106-5 network plus the normalization fitted with it, as the
+    arrays of `_SECTIONS`: each must have its shape and be finite, and `std` positive."""
 
-    hidden: DenseLayer
-    output: DenseLayer
-    norm: NormalizationStats
+    mean: np.ndarray
+    std: np.ndarray
+    w1: np.ndarray
+    b1: np.ndarray
+    w2: np.ndarray
+    b2: np.ndarray
 
     def __post_init__(self):
-        if self.hidden.weights.shape != (HIDDEN_UNITS, INPUT_UNITS):
-            raise ValueError(f"hidden layer must be {HIDDEN_UNITS}x{INPUT_UNITS}")
-        if self.output.weights.shape != (OUTPUT_UNITS, HIDDEN_UNITS):
-            raise ValueError(f"output layer must be {OUTPUT_UNITS}x{HIDDEN_UNITS}")
+        for name, _, shape in _SECTIONS:
+            if name:
+                value = np.asarray(getattr(self, name), dtype=np.float64)
+                if value.shape != shape:
+                    raise ValueError(f"{name} must have shape {shape}, got {value.shape}")
+                if not np.isfinite(value).all():
+                    raise ValueError(f"{name} must be finite")
+                setattr(self, name, value)
+        if (self.std <= 0).any():
+            raise ValueError("std values must be positive")
+
+    @property
+    def params(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The trained arrays `(w1, b1, w2, b2)`, as `_forward_batch` takes them."""
+        return self.w1, self.b1, self.w2, self.b2
 
 
 def glorot_limit(fan_in: int, fan_out: int) -> float:
     return math.sqrt(6.0 / (fan_in + fan_out))
 
 
-def init_model(seed: int, norm: NormalizationStats) -> MlpModel:
+def init_model(seed: int, mean, std) -> MlpModel:
     """Fresh model: Glorot-uniform weights, zero biases, deterministic per seed."""
     rng = np.random.default_rng(seed)
     l1 = glorot_limit(INPUT_UNITS, HIDDEN_UNITS)
     l2 = glorot_limit(HIDDEN_UNITS, OUTPUT_UNITS)
     w1 = rng.uniform(-l1, l1, size=(HIDDEN_UNITS, INPUT_UNITS))
     w2 = rng.uniform(-l2, l2, size=(OUTPUT_UNITS, HIDDEN_UNITS))
-    return MlpModel(DenseLayer(w1, np.zeros(HIDDEN_UNITS)), DenseLayer(w2, np.zeros(OUTPUT_UNITS)), norm)
+    return MlpModel(mean, std, w1, np.zeros(HIDDEN_UNITS), w2, np.zeros(OUTPUT_UNITS))
 
 
 _OPEN_LO = 5e-324
 _OPEN_HI = math.nextafter(1.0, 0.0)
 
 
-def _forward_batch(w1, b1, w2, b2, x_rows):
+def _forward_batch(params, x_rows):
+    w1, b1, w2, b2 = params
     h = np.tanh(x_rows @ w1.T + b1)
     z = h @ w2.T + b2
     z = z - z.max(axis=1, keepdims=True)
@@ -143,12 +152,13 @@ def _backward(w2, x_rows, y, h, p):
 
 
 def forward(m: MlpModel, x_rows) -> np.ndarray:
-    """Class probabilities, (n, 5), for an (n, 24) matrix of normalized features.
+    """Class probabilities, (n, 5), for an (n, 24) matrix of raw features.
 
-    Each row is a max-shifted softmax over its logits, kept strictly inside
-    (0, 1): an extreme logit gap that would round an entry to exactly 0 or 1
-    is nudged to the nearest representable value inside the interval. A
-    single row is passed as `x[None]`. A row's last bits can depend on the
+    Each row is normalized with the model's own `mean` and `std`, and its
+    probabilities are a max-shifted softmax over its logits, kept strictly
+    inside (0, 1): an extreme logit gap that would round an entry to exactly
+    0 or 1 is nudged to the nearest representable value inside the interval.
+    A single row is passed as `x[None]`. A row's last bits can depend on the
     batch it is computed in, because the matrix products block the rows
     differently for different batch sizes, so `classify` computes each
     capture in one call.
@@ -156,7 +166,7 @@ def forward(m: MlpModel, x_rows) -> np.ndarray:
     x_rows = np.asarray(x_rows, dtype=np.float64)
     if x_rows.ndim != 2 or x_rows.shape[1] != INPUT_UNITS:
         raise DimensionMismatch(f"expected (n, {INPUT_UNITS}), got {x_rows.shape}")
-    _, p = _forward_batch(m.hidden.weights, m.hidden.biases, m.output.weights, m.output.biases, x_rows)
+    _, p = _forward_batch(m.params, (x_rows - m.mean) / m.std)
     return np.clip(p, _OPEN_LO, _OPEN_HI)
 
 
@@ -173,8 +183,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        # A range test, so that nan, which fails every comparison, is rejected too.
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be positive and finite")
         if self.epochs < 1:
             raise ValueError("epochs must be at least 1")
         if self.batch_size < 1:
@@ -216,19 +227,13 @@ def train(train_ds: Dataset, val_ds: Dataset, cfg: TrainConfig | None = None) ->
     if len(train_ds) == 0 or len(val_ds) == 0:
         raise EmptyDataset("train and validation datasets must be non-empty")
 
-    norm = fit_normalization(train_ds)
-    x_train = apply_normalization(train_ds.features, norm)
+    mean, std = fit_normalization(train_ds)
+    x_train = (train_ds.features - mean) / std
     y_train = train_ds.labels
-    x_val = apply_normalization(val_ds.features, norm)
+    x_val = (val_ds.features - mean) / std
     y_val = val_ds.labels
 
-    model = init_model(cfg.seed, norm)
-    params = [
-        model.hidden.weights.copy(),
-        model.hidden.biases.copy(),
-        model.output.weights.copy(),
-        model.output.biases.copy(),
-    ]
+    params = list(init_model(cfg.seed, mean, std).params)
     m_state = [np.zeros_like(p) for p in params]
     v_state = [np.zeros_like(p) for p in params]
     step = 0
@@ -247,10 +252,9 @@ def train(train_ds: Dataset, val_ds: Dataset, cfg: TrainConfig | None = None) ->
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
             xb, yb = x_train[idx], y_train[idx]
-            w1, b1, w2, b2 = params
-            h, p = _forward_batch(w1, b1, w2, b2, xb)
+            h, p = _forward_batch(params, xb)
             batch_losses.append(_checked_loss(p, yb, f"epoch {epoch + 1}"))
-            grads = _backward(w2, xb, yb, h, p)
+            grads = _backward(params[2], xb, yb, h, p)
 
             step += 1
             bias1 = 1.0 - ADAM_BETA1**step
@@ -262,8 +266,7 @@ def train(train_ds: Dataset, val_ds: Dataset, cfg: TrainConfig | None = None) ->
                 v_acc += (1.0 - ADAM_BETA2) * (grad * grad)
                 param -= cfg.learning_rate * (m_acc / bias1) / (np.sqrt(v_acc / bias2) + ADAM_EPSILON)
 
-        w1, b1, w2, b2 = params
-        _, p_val = _forward_batch(w1, b1, w2, b2, x_val)
+        _, p_val = _forward_batch(params, x_val)
         val_loss = _checked_loss(p_val, y_val, f"validation after epoch {epoch + 1}")
         val_acc = float(np.mean(p_val.argmax(axis=1) == y_val))
         history.train_loss.append(float(np.mean(batch_losses)))
@@ -281,36 +284,16 @@ def train(train_ds: Dataset, val_ds: Dataset, cfg: TrainConfig | None = None) ->
             if epochs_since_improvement > PATIENCE:
                 break
 
-    w1, b1, w2, b2 = best_params
-    return MlpModel(DenseLayer(w1, b1), DenseLayer(w2, b2), norm), history
-
-
-# The model file after its magic line, one section per entry in file order:
-# its header words, then floats of the given shape, one row per line (a
-# shape of (0,) is one empty row). A header ending in a space shares a line
-# with its first row; the reader only splits on whitespace.
-_SECTIONS = (
-    (f"layers {INPUT_UNITS} {HIDDEN_UNITS} {OUTPUT_UNITS}", (0,)),
-    (f"activations {ACT_TANH} {ACT_SOFTMAX}", (0,)),
-    ("norm_mean ", (INPUT_UNITS,)),
-    ("norm_std ", (INPUT_UNITS,)),
-    (f"weights {HIDDEN_UNITS} {INPUT_UNITS}\n", (HIDDEN_UNITS, INPUT_UNITS)),
-    (f"biases {HIDDEN_UNITS}\n", (HIDDEN_UNITS,)),
-    (f"weights {OUTPUT_UNITS} {HIDDEN_UNITS}\n", (OUTPUT_UNITS, HIDDEN_UNITS)),
-    (f"biases {OUTPUT_UNITS}\n", (OUTPUT_UNITS,)),
-)
+    return MlpModel(mean, std, *best_params), history
 
 
 def save_model(m: MlpModel, path) -> None:
     """Write the model as whitespace-separated text with exact float round-trip."""
-    no_values = np.empty(0)
-    arrays = (no_values, no_values, m.norm.mean, m.norm.std, m.hidden.weights, m.hidden.biases, m.output.weights,
-              m.output.biases)
     with atomic_write(path, "w") as fh:
         fh.write(f"{MODEL_MAGIC} v{MODEL_VERSION}\n")
-        for (head, _), values in zip(_SECTIONS, arrays):
+        for name, head, _ in _SECTIONS:
             fh.write(head)
-            for row in np.atleast_2d(values).tolist():
+            for row in np.atleast_2d(getattr(m, name) if name else np.empty(0)).tolist():
                 fh.write(" ".join(map(repr, row)) + "\n")
 
 
@@ -324,22 +307,23 @@ def load_model(path) -> MlpModel:
             raise VersionMismatch(f"{path}: unsupported version {first[1]!r}")
         tokens = fh.read().split()
 
-    arrays, pos = [], 0
-    for head, shape in _SECTIONS:
+    arrays, pos = {}, 0
+    for name, head, shape in _SECTIONS:
         words, count = head.split(), math.prod(shape)
         found = tokens[pos : pos + len(words)]
         if found != words:
             raise CorruptModel(f"{path}: expected {' '.join(words)!r}, found {' '.join(found)!r}")
         pos += len(words) + count
         try:
-            arrays.append(np.array([float(t) for t in tokens[pos - count : pos]], dtype=np.float64).reshape(shape))
+            values = np.array(strict_floats(tokens[pos - count : pos]), dtype=np.float64).reshape(shape)
         except ValueError:
             raise CorruptModel(f"{path}: section {words[0]!r} does not hold {count} numbers") from None
+        if name:
+            arrays[name] = values
     if pos != len(tokens):
         raise CorruptModel(f"{path}: trailing data after model parameters")
 
-    _, _, mean, std, w1, b1, w2, b2 = arrays
     try:
-        return MlpModel(DenseLayer(w1, b1), DenseLayer(w2, b2), NormalizationStats(mean, std))
+        return MlpModel(**arrays)
     except ValueError as exc:
         raise CorruptModel(f"{path}: {exc}") from None

@@ -29,6 +29,7 @@ synth stays within SYNTH_MEMORY_BUDGET.
 
 from __future__ import annotations
 
+import ipaddress
 import math
 from array import array
 from dataclasses import dataclass, field
@@ -41,9 +42,7 @@ from .features import write_truth
 from .ioutil import open_text, removed_on_failure
 from .pcapio import ETHERTYPE_IPV4, PROTO_TCP, PROTO_UDP, record_headers, write_records
 
-FLAG_FIN = 0x01
 FLAG_SYN = 0x02
-FLAG_RST = 0x04
 FLAG_PSH = 0x08
 FLAG_ACK = 0x10
 
@@ -123,16 +122,10 @@ MAX_DURATION_S = 2**32 - 1
 
 
 def ip_to_int(dotted: str) -> int:
-    parts = dotted.split(".")
-    if len(parts) != 4:
-        raise ValueError(f"bad IPv4 address {dotted!r}")
-    value = 0
-    for part in parts:
-        octet = int(part)
-        if not 0 <= octet <= 255:
-            raise ValueError(f"bad IPv4 address {dotted!r}")
-        value = (value << 8) | octet
-    return value
+    try:
+        return int(ipaddress.IPv4Address(dotted))
+    except ValueError:
+        raise ValueError(f"bad IPv4 address {dotted!r}") from None
 
 
 def _pcap_time(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from floodgate.cli import SEED_ENV_VAR, main
-from floodgate.dataset import TrafficClass, apply_normalization, read_csv, write_csv
+from floodgate.dataset import TrafficClass, read_csv, write_csv
 from floodgate.mlp import forward, load_model, predict_batch
 
 # Eight seconds with all four floods, one after another.
@@ -225,8 +225,8 @@ class TestOneInferencePath:
         d, _ = scenario
         assert run("extract", "--pcap", d / "test.pcap", "--window", WINDOW, "--out", tmp_path / "f.csv") == 0
         model = load_model(d / "model.txt")
-        normalized = apply_normalization(read_csv(tmp_path / "f.csv").features, model.norm)
-        expected = predict_batch(model, normalized)
+        features = read_csv(tmp_path / "f.csv").features
+        expected = predict_batch(model, features)
         rows = [line.split(",") for line in (d / "predictions.csv").read_text().splitlines()[1:]]
         assert len(rows) == len(expected) > 0
         assert [row[2] for row in rows] == [TrafficClass(int(c)).alias for c in expected]
@@ -235,4 +235,4 @@ class TestOneInferencePath:
         # The features CSV round-trips exactly and classify computes the
         # capture in one `forward` call, so even the last bits agree.
         probs = np.array([[float(v) for v in row[3:]] for row in rows])
-        assert np.array_equal(probs, forward(model, normalized))
+        assert np.array_equal(probs, forward(model, features))

@@ -12,7 +12,6 @@ from floodgate.dataset import (
     Dataset,
     LabeledRecord,
     TrafficClass,
-    apply_normalization,
     encode_label,
     fit_normalization,
     read_csv,
@@ -29,6 +28,7 @@ from floodgate.errors import (
     UnknownLabel,
 )
 from floodgate.features import read_truth
+from floodgate.mlp import MlpModel, forward, init_model
 
 
 def make_dataset(class_counts, rng=None):
@@ -167,29 +167,38 @@ class TestSplit:
             assert test.class_counts()[c] == math.floor(n * 0.15 + 0.5)
 
 
+def normalizing_models(mean, std):
+    """A model with the given normalization stats, and the same model with
+    identity stats (mean 0, std 1), so that comparing their outputs shows
+    how the first normalizes its input."""
+    fitted = init_model(0, mean, std)
+    unit = MlpModel(np.zeros(NUM_FEATURES), np.ones(NUM_FEATURES), *fitted.params)
+    return fitted, unit
+
+
 class TestNormalization:
     def test_mean_and_population_std(self):
         feats = np.zeros((3, NUM_FEATURES))
         feats[:, 0] = [2.0, 4.0, 6.0]
         ds = Dataset(feats, np.zeros(3, dtype=np.int64))
-        stats = fit_normalization(ds)
-        assert stats.mean[0] == pytest.approx(4.0)
-        assert stats.std[0] == pytest.approx(statistics.pstdev([2.0, 4.0, 6.0]), abs=1e-12)
-        assert stats.std[0] == pytest.approx(1.63299, abs=1e-5)
+        mean, std = fit_normalization(ds)
+        assert mean[0] == pytest.approx(4.0)
+        assert std[0] == pytest.approx(statistics.pstdev([2.0, 4.0, 6.0]), abs=1e-12)
+        assert std[0] == pytest.approx(1.63299, abs=1e-5)
 
     def test_constant_column_clamped(self):
         feats = np.full((3, NUM_FEATURES), 5.0)
         ds = Dataset(feats, np.zeros(3, dtype=np.int64))
-        stats = fit_normalization(ds)
-        assert np.all(stats.mean == 5.0)
-        assert np.all(stats.std == 1.0)
+        mean, std = fit_normalization(ds)
+        assert np.all(mean == 5.0)
+        assert np.all(std == 1.0)
 
     def test_single_record(self):
         feats = np.arange(NUM_FEATURES, dtype=float).reshape(1, -1)
         ds = Dataset(feats, np.zeros(1, dtype=np.int64))
-        stats = fit_normalization(ds)
-        assert np.array_equal(stats.mean, feats[0])
-        assert np.all(stats.std == 1.0)
+        mean, std = fit_normalization(ds)
+        assert np.array_equal(mean, feats[0])
+        assert np.all(std == 1.0)
 
     def test_empty_dataset(self):
         with pytest.raises(EmptyDataset):
@@ -198,22 +207,25 @@ class TestNormalization:
     def test_apply_centering_and_scaling(self, rng):
         feats = rng.normal(size=(40, NUM_FEATURES)) * 3 + 7
         ds = Dataset(feats, np.zeros(40, dtype=np.int64))
-        stats = fit_normalization(ds)
-        assert np.allclose(apply_normalization(stats.mean, stats), 0.0)
-        assert np.allclose(apply_normalization(stats.mean + stats.std, stats), 1.0)
+        mean, std = fit_normalization(ds)
+        fitted, unit = normalizing_models(mean, std)
+        # The model normalizes its input with the fitted stats: the mean row
+        # becomes zeros and mean + std becomes ones.
+        zeros, ones = np.zeros((1, NUM_FEATURES)), np.ones((1, NUM_FEATURES))
+        assert np.allclose(forward(fitted, mean[None, :]), forward(unit, zeros), rtol=0, atol=1e-12)
+        assert np.allclose(forward(fitted, (mean + std)[None, :]), forward(unit, ones), rtol=0, atol=1e-12)
 
     def test_apply_elementwise_example(self):
-        from floodgate.dataset import NormalizationStats
-
-        stats = NormalizationStats(np.full(NUM_FEATURES, 4.0), np.full(NUM_FEATURES, 2.0))
-        out = apply_normalization(np.full(NUM_FEATURES, 6.0), stats)
-        assert np.allclose(out, 1.0)
+        fitted, unit = normalizing_models(np.full(NUM_FEATURES, 4.0), np.full(NUM_FEATURES, 2.0))
+        # With mean 4 and std 2, a row of sixes is the normalized row of ones.
+        ones = np.ones((1, NUM_FEATURES))
+        assert np.array_equal(forward(fitted, 6.0 * ones), forward(unit, ones))
 
     def test_normalized_train_has_zero_mean_unit_std(self, rng):
         feats = rng.normal(size=(200, NUM_FEATURES)) * rng.uniform(0.5, 4.0, NUM_FEATURES)
         ds = Dataset(feats, np.zeros(200, dtype=np.int64))
-        stats = fit_normalization(ds)
-        normalized = apply_normalization(ds.features, stats)
+        mean, std = fit_normalization(ds)
+        normalized = (ds.features - mean) / std
         assert np.all(np.abs(normalized.mean(axis=0)) < 1e-9)
         assert np.all(np.abs(normalized.std(axis=0) - 1.0) < 1e-9)
 
@@ -254,6 +266,15 @@ class TestCsv:
         path.write_text(",".join(CSV_HEADER) + "\n" + row + "\n")
         with pytest.raises(MalformedRow):
             read_csv(path)
+
+    @pytest.mark.parametrize("cell", ["1_000", " 2.5 ", "2.5\t", "\u0661"])
+    def test_number_forms_float_also_reads_are_rejected(self, tmp_path, cell):
+        path = tmp_path / "forms.csv"
+        row = ",".join(["1.0"] * (NUM_FEATURES - 1) + [cell]) + ",normal"
+        path.write_text(",".join(CSV_HEADER) + "\n" + row + "\n", encoding="utf-8")
+        with pytest.raises(MalformedRow) as raised:
+            read_csv(path)
+        assert str(raised.value) == f"{path}:2: non-numeric value"
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "hdr.csv"

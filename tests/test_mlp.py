@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -6,13 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from floodgate import mlp
-from floodgate.dataset import (
-    NUM_FEATURES,
-    Dataset,
-    NormalizationStats,
-    TrafficClass,
-    apply_normalization,
-)
+from floodgate.dataset import NUM_FEATURES, Dataset, TrafficClass
 from floodgate.errors import (
     BadMagic,
     CorruptModel,
@@ -25,7 +20,6 @@ from floodgate.mlp import (
     HIDDEN_UNITS,
     INPUT_UNITS,
     OUTPUT_UNITS,
-    DenseLayer,
     MlpModel,
     TrainConfig,
     _backward,
@@ -40,11 +34,15 @@ from floodgate.mlp import (
     train,
 )
 
-UNIT_NORM = NormalizationStats(np.zeros(NUM_FEATURES), np.ones(NUM_FEATURES))
+# Normalization that leaves a row as it is, so raw and normalized rows agree.
+UNIT_MEAN, UNIT_STD = np.zeros(NUM_FEATURES), np.ones(NUM_FEATURES)
+
+# The model's array fields, in file order.
+ARRAYS = [name for name, _, _ in mlp._SECTIONS if name]
 
 
 def random_model(seed):
-    return init_model(seed, UNIT_NORM)
+    return init_model(seed, UNIT_MEAN, UNIT_STD)
 
 
 def random_batch(rng, size):
@@ -54,9 +52,12 @@ def random_batch(rng, size):
 def logit_model(logits, hidden_biases=0.0):
     """Zero weights, so the hidden layer is tanh(hidden_biases) and the output biases are the logits."""
     return MlpModel(
-        hidden=DenseLayer(np.zeros((HIDDEN_UNITS, INPUT_UNITS)), np.full(HIDDEN_UNITS, hidden_biases)),
-        output=DenseLayer(np.zeros((OUTPUT_UNITS, HIDDEN_UNITS)), logits),
-        norm=UNIT_NORM,
+        UNIT_MEAN,
+        UNIT_STD,
+        w1=np.zeros((HIDDEN_UNITS, INPUT_UNITS)),
+        b1=np.full(HIDDEN_UNITS, hidden_biases),
+        w2=np.zeros((OUTPUT_UNITS, HIDDEN_UNITS)),
+        b2=logits,
     )
 
 
@@ -68,14 +69,13 @@ def hidden_of(value):
     """Hidden activations of the forward pass when every hidden unit's input is `value`."""
     m = logit_model(np.zeros(OUTPUT_UNITS), value)
     x = np.zeros((1, NUM_FEATURES))
-    h, _ = _forward_batch(m.hidden.weights, m.hidden.biases, m.output.weights, m.output.biases, x)
+    h, _ = _forward_batch(m.params, x)
     return h[0]
 
 
 def gradients(model, x, y):
     """The backward pass `train` runs, on the forward pass it runs."""
-    w1, b1, w2, b2 = model.hidden.weights, model.hidden.biases, model.output.weights, model.output.biases
-    return _backward(w2, x, y, *_forward_batch(w1, b1, w2, b2, x))
+    return _backward(model.w2, x, y, *_forward_batch(model.params, x))
 
 
 def batch_loss(model, x, y):
@@ -86,8 +86,7 @@ def finite_difference_check(model, x, y, h=1e-5, tol=1e-6):
     """Central-difference oracle over every parameter; returns worst relative error."""
     grads = gradients(model, x, y)
     worst = 0.0
-    params = (model.hidden.weights, model.hidden.biases, model.output.weights, model.output.biases)
-    for arr, grad in zip(params, grads):
+    for arr, grad in zip(model.params, grads):
         flat = arr.reshape(-1)
         gflat = grad.reshape(-1)
         for i in range(flat.size):
@@ -107,17 +106,17 @@ def finite_difference_check(model, x, y, h=1e-5, tol=1e-6):
 class TestInit:
     def test_deterministic(self):
         a, b = random_model(42), random_model(42)
-        assert np.array_equal(a.hidden.weights, b.hidden.weights)
-        assert np.array_equal(a.output.weights, b.output.weights)
+        assert np.array_equal(a.w1, b.w1)
+        assert np.array_equal(a.w2, b.w2)
 
     def test_seeds_differ(self):
         a, b = random_model(1), random_model(2)
-        assert not np.array_equal(a.hidden.weights, b.hidden.weights)
+        assert not np.array_equal(a.w1, b.w1)
 
     def test_biases_zero(self):
         m = random_model(0)
-        assert np.all(m.hidden.biases == 0)
-        assert np.all(m.output.biases == 0)
+        assert np.all(m.b1 == 0)
+        assert np.all(m.b2 == 0)
 
     def test_glorot_bounds(self):
         m = random_model(5)
@@ -125,18 +124,48 @@ class TestInit:
         l2 = math.sqrt(6 / (HIDDEN_UNITS + OUTPUT_UNITS))
         assert glorot_limit(INPUT_UNITS, HIDDEN_UNITS) == pytest.approx(l1)
         assert glorot_limit(INPUT_UNITS, HIDDEN_UNITS) == pytest.approx(0.21483, abs=1e-5)
-        assert np.abs(m.hidden.weights).max() <= l1
-        assert np.abs(m.output.weights).max() <= l2
+        assert np.abs(m.w1).max() <= l1
+        assert np.abs(m.w2).max() <= l2
         # With thousands of uniform draws the max should approach the bound.
-        assert np.abs(m.hidden.weights).max() > 0.9 * l1
+        assert np.abs(m.w1).max() > 0.9 * l1
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
-            MlpModel(
-                hidden=DenseLayer(np.zeros((10, INPUT_UNITS)), np.zeros(10)),
-                output=DenseLayer(np.zeros((OUTPUT_UNITS, 10)), np.zeros(OUTPUT_UNITS)),
-                norm=UNIT_NORM,
-            )
+            MlpModel(UNIT_MEAN, UNIT_STD, np.zeros((10, INPUT_UNITS)), np.zeros(10), np.zeros((OUTPUT_UNITS, 10)),
+                     np.zeros(OUTPUT_UNITS))
+
+
+def damaged(value, how):
+    """`value` with the wrong shape (one fewer column), or with its first entry set to `how`."""
+    if how == "shape":
+        return value[..., 1:]
+    value = value.copy()
+    value.flat[0] = float(how)
+    return value
+
+
+# Each array with a wrong shape, a nan and an inf; and std at zero and below.
+BAD_ARRAYS = [(name, how) for name in ARRAYS for how in ("shape", "nan", "inf")] + [("std", "0"), ("std", "-1")]
+
+
+class TestModelArrays:
+    @pytest.mark.parametrize("name,how", BAD_ARRAYS)
+    def test_constructor_rejects(self, name, how):
+        m = random_model(0)
+        arrays = {n: getattr(m, n) for n in ARRAYS}
+        arrays[name] = damaged(arrays[name], how)
+        with pytest.raises(ValueError, match=name):
+            MlpModel(**arrays)
+
+    @pytest.mark.parametrize("name,how", BAD_ARRAYS)
+    def test_load_model_rejects(self, tmp_path, name, how):
+        # The constructor checks only at construction, so a changed field
+        # reaches save_model unchecked, as a damaged file would.
+        m = random_model(0)
+        setattr(m, name, damaged(getattr(m, name), how))
+        save_model(m, tmp_path / "m.model")
+        with pytest.raises(CorruptModel):
+            load_model(tmp_path / "m.model")
 
 
 class TestActivations:
@@ -185,8 +214,8 @@ class TestActivations:
 class TestForwardPredict:
     def test_zero_model_is_uniform(self):
         m = random_model(0)
-        m.hidden.weights[:] = 0
-        m.output.weights[:] = 0
+        m.w1[:] = 0
+        m.w2[:] = 0
         p = forward(m, np.zeros((1, NUM_FEATURES)))
         assert p.shape == (1, OUTPUT_UNITS)
         assert np.allclose(p, 0.2, atol=1e-15)
@@ -227,13 +256,14 @@ class TestForwardPredict:
 
     def test_monotone_logit_transform_preserves_predictions(self, rng):
         m = random_model(9)
-        scaled = MlpModel(
-            hidden=DenseLayer(m.hidden.weights.copy(), m.hidden.biases.copy()),
-            output=DenseLayer(3.0 * m.output.weights, 3.0 * m.output.biases + 0.7),
-            norm=m.norm,
-        )
+        scaled = MlpModel(m.mean, m.std, m.w1.copy(), m.b1.copy(), 3.0 * m.w2, 3.0 * m.b2 + 0.7)
         xs = rng.normal(size=(30, NUM_FEATURES))
         assert np.array_equal(predict_batch(m, xs), predict_batch(scaled, xs))
+
+    def test_forward_normalizes_with_the_models_stats(self, rng):
+        m = MlpModel(rng.normal(size=NUM_FEATURES), rng.uniform(0.5, 4.0, NUM_FEATURES), *random_model(6).params)
+        xs = rng.normal(size=(30, NUM_FEATURES)) * 3 + 7
+        assert np.array_equal(forward(m, xs), _forward_batch(m.params, (xs - m.mean) / m.std)[1])
 
     def test_predict_batch_is_forward_argmax(self, rng):
         m = random_model(4)
@@ -340,8 +370,7 @@ class TestTrain:
         cfg = TrainConfig(epochs=50, seed=7)
         model, history = train(train_ds, val_ds, cfg)
         assert max(history.val_accuracy) >= 0.99
-        normalized = (val_ds.features - model.norm.mean) / model.norm.std
-        accuracy = float(np.mean(predict_batch(model, normalized) == val_ds.labels))
+        accuracy = float(np.mean(predict_batch(model, val_ds.features) == val_ds.labels))
         assert accuracy >= 0.99
 
     def test_deterministic(self, rng):
@@ -350,9 +379,8 @@ class TestTrain:
         cfg = TrainConfig(epochs=5, seed=21)
         m1, h1 = train(train_ds, val_ds, cfg)
         m2, h2 = train(train_ds, val_ds, cfg)
-        assert np.array_equal(m1.hidden.weights, m2.hidden.weights)
-        assert np.array_equal(m1.output.weights, m2.output.weights)
-        assert np.array_equal(m1.output.biases, m2.output.biases)
+        for name in ARRAYS:
+            assert np.array_equal(getattr(m1, name), getattr(m2, name))
         assert h1.train_loss == h2.train_loss
 
     def test_huge_learning_rate_diverges(self, rng):
@@ -392,20 +420,49 @@ class TestTrain:
         cfg = TrainConfig(epochs=400, seed=1)
         model, history = train(train_ds, val_ds, cfg)
         assert len(history) < cfg.epochs
-        normalized = apply_normalization(val_ds.features, model.norm)
-        val_loss = batch_loss(model, normalized, val_ds.labels)
+        val_loss = batch_loss(model, val_ds.features, val_ds.labels)
         assert val_loss == pytest.approx(min(history.val_loss), rel=1e-9)
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            TrainConfig(learning_rate=0)
+        for learning_rate in (0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                TrainConfig(learning_rate=learning_rate)
         with pytest.raises(ValueError):
             TrainConfig(epochs=0)
         with pytest.raises(ValueError):
             TrainConfig(batch_size=0)
 
 
+def pinned_model():
+    """A model made by elementwise arithmetic only, with no BLAS call, so
+    that its arrays, and so its file, are the same on every machine."""
+
+    def ramp(shape, scale):
+        return (np.arange(math.prod(shape)) % 23 - 11).reshape(shape) / scale
+
+    return MlpModel(
+        mean=np.arange(NUM_FEATURES) / 7 - 1.5,
+        std=(np.arange(NUM_FEATURES) + 1) / 7,
+        w1=ramp((HIDDEN_UNITS, INPUT_UNITS), 7),
+        b1=np.arange(HIDDEN_UNITS) / -11,
+        w2=ramp((OUTPUT_UNITS, HIDDEN_UNITS), 13),
+        b2=np.arange(OUTPUT_UNITS) / 3,
+    )
+
+
+# SHA-256 of `save_model(pinned_model())`, the model file format (version 1).
+PINNED_MODEL_SHA256 = "d1583fd0d943d69c23a1647b2b6ba5cb60c58c548201fc11c1f4b652af7c98d1"
+
+
 class TestPersistence:
+    def test_file_bytes_are_pinned(self, tmp_path):
+        path = tmp_path / "m.model"
+        save_model(pinned_model(), path)
+        data = path.read_bytes()
+        assert hashlib.sha256(data).hexdigest() == PINNED_MODEL_SHA256
+        save_model(load_model(path), tmp_path / "again.model")
+        assert (tmp_path / "again.model").read_bytes() == data
+
     def trained_fixture(self, rng):
         train_ds = separable_dataset(rng, 60)
         val_ds = separable_dataset(rng, 20)
@@ -417,12 +474,8 @@ class TestPersistence:
         path = tmp_path / "m.model"
         save_model(model, path)
         loaded = load_model(path)
-        assert np.array_equal(loaded.hidden.weights, model.hidden.weights)
-        assert np.array_equal(loaded.hidden.biases, model.hidden.biases)
-        assert np.array_equal(loaded.output.weights, model.output.weights)
-        assert np.array_equal(loaded.output.biases, model.output.biases)
-        assert np.array_equal(loaded.norm.mean, model.norm.mean)
-        assert np.array_equal(loaded.norm.std, model.norm.std)
+        for name in ARRAYS:
+            assert np.array_equal(getattr(loaded, name), getattr(model, name))
 
     def test_round_trip_forward_bit_identical(self, tmp_path, rng):
         model = self.trained_fixture(rng)
@@ -486,9 +539,17 @@ class TestPersistence:
         path = tmp_path / "m.model"
         save_model(model, path)
         text = path.read_text()
-        token = repr(float(model.hidden.weights[0, 0]))
+        token = repr(float(model.w1[0, 0]))
         path.write_text(text.replace(token, "bogus", 1))
         with pytest.raises(CorruptModel):
+            load_model(path)
+
+    @pytest.mark.parametrize("token", ["1_0", "\u0661"])
+    def test_number_forms_float_also_reads_are_corrupt(self, tmp_path, token):
+        path = tmp_path / "m.model"
+        save_model(random_model(1), path)
+        path.write_text(path.read_text().replace("norm_mean 0.0", f"norm_mean {token}", 1), encoding="utf-8")
+        with pytest.raises(CorruptModel, match="section 'norm_mean' does not hold 24 numbers"):
             load_model(path)
 
     def test_bad_activations(self, tmp_path, rng):
@@ -501,7 +562,7 @@ class TestPersistence:
 
     def test_non_positive_std(self, tmp_path, rng):
         model = self.trained_fixture(rng)
-        model.norm.std[0] = 1.0
+        model.std[0] = 1.0
         path = tmp_path / "m.model"
         save_model(model, path)
         lines = path.read_text().splitlines()

@@ -67,6 +67,9 @@ class TestGrammar:
             ("duration 5\nseed -3\n", "seed must be non-negative"),
             ("duration 5\nvictim_port 70000\n", "victim_port 70000 out of range"),
             ("duration 5\nvictim_ip 10.0.0\n", "bad IPv4 address"),
+            ("duration 5\nvictim_ip +10.0.0.1\n", "bad IPv4 address '\\+10.0.0.1'"),
+            ("duration 5\nvictim_ip 1_0.0.0.1\n", "bad IPv4 address '1_0.0.0.1'"),
+            ("duration 5\nvictim_ip 010.0.0.1\n", "bad IPv4 address '010.0.0.1'"),
         ],
     )
     def test_rejected(self, text, message):
