@@ -3,24 +3,29 @@
 Exit codes: 0 success, 1 usage error, 2 input/format error, 3 runtime
 failure (e.g. training divergence). A failed run leaves no output: each file
 is written atomically, and the first of two is removed if the second fails.
+
+`train` takes only the number of epochs and the seed; the learning rate and
+batch size are `mlp.LEARNING_RATE` and `mlp.BATCH_SIZE`, and the split is
+`dataset.SPLIT`. A scenario's seed is its `seed` line, a model's `--seed`;
+both default to 0. Every number on the command line is read by
+`ioutil.strict_numbers`, as the package's files are.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 
 import numpy as np
 
 from . import __version__
-from .dataset import Dataset, TrafficClass, read_csv, stratified_split, write_csv
-from .errors import BadRatios, FloodgateError, NonFiniteLoss
+from .dataset import SPLIT, Dataset, TrafficClass, read_csv, stratified_split, write_csv
+from .errors import FloodgateError, NonFiniteLoss
 from .features import extract_features, label_windows, read_truth, window_packets
-from .ioutil import atomic_write, removed_on_failure
+from .ioutil import atomic_write, removed_on_failure, strict_numbers
 from .metrics import build_confusion, render_report
-from .mlp import TrainConfig, forward, load_model, predict_batch, save_model, train
+from .mlp import forward, load_model, predict_batch, save_model, train
 from .pcapio import read_pcap
 from .synth import load_scenario, run_scenario
 
@@ -29,18 +34,12 @@ EXIT_USAGE = 1
 EXIT_INPUT = 2
 EXIT_RUNTIME = 3
 
-SEED_ENV_VAR = "FLOODGATE_SEED"
-
 CLASSIFY_HEADER = "window_start,window_end,predicted_label,p_normal,p_syn,p_ack,p_http,p_udp"
-
-
-class _UsageError(Exception):
-    """Flag values that parse but are semantically invalid."""
 
 
 def _integer(text: str, minimum: int) -> int:
     try:
-        value = int(text)
+        value = strict_numbers([text], int)[0]
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
     if value < minimum:
@@ -56,41 +55,15 @@ def _seed(text: str) -> int:
     return _integer(text, 0)
 
 
-def _default_seed() -> int:
-    raw = os.environ.get(SEED_ENV_VAR)
-    if raw is None:
-        return 0
+def _window(text: str) -> float:
     try:
-        return _seed(raw)
-    except argparse.ArgumentTypeError:
-        raise _UsageError(f"{SEED_ENV_VAR} must be a non-negative integer, got {raw!r}") from None
-
-
-def _positive_float(text: str) -> float:
-    try:
-        value = float(text)
+        value = strict_numbers([text])[0]
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
-    if not (0 < value < math.inf):
-        raise argparse.ArgumentTypeError("value must be positive and finite")
+    # `window_packets` counts whole microseconds; a range test also rejects nan.
+    if not (1e-6 <= value and math.isfinite(value * 1e6)):
+        raise argparse.ArgumentTypeError("window must be at least 1e-6 s and finite in microseconds")
     return value
-
-
-def _window(text: str) -> float:
-    value = _positive_float(text)
-    if value < 1e-6:
-        raise argparse.ArgumentTypeError("window must be at least one microsecond (1e-6)")
-    return value
-
-
-def _ratios(text: str) -> tuple[float, float, float]:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError("expected three comma-separated ratios")
-    try:
-        return tuple(float(p) for p in parts)  # type: ignore[return-value]
-    except ValueError:
-        raise argparse.ArgumentTypeError("ratios must be numbers") from None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -121,12 +94,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train the classifier on a dataset CSV")
     p.add_argument("--data", required=True, help="dataset CSV")
     p.add_argument("--out-model", required=True, help="output model path")
-    p.add_argument("--seed", type=_seed, default=None, help=f"RNG seed (default {SEED_ENV_VAR} or 0)")
-    p.add_argument("--epochs", type=_positive_int, default=100)
-    p.add_argument("--lr", type=_positive_float, default=1e-3, help="learning rate")
-    p.add_argument("--batch", type=_positive_int, default=64, help="mini-batch size")
-    p.add_argument("--split", type=_ratios, default=(0.70, 0.15, 0.15),
-                   help="train,val,test ratios (default 0.7,0.15,0.15)")
+    p.add_argument("--seed", type=_seed, default=0, help="seed of the split and the model (default 0)")
+    p.add_argument("--epochs", type=_positive_int, default=100, help="most epochs to train (default 100)")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a model on labeled data")
@@ -146,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_synth(args) -> int:
-    cfg = load_scenario(args.config, default_seed=_default_seed())
+    cfg = load_scenario(args.config)
     count = run_scenario(cfg, args.out_pcap, args.out_truth)
     print(f"wrote {count} packets to {args.out_pcap}")
     print(f"wrote {len(cfg.episodes)} truth intervals to {args.out_truth}")
@@ -167,15 +136,8 @@ def cmd_extract(args) -> int:
 
 
 def cmd_train(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
-    ds = read_csv(args.data)
-    cfg = TrainConfig(learning_rate=args.lr, epochs=args.epochs, batch_size=args.batch, seed=seed)
-    try:
-        train_ds, val_ds, _test_ds = stratified_split(ds, args.split, seed)
-    except BadRatios as exc:
-        raise _UsageError(str(exc)) from None
-
-    model, history = train(train_ds, val_ds, cfg)
+    train_ds, val_ds, _test_ds = stratified_split(read_csv(args.data), SPLIT, args.seed)
+    model, history = train(train_ds, val_ds, epochs=args.epochs, seed=args.seed)
     save_model(model, args.out_model)
 
     for i in range(len(history)):
@@ -233,9 +195,6 @@ def main(argv=None) -> int:
         return code if isinstance(code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except _UsageError as exc:
-        print(f"floodgate {args.command}: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except NonFiniteLoss as exc:
         print(f"floodgate {args.command}: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
 from enum import IntEnum
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
 from .errors import BadRatios, EmptyClass, EmptyDataset, MalformedRow, UnknownLabel
-from .ioutil import atomic_write, open_text, strict_floats
+from .ioutil import atomic_write, open_text, strict_numbers
 
 NUM_FEATURES = 24
 NUM_CLASSES = 5
@@ -70,28 +69,6 @@ def encode_label(name: str, where: str = "") -> TrafficClass:
         raise UnknownLabel(f"{where}unknown traffic label: {name!r}") from None
 
 
-def as_features(values) -> np.ndarray:
-    """Coerce to a float64 vector of length 24, rejecting bad shapes and non-finite values."""
-    arr = np.array(values, dtype=np.float64)
-    if arr.shape != (NUM_FEATURES,):
-        raise ValueError(f"feature vector must have length {NUM_FEATURES}, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValueError("feature vector contains non-finite values")
-    return arr
-
-
-@dataclass(frozen=True, eq=False)
-class LabeledRecord:
-    """One feature vector plus its traffic class."""
-
-    features: np.ndarray
-    label: TrafficClass
-
-    def __post_init__(self):
-        object.__setattr__(self, "features", as_features(self.features))
-        object.__setattr__(self, "label", TrafficClass(self.label))
-
-
 class Dataset:
     """Ordered collection of labeled records, stored as columnar arrays."""
 
@@ -114,23 +91,16 @@ class Dataset:
         self.labels = labels
 
     @classmethod
-    def from_records(cls, records: Iterable[LabeledRecord]) -> "Dataset":
+    def from_records(cls, records: Iterable[tuple]) -> "Dataset":
+        """The dataset of `(features, label)` pairs, in order."""
         records = list(records)
         if not records:
             return cls()
-        feats = np.stack([r.features for r in records])
-        labels = np.array([int(r.label) for r in records], dtype=np.int64)
-        return cls(feats, labels)
+        features, labels = zip(*records)
+        return cls(np.array(features), np.array(labels))
 
     def __len__(self) -> int:
         return self.features.shape[0]
-
-    def __getitem__(self, i: int) -> LabeledRecord:
-        return LabeledRecord(self.features[i], TrafficClass(int(self.labels[i])))
-
-    def __iter__(self) -> Iterator[LabeledRecord]:
-        for i in range(len(self)):
-            yield self[i]
 
     def class_counts(self) -> list[int]:
         """Record count per class, in TrafficClass ordinal order."""
@@ -143,6 +113,10 @@ class Dataset:
 
 def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
+
+
+# The (train, validation, test) shares `floodgate train` splits a dataset into.
+SPLIT = (0.70, 0.15, 0.15)
 
 
 def stratified_split(
@@ -223,7 +197,7 @@ def read_rows(path, header) -> tuple[np.ndarray, np.ndarray, list[int]]:
             if len(row) != k + 1:
                 raise MalformedRow(f"{where}expected {k + 1} columns, got {len(row)}")
             try:
-                floats = strict_floats(row[:k])
+                floats = strict_numbers(row[:k])
             except ValueError:
                 raise MalformedRow(f"{where}non-numeric value") from None
             if not all(map(math.isfinite, floats)):

@@ -41,14 +41,15 @@ def removed_on_failure(path):
         raise
 
 
-def strict_floats(texts) -> list[float]:
-    """`float` of each text, which must be a plain decimal number, nan or inf.
+def strict_numbers(texts, kind=float) -> list:
+    """`kind(text)`, for `kind` float or int, of each text, which must be a plain number.
 
-    `float` alone also reads blanks around a number, `_` between digits and
-    non-ASCII digits; a text with any of these raises ValueError, as does
-    anything `float` rejects.
+    `float` and `int` alone also read blanks around a number, `_` between
+    digits and non-ASCII digits; a text with any of these raises ValueError,
+    as does anything `kind` rejects. Every number the package reads, from a
+    file or the command line, goes through here.
     """
     joined = "".join(texts)
     if not (joined.isascii() and joined.isprintable()) or " " in joined or "_" in joined:
-        raise ValueError("not a plain number")
-    return [float(t) for t in texts]
+        raise ValueError(f"{' '.join(texts)!r} is not a plain number")
+    return [kind(t) for t in texts]

@@ -1,8 +1,10 @@
 """The 24-106-5 feed-forward classifier: forward pass, training, persistence.
 
 One hidden layer of 106 tanh units, a 5-unit softmax output, categorical
-cross-entropy, and Adam over seeded mini-batches. All arithmetic is float64
-and every operation is deterministic for a given seed.
+cross-entropy, and Adam over seeded mini-batches of BATCH_SIZE rows at
+LEARNING_RATE. All arithmetic is float64 and every operation is
+deterministic for a given seed; `train` takes only the number of epochs and
+the seed.
 
 A model is the six arrays of its file, one entry each in the table
 `_SECTIONS`, which `MlpModel`, `save_model` and `load_model` all walk.
@@ -18,6 +20,7 @@ mini-batch.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,7 +34,7 @@ from .errors import (
     NonFiniteLoss,
     VersionMismatch,
 )
-from .ioutil import atomic_write, open_text, strict_floats
+from .ioutil import atomic_write, open_text, strict_numbers
 
 INPUT_UNITS = NUM_FEATURES
 HIDDEN_UNITS = 106
@@ -51,7 +54,10 @@ LOSS_CLAMP = 1e-15
 MIN_IMPROVEMENT = 1e-4
 PATIENCE = 10
 
-# Adam's moment decay rates and denominator guard (Kingma and Ba's defaults).
+# Adam's step size, moment decay rates and denominator guard (Kingma and
+# Ba's defaults), and the rows per mini-batch.
+LEARNING_RATE = 1e-3
+BATCH_SIZE = 64
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
@@ -176,23 +182,6 @@ def predict_batch(m: MlpModel, x_rows) -> np.ndarray:
 
 
 @dataclass
-class TrainConfig:
-    learning_rate: float = 1e-3
-    epochs: int = 100
-    batch_size: int = 64
-    seed: int = 0
-
-    def __post_init__(self):
-        # A range test, so that nan, which fails every comparison, is rejected too.
-        if not 0 < self.learning_rate < math.inf:
-            raise ValueError("learning_rate must be positive and finite")
-        if self.epochs < 1:
-            raise ValueError("epochs must be at least 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
-
-
-@dataclass
 class TrainHistory:
     """Per-epoch training loss, validation loss, and validation accuracy."""
 
@@ -212,18 +201,22 @@ def _checked_loss(p, y, where: str) -> float:
     return float(np.mean(-np.log(np.maximum(true_p, LOSS_CLAMP))))
 
 
-def train(train_ds: Dataset, val_ds: Dataset, cfg: TrainConfig | None = None) -> tuple[MlpModel, TrainHistory]:
+def train(train_ds: Dataset, val_ds: Dataset, epochs: int = 100, seed: int = 0) -> tuple[MlpModel, TrainHistory]:
     """Fit the network on raw records; normalization is fitted on train only.
 
     Mini-batch Adam with a seeded per-epoch shuffle and early stopping on
     validation loss. An epoch is an improvement when its validation loss is
     more than `MIN_IMPROVEMENT` below the loss at the last improvement;
     training stops after `PATIENCE + 1` epochs in a row without one, or
-    at `cfg.epochs`. Returns the weights of the epoch with the lowest
+    after `epochs`. Returns the weights of the epoch with the lowest
     validation loss, which may be a later epoch than the last improvement.
+    `epochs` must be an integer of at least 1 and `seed` a non-negative
+    integer, or ValueError is raised.
     """
-    if cfg is None:
-        cfg = TrainConfig()
+    if not (isinstance(epochs, numbers.Integral) and epochs >= 1):
+        raise ValueError(f"epochs must be an integer of at least 1, got {epochs!r}")
+    if not (isinstance(seed, numbers.Integral) and seed >= 0):
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     if len(train_ds) == 0 or len(val_ds) == 0:
         raise EmptyDataset("train and validation datasets must be non-empty")
 
@@ -233,12 +226,12 @@ def train(train_ds: Dataset, val_ds: Dataset, cfg: TrainConfig | None = None) ->
     x_val = (val_ds.features - mean) / std
     y_val = val_ds.labels
 
-    params = list(init_model(cfg.seed, mean, std).params)
+    params = list(init_model(seed, mean, std).params)
     m_state = [np.zeros_like(p) for p in params]
     v_state = [np.zeros_like(p) for p in params]
     step = 0
 
-    shuffle_rng = np.random.default_rng((cfg.seed, 0x5F10AD))
+    shuffle_rng = np.random.default_rng((seed, 0x5F10AD))
     history = TrainHistory()
     best_val = math.inf
     best_params = [p.copy() for p in params]
@@ -246,11 +239,11 @@ def train(train_ds: Dataset, val_ds: Dataset, cfg: TrainConfig | None = None) ->
     epochs_since_improvement = 0
 
     n = len(y_train)
-    for epoch in range(cfg.epochs):
+    for epoch in range(epochs):
         order = shuffle_rng.permutation(n)
         batch_losses = []
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
+        for start in range(0, n, BATCH_SIZE):
+            idx = order[start : start + BATCH_SIZE]
             xb, yb = x_train[idx], y_train[idx]
             h, p = _forward_batch(params, xb)
             batch_losses.append(_checked_loss(p, yb, f"epoch {epoch + 1}"))
@@ -264,7 +257,7 @@ def train(train_ds: Dataset, val_ds: Dataset, cfg: TrainConfig | None = None) ->
                 m_acc += (1.0 - ADAM_BETA1) * grad
                 v_acc *= ADAM_BETA2
                 v_acc += (1.0 - ADAM_BETA2) * (grad * grad)
-                param -= cfg.learning_rate * (m_acc / bias1) / (np.sqrt(v_acc / bias2) + ADAM_EPSILON)
+                param -= LEARNING_RATE * (m_acc / bias1) / (np.sqrt(v_acc / bias2) + ADAM_EPSILON)
 
         _, p_val = _forward_batch(params, x_val)
         val_loss = _checked_loss(p_val, y_val, f"validation after epoch {epoch + 1}")
@@ -315,7 +308,7 @@ def load_model(path) -> MlpModel:
             raise CorruptModel(f"{path}: expected {' '.join(words)!r}, found {' '.join(found)!r}")
         pos += len(words) + count
         try:
-            values = np.array(strict_floats(tokens[pos - count : pos]), dtype=np.float64).reshape(shape)
+            values = np.array(strict_numbers(tokens[pos - count : pos]), dtype=np.float64).reshape(shape)
         except ValueError:
             raise CorruptModel(f"{path}: section {words[0]!r} does not hold {count} numbers") from None
         if name:

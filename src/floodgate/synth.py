@@ -15,7 +15,8 @@ DNS-style UDP lookups and bulk TCP data. Episode kinds: syn_flood sends
 SYN-only packets from spoofed 198.18/16 sources; ack_flood sends bare ACKs
 belonging to no connection; http_flood completes minimal handshakes and
 hammers "GET /" requests at port 80; udp_flood sprays small datagrams at
-uniformly random ports. Everything is reproducible from the seed.
+uniformly random ports. Everything is reproducible from the seed, which
+is the `seed` line or 0 without one.
 
 The draws fix the bytes: each stream calls its seeded generator in a fixed
 order and records every packet as one row of fields (time, addresses,
@@ -39,7 +40,7 @@ import numpy as np
 from .dataset import TrafficClass, encode_label
 from .errors import BadScenario, UnknownLabel
 from .features import write_truth
-from .ioutil import open_text, removed_on_failure
+from .ioutil import open_text, removed_on_failure, strict_numbers
 from .pcapio import ETHERTYPE_IPV4, PROTO_TCP, PROTO_UDP, record_headers, write_records
 
 FLAG_SYN = 0x02
@@ -264,11 +265,16 @@ class ScenarioConfig:
             )
 
 
-_SCALAR_KEYS = ("duration", "seed", "benign_rate", "victim_ip", "victim_port")
+# How each scalar directive's value is read (`str` keeps the text); an absent
+# one takes the `ScenarioConfig` default.
+_SCALAR_KINDS = {"duration": float, "seed": int, "benign_rate": float, "victim_ip": str, "victim_port": int}
 
 
-def parse_scenario(text: str, default_seed: int = 0) -> ScenarioConfig:
-    """Parse the scenario config grammar documented in the module docstring."""
+def parse_scenario(text: str) -> ScenarioConfig:
+    """Parse the scenario config grammar documented in the module docstring.
+
+    Every number is read by `strict_numbers`, so `1_0` or `\u0663` is malformed.
+    """
     values: dict[str, str] = {}
     episodes: list[Episode] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -285,12 +291,10 @@ def parse_scenario(text: str, default_seed: int = 0) -> ScenarioConfig:
             except UnknownLabel:
                 raise BadScenario(f"line {lineno}: unknown attack kind {parts[1]!r}") from None
             try:
-                episodes.append(
-                    Episode(kind, float(parts[2]), float(parts[3]), float(parts[4]), int(parts[5]))
-                )
+                episodes.append(Episode(kind, *strict_numbers(parts[2:5]), *strict_numbers(parts[5:], int)))
             except ValueError:
                 raise BadScenario(f"line {lineno}: malformed episode numbers") from None
-        elif key in _SCALAR_KEYS:
+        elif key in _SCALAR_KINDS:
             if len(parts) != 2:
                 raise BadScenario(f"line {lineno}: {key} takes exactly one value")
             if key in values:
@@ -303,20 +307,17 @@ def parse_scenario(text: str, default_seed: int = 0) -> ScenarioConfig:
         raise BadScenario("missing required directive: duration")
     try:
         return ScenarioConfig(
-            duration=float(values["duration"]),
-            seed=int(values.get("seed", default_seed)),
-            benign_rate=float(values.get("benign_rate", 100.0)),
-            victim_ip=values.get("victim_ip", "10.0.0.10"),
-            victim_port=int(values.get("victim_port", 80)),
+            **{key: text if _SCALAR_KINDS[key] is str else strict_numbers([text], _SCALAR_KINDS[key])[0]
+               for key, text in values.items()},
             episodes=episodes,
         )
     except ValueError as exc:
         raise BadScenario(f"malformed directive value: {exc}") from None
 
 
-def load_scenario(path, default_seed: int = 0) -> ScenarioConfig:
+def load_scenario(path) -> ScenarioConfig:
     with open_text(path, BadScenario) as fh:
-        return parse_scenario(fh.read(), default_seed=default_seed)
+        return parse_scenario(fh.read())
 
 
 # Benign client pool: even hosts behave Linux-like (TTL 64), odd Windows-like (128).

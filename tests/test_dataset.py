@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from floodgate.dataset import (
     CSV_HEADER,
     NUM_FEATURES,
+    SPLIT,
     Dataset,
-    LabeledRecord,
     TrafficClass,
     encode_label,
     fit_normalization,
@@ -79,7 +79,7 @@ class TestLabels:
 
 
 class TestSplit:
-    RATIOS = (0.70, 0.15, 0.15)
+    RATIOS = SPLIT
 
     def test_published_class_counts_reproduced(self):
         # Reference per-class totals for the 15% test share of a
@@ -314,18 +314,21 @@ class TestCsv:
 
 class TestRecordValidation:
     def test_wrong_length_rejected(self):
-        with pytest.raises(ValueError):
-            LabeledRecord(np.zeros(23), TrafficClass.NORMAL)
+        with pytest.raises(ValueError, match="features must be"):
+            Dataset(np.zeros((2, NUM_FEATURES - 1)), [0, 0])
 
     def test_non_finite_rejected(self):
-        bad = np.zeros(NUM_FEATURES)
-        bad[3] = np.inf
-        with pytest.raises(ValueError):
-            LabeledRecord(bad, TrafficClass.NORMAL)
+        for value in (np.inf, -np.inf, np.nan):
+            bad = np.zeros((2, NUM_FEATURES))
+            bad[1, 3] = value
+            with pytest.raises(ValueError, match="non-finite"):
+                Dataset(bad, [0, 0])
 
-    def test_dataset_iteration(self):
+    def test_from_records_takes_feature_label_pairs(self):
         ds = make_dataset((3, 3, 3, 3, 3))
-        records = list(ds)
-        assert len(records) == len(ds)
-        assert records[0].label is TrafficClass.NORMAL
-        assert records[-1].label is TrafficClass.UDP_FLOOD
+        rebuilt = Dataset.from_records(zip(ds.features.tolist(), map(TrafficClass, ds.labels.tolist())))
+        assert np.array_equal(rebuilt.features, ds.features)
+        assert np.array_equal(rebuilt.labels, ds.labels)
+        assert len(Dataset.from_records([])) == 0
+        with pytest.raises(ValueError):
+            Dataset.from_records([(np.zeros(NUM_FEATURES - 1), TrafficClass.NORMAL)])

@@ -1,0 +1,58 @@
+"""Every name a `src/` module imports is used in that module.
+
+A deletion that leaves its import behind (an `os`, a `dataclass`, a removed
+class) fails here. The check reads each module's syntax tree with `ast`, so
+it needs no linter: a name counts as used when it is read anywhere in the
+module, or appears in a string annotation such as `-> "Dataset"`.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "floodgate"
+
+
+def imported_names(tree):
+    """The name each import binds, with its line; `from __future__` binds none."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.partition(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def annotations(tree):
+    """The annotation of every argument, return value and annotated assignment."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+            yield node.returns
+        elif isinstance(node, ast.arg) and node.annotation:
+            yield node.annotation
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def used_names(tree):
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for annotation in annotations(tree):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names |= {n.id for n in ast.walk(ast.parse(node.value, mode="eval")) if isinstance(n, ast.Name)}
+    return names
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
+def test_no_unused_import(module):
+    tree = ast.parse((SRC / module).read_text(encoding="utf-8"))
+    used = used_names(tree)
+    unused = [f"{module}:{line}: {name}" for name, line in imported_names(tree) if name not in used]
+    assert unused == []
+
+
+def test_an_unused_import_is_found():
+    tree = ast.parse('import os\nfrom typing import Iterator\nfrom x import y as z, w\ndef f(a: "w") -> z:\n    "os"\n')
+    assert sorted(name for name, _ in imported_names(tree) if name not in used_names(tree)) == ["Iterator", "os"]

@@ -21,7 +21,6 @@ from floodgate.mlp import (
     INPUT_UNITS,
     OUTPUT_UNITS,
     MlpModel,
-    TrainConfig,
     _backward,
     _checked_loss,
     _forward_batch,
@@ -320,8 +319,9 @@ class TestGradients:
             return _backward(*args)
 
         monkeypatch.setattr(mlp, "_backward", spy)
-        train(separable_dataset(rng, 50), separable_dataset(rng, 20), TrainConfig(epochs=2, batch_size=16))
-        assert calls == [16, 16, 16, 2] * 2
+        batch = mlp.BATCH_SIZE
+        train(separable_dataset(rng, 3 * batch + 2), separable_dataset(rng, 20), epochs=2)
+        assert calls == [batch, batch, batch, 2] * 2
 
     def test_duplicated_batch_mean_invariance(self, rng):
         model = random_model(12)
@@ -367,8 +367,7 @@ class TestTrain:
         # The clusters really are separable: a nearest-centroid classifier
         # built only from the training data gets validation exactly right.
         assert nearest_centroid_accuracy(train_ds, val_ds) == 1.0
-        cfg = TrainConfig(epochs=50, seed=7)
-        model, history = train(train_ds, val_ds, cfg)
+        model, history = train(train_ds, val_ds, epochs=50, seed=7)
         assert max(history.val_accuracy) >= 0.99
         accuracy = float(np.mean(predict_batch(model, val_ds.features) == val_ds.labels))
         assert accuracy >= 0.99
@@ -376,61 +375,57 @@ class TestTrain:
     def test_deterministic(self, rng):
         train_ds = separable_dataset(rng, 80)
         val_ds = separable_dataset(rng, 30)
-        cfg = TrainConfig(epochs=5, seed=21)
-        m1, h1 = train(train_ds, val_ds, cfg)
-        m2, h2 = train(train_ds, val_ds, cfg)
+        m1, h1 = train(train_ds, val_ds, epochs=5, seed=21)
+        m2, h2 = train(train_ds, val_ds, epochs=5, seed=21)
         for name in ARRAYS:
             assert np.array_equal(getattr(m1, name), getattr(m2, name))
         assert h1.train_loss == h2.train_loss
 
-    def test_huge_learning_rate_diverges(self, rng):
+    def test_huge_learning_rate_diverges(self, rng, monkeypatch):
         train_ds = separable_dataset(rng, 60)
         val_ds = separable_dataset(rng, 20)
+        monkeypatch.setattr(mlp, "LEARNING_RATE", 1e6)
         with pytest.raises(NonFiniteLoss):
-            train(train_ds, val_ds, TrainConfig(learning_rate=1e6, epochs=5, seed=0))
+            train(train_ds, val_ds, epochs=5, seed=0)
 
     def test_empty_dataset(self, rng):
         with pytest.raises(EmptyDataset):
-            train(Dataset(), separable_dataset(rng, 20), TrainConfig(epochs=1))
+            train(Dataset(), separable_dataset(rng, 20), epochs=1)
 
-    def test_small_lr_decreases_loss(self, rng):
+    def test_small_lr_decreases_loss(self, rng, monkeypatch):
         train_ds = separable_dataset(rng, 100, spread=1.5)
         val_ds = separable_dataset(rng, 40, spread=1.5)
-        _, history = train(train_ds, val_ds, TrainConfig(learning_rate=1e-4, epochs=20, seed=3))
+        monkeypatch.setattr(mlp, "LEARNING_RATE", 1e-4)
+        _, history = train(train_ds, val_ds, epochs=20, seed=3)
         assert history.train_loss[-1] < history.train_loss[0]
 
     def test_history_one_entry_per_epoch(self, rng):
         train_ds = separable_dataset(rng, 60)
         val_ds = separable_dataset(rng, 20)
-        cfg = TrainConfig(epochs=4, seed=1)
-        _, history = train(train_ds, val_ds, cfg)
+        _, history = train(train_ds, val_ds, epochs=4, seed=1)
         assert len(history) == 4
         assert len(history.val_loss) == len(history.val_accuracy) == 4
 
     def test_early_stopping_can_shorten_training(self, rng):
         train_ds = separable_dataset(rng, 60)
         val_ds = separable_dataset(rng, 20)
-        cfg = TrainConfig(epochs=400, seed=1)
-        _, history = train(train_ds, val_ds, cfg)
+        _, history = train(train_ds, val_ds, epochs=400, seed=1)
         assert len(history) < 400
 
     def test_early_stop_returns_lowest_validation_loss_weights(self, rng):
         train_ds = separable_dataset(rng, 60)
         val_ds = separable_dataset(rng, 20)
-        cfg = TrainConfig(epochs=400, seed=1)
-        model, history = train(train_ds, val_ds, cfg)
-        assert len(history) < cfg.epochs
+        model, history = train(train_ds, val_ds, epochs=400, seed=1)
+        assert len(history) < 400
         val_loss = batch_loss(model, val_ds.features, val_ds.labels)
         assert val_loss == pytest.approx(min(history.val_loss), rel=1e-9)
 
-    def test_config_validation(self):
-        for learning_rate in (0, math.nan, math.inf):
-            with pytest.raises(ValueError):
-                TrainConfig(learning_rate=learning_rate)
-        with pytest.raises(ValueError):
-            TrainConfig(epochs=0)
-        with pytest.raises(ValueError):
-            TrainConfig(batch_size=0)
+    def test_config_validation(self, rng):
+        train_ds = separable_dataset(rng, 60)
+        val_ds = separable_dataset(rng, 20)
+        for epochs, seed in ((0, 0), (2.5, 0), (1, -1), (1, 1.5)):
+            with pytest.raises(ValueError, match="epochs must be" if epochs != 1 else "seed must be"):
+                train(train_ds, val_ds, epochs=epochs, seed=seed)
 
 
 def pinned_model():
@@ -466,7 +461,7 @@ class TestPersistence:
     def trained_fixture(self, rng):
         train_ds = separable_dataset(rng, 60)
         val_ds = separable_dataset(rng, 20)
-        model, _ = train(train_ds, val_ds, TrainConfig(epochs=3, seed=5))
+        model, _ = train(train_ds, val_ds, epochs=3, seed=5)
         return model
 
     def test_round_trip_exact(self, tmp_path, rng):

@@ -70,6 +70,12 @@ class TestGrammar:
             ("duration 5\nvictim_ip +10.0.0.1\n", "bad IPv4 address '\\+10.0.0.1'"),
             ("duration 5\nvictim_ip 1_0.0.0.1\n", "bad IPv4 address '1_0.0.0.1'"),
             ("duration 5\nvictim_ip 010.0.0.1\n", "bad IPv4 address '010.0.0.1'"),
+            # Python's `float` and `int` read these as 10 s, seed 3 and port 80.
+            ("duration 1_0\n", "malformed directive value: '1_0' is not a plain number"),
+            ("duration 5\nseed \u0663\n", "malformed directive value"),
+            ("duration 5\nvictim_port 8_0\n", "malformed directive value"),
+            ("duration 5\nepisode syn 1 2 1_00 4\n", "line 2: malformed episode numbers"),
+            ("duration 5\nepisode syn 1 2 100 \u0664\n", "line 2: malformed episode numbers"),
         ],
     )
     def test_rejected(self, text, message):
@@ -88,8 +94,8 @@ class TestGrammar:
         ]
 
     def test_seed_line_wins_over_default_seed(self):
-        assert parse_scenario("duration 5\n", default_seed=9).seed == 9
-        assert parse_scenario("duration 5\nseed 4\n", default_seed=9).seed == 4
+        assert parse_scenario("duration 5\n").seed == 0
+        assert parse_scenario("duration 5\nseed 4\n").seed == 4
 
 
 def one_episode(tmp_path, kind, rate=400):
