@@ -1,8 +1,10 @@
 """Command-line pipeline driver: synth -> extract -> train -> eval -> classify.
 
-Exit codes: 0 success, 1 usage error, 2 input/format error, 3 runtime
-failure (e.g. training divergence). A failed run leaves no output: each file
-is written atomically, and the first of two is removed if the second fails.
+Exit codes: 0 success, 1 usage error, 2 bad input (a `FloodgateError`, or an
+`OSError` reading or writing a file), 3 training divergence (`NonFiniteLoss`).
+By the rule in `errors`, a `ValueError` is a caller's bug, not bad input, so it
+ends in a traceback. A failed run leaves no output: each file is written
+atomically, and the first of two is removed if the second fails.
 
 `train` takes only the number of epochs and the seed; the learning rate and
 batch size are `mlp.LEARNING_RATE` and `mlp.BATCH_SIZE`, and the split is
@@ -195,12 +197,9 @@ def main(argv=None) -> int:
         return code if isinstance(code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except NonFiniteLoss as exc:
-        print(f"floodgate {args.command}: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
     except (FloodgateError, OSError) as exc:
         print(f"floodgate {args.command}: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return EXIT_RUNTIME if isinstance(exc, NonFiniteLoss) else EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import BadRatios, EmptyClass, EmptyDataset, MalformedRow, UnknownLabel
+from .errors import FloodgateError
 from .ioutil import atomic_write, open_text, strict_numbers
 
 NUM_FEATURES = 24
@@ -61,12 +61,12 @@ _ALIASES = {name: c for c in TrafficClass for name in (c.alias, c.short)}
 def encode_label(name: str, where: str = "") -> TrafficClass:
     """Map a case-insensitive label alias ("syn", "UDP_FLOOD", ...) to its class.
 
-    `where` (say `path:line: `) starts the UnknownLabel message.
+    `where` (say `path:line: `) starts the FloodgateError message.
     """
     try:
         return _ALIASES[name.strip().lower()]
     except KeyError:
-        raise UnknownLabel(f"{where}unknown traffic label: {name!r}") from None
+        raise FloodgateError(f"{where}unknown traffic label: {name!r}") from None
 
 
 class Dataset:
@@ -77,8 +77,13 @@ class Dataset:
             features = np.empty((0, NUM_FEATURES), dtype=np.float64)
         if labels is None:
             labels = np.empty((0,), dtype=np.int64)
-        features = np.asarray(features, dtype=np.float64)
-        labels = np.asarray(labels, dtype=np.int64)
+        features, labels = np.asarray(features), np.asarray(labels)
+        # Nothing is parsed or rounded here; an empty sequence has no dtype to check.
+        if features.size and features.dtype.kind not in "iuf":
+            raise ValueError(f"features must be numbers, got dtype {features.dtype}")
+        if labels.size and labels.dtype.kind not in "iu":
+            raise ValueError(f"labels must be integer ordinals, got dtype {labels.dtype}")
+        features, labels = features.astype(np.float64, copy=False), labels.astype(np.int64, copy=False)
         if features.ndim != 2 or features.shape[1] != NUM_FEATURES:
             raise ValueError(f"features must be (n, {NUM_FEATURES}), got {features.shape}")
         if labels.shape != (features.shape[0],):
@@ -126,18 +131,19 @@ def stratified_split(
 
     Per class, test gets round(count * test_ratio) records, validation gets
     round(count * val_ratio), and train gets the remainder. A class with
-    fewer than 3 records, or none left for training, raises EmptyClass. The
-    same seed always yields the same partitions.
+    fewer than 3 records, or none left for training, raises FloodgateError;
+    ratios that are not three positive numbers summing to 1 raise
+    ValueError. The same seed always yields the same partitions.
     """
     try:
         train_ratio, val_ratio, test_ratio = (float(r) for r in ratios)
     except (TypeError, ValueError):
-        raise BadRatios(f"ratios must be three numbers, got {ratios!r}") from None
+        raise ValueError(f"ratios must be three numbers, got {ratios!r}") from None
     # A range test, so that nan, which fails every comparison, is rejected too.
     if not all(0 < r < math.inf for r in (train_ratio, val_ratio, test_ratio)):
-        raise BadRatios("all three ratios must be positive and finite")
+        raise ValueError("all three ratios must be positive and finite")
     if abs(train_ratio + val_ratio + test_ratio - 1.0) > 1e-9:
-        raise BadRatios("ratios must sum to 1")
+        raise ValueError("ratios must sum to 1")
 
     rng = np.random.default_rng(seed)
     train_parts, val_parts, test_parts = [], [], []
@@ -153,7 +159,7 @@ def stratified_split(
     counts = ds.class_counts()
     short = [f"{TrafficClass(c).alias} ({n})" for c, n in enumerate(counts) if n < 3 or not train_parts[c].size]
     if short:
-        raise EmptyClass(f"a class needs at least 3 records and 1 for training; too few in: {', '.join(short)}")
+        raise FloodgateError(f"a class needs at least 3 records and 1 for training; too few in: {', '.join(short)}")
     return tuple(ds.subset(np.concatenate(parts)) for parts in (train_parts, val_parts, test_parts))
 
 
@@ -161,10 +167,10 @@ def fit_normalization(train: Dataset) -> tuple[np.ndarray, np.ndarray]:
     """Per-feature mean and population std over the training set.
 
     Features with std below 1e-12 get std clamped to 1.0 so that dividing
-    by it is always well defined.
+    by it is always well defined. An empty dataset raises ValueError.
     """
     if len(train) == 0:
-        raise EmptyDataset("cannot fit normalization on an empty dataset")
+        raise ValueError("cannot fit normalization on an empty dataset")
     mean = train.features.mean(axis=0)
     std = train.features.std(axis=0)
     return mean, np.where(std < 1e-12, 1.0, std)
@@ -188,20 +194,20 @@ def read_rows(path, header) -> tuple[np.ndarray, np.ndarray, list[int]]:
     """
     k = len(header) - 1
     values, labels, lines = [], [], []
-    with open_text(path, MalformedRow, newline="") as fh:
+    with open_text(path, newline="") as fh:
         reader = csv.reader(fh)
         if tuple(next(reader, ())) != tuple(header):
-            raise MalformedRow(f"{path}: header does not match {','.join(header)}")
+            raise FloodgateError(f"{path}: header does not match {','.join(header)}")
         for row in filter(None, reader):
             where = f"{path}:{reader.line_num}: "
             if len(row) != k + 1:
-                raise MalformedRow(f"{where}expected {k + 1} columns, got {len(row)}")
+                raise FloodgateError(f"{where}expected {k + 1} columns, got {len(row)}")
             try:
                 floats = strict_numbers(row[:k])
             except ValueError:
-                raise MalformedRow(f"{where}non-numeric value") from None
+                raise FloodgateError(f"{where}non-numeric value") from None
             if not all(map(math.isfinite, floats)):
-                raise MalformedRow(f"{where}non-finite value")
+                raise FloodgateError(f"{where}non-finite value")
             values.append(floats)
             labels.append(int(encode_label(row[k], where)))
             lines.append(reader.line_num)

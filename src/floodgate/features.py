@@ -47,7 +47,7 @@ from typing import Sequence
 import numpy as np
 
 from .dataset import TrafficClass, read_rows, write_rows
-from .errors import MalformedRow, OverlappingTruth, UnsortedInput
+from .errors import FloodgateError
 from .pcapio import NON_IP, TCP, UDP, Packets
 
 SCHEMA_VERSION = 1
@@ -124,7 +124,7 @@ def window_packets(packets: Packets, window_len: float) -> Windows:
     stamps = packets.ts_sec * 1_000_000 + packets.ts_usec
     unsorted = np.flatnonzero(stamps[1:] < stamps[:-1])
     if unsorted.size:
-        raise UnsortedInput(f"packet {unsorted[0] + 1} is earlier than its predecessor")
+        raise FloodgateError(f"packet {unsorted[0] + 1} is earlier than its predecessor")
     # Stamps stay below 2**53, so any longer window puts them all in window 0 as well.
     slot = stamps // min(len_us, 1 << 62)
     bounds = np.concatenate(([0], np.flatnonzero(np.diff(slot)) + 1, [len(slot)]))
@@ -276,7 +276,7 @@ def label_windows(windows: Windows, truth: Sequence[TruthInterval]) -> np.ndarra
     intervals = sorted(truth, key=lambda iv: (iv[0], iv[1]))
     for (s1, e1, _), (s2, _, _) in zip(intervals, intervals[1:]):
         if s2 < e1:
-            raise OverlappingTruth(f"interval starting at {s2} overlaps one ending at {e1}")
+            raise FloodgateError(f"interval starting at {s2} overlaps one ending at {e1}")
 
     mid = (windows.start_ts + windows.end_ts) / 2.0
     labels = np.full(len(mid), int(TrafficClass.NORMAL), dtype=np.int64)
@@ -298,5 +298,5 @@ def read_truth(path) -> list[TruthInterval]:
     bounds, labels, lines = read_rows(path, TRUTH_HEADER)
     for (start, end), line in zip(bounds.tolist(), lines):
         if end <= start:
-            raise MalformedRow(f"{path}:{line}: interval [{start!r}, {end!r}] does not end after it starts")
+            raise FloodgateError(f"{path}:{line}: interval [{start!r}, {end!r}] does not end after it starts")
     return [(start, end, TrafficClass(c)) for (start, end), c in zip(bounds.tolist(), labels.tolist())]

@@ -4,6 +4,8 @@ import os
 import tempfile
 from contextlib import contextmanager, suppress
 
+from .errors import FloodgateError
+
 
 @contextmanager
 def atomic_write(path, mode="w", **kwargs):
@@ -21,24 +23,26 @@ def atomic_write(path, mode="w", **kwargs):
 
 
 @contextmanager
-def open_text(path, error, **kwargs):
-    """Open `path` to read UTF-8 text; a byte that does not decode raises `error`."""
+def open_text(path, **kwargs):
+    """Open `path` to read UTF-8 text; a byte that does not decode raises FloodgateError."""
     try:
         with open(path, encoding="utf-8", **kwargs) as fh:
             yield fh
     except UnicodeDecodeError:
-        raise error(f"{path}: not UTF-8 text") from None
+        raise FloodgateError(f"{path}: not UTF-8 text") from None
 
 
 @contextmanager
 def removed_on_failure(path):
     """Delete `path` if the body raises; for a file whose companion is written after it."""
+    done = False
     try:
         yield
-    except BaseException:
-        with suppress(OSError):
-            os.unlink(path)
-        raise
+        done = True
+    finally:
+        if not done:
+            with suppress(OSError):
+                os.unlink(path)
 
 
 def strict_numbers(texts, kind=float) -> list:

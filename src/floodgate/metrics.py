@@ -1,9 +1,10 @@
 """Confusion matrices and the detection metric suite.
 
 A confusion matrix is a (5, 5) int64 array of window counts, rows the true
-class and columns the predicted one. The "overall" scope collapses it to
-normal-vs-any-flood; a per-attack scope keeps the four cells of the {normal,
-attack} submatrix (only windows of those two classes predicted as one of them).
+class and columns the predicted one. Each scope of the report counts normal
+traffic against a tuple of attack classes, within the submatrix of normal and
+those classes: the "overall" scope against all four floods, a per-attack scope
+against one.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .dataset import NUM_CLASSES, TrafficClass
-from .errors import InvalidClass
 
 
 def build_confusion(true, predicted) -> np.ndarray:
@@ -31,20 +31,16 @@ class BinaryCounts(NamedTuple):
     fn: int
 
 
-def collapse_binary(cm: np.ndarray) -> BinaryCounts:
-    """Collapse to normal-vs-flood: any attack predicted as any attack is a TP."""
+def binary_counts(cm: np.ndarray, attacks) -> BinaryCounts:
+    """Normal traffic against the attack classes `attacks`, in their submatrix.
+
+    Only windows whose true and predicted classes are both normal or one of
+    `attacks` count; an attack predicted as any of `attacks` is a TP.
+    """
+    a = list(attacks)
     return BinaryCounts(
-        tp=int(cm[1:, 1:].sum()), tn=int(cm[0, 0]), fp=int(cm[0, 1:].sum()), fn=int(cm[1:, 0].sum())
+        tp=int(cm[a][:, a].sum()), tn=int(cm[0, 0]), fp=int(cm[0, a].sum()), fn=int(cm[a, 0].sum())
     )
-
-
-def pairwise_counts(cm: np.ndarray, attack: TrafficClass) -> BinaryCounts:
-    """Restrict to the {normal, attack} submatrix: four cells only."""
-    attack = TrafficClass(attack)
-    if attack is TrafficClass.NORMAL:
-        raise InvalidClass("pairwise counts need one of the four attack classes")
-    a = int(attack)
-    return BinaryCounts(tp=int(cm[a, a]), tn=int(cm[0, 0]), fp=int(cm[0, a]), fn=int(cm[a, 0]))
 
 
 class MetricSet(NamedTuple):
@@ -85,10 +81,9 @@ class Report(NamedTuple):
     csv: str
 
 
-# (CSV key, report name, attack class or None for the overall scope).
-_SCOPES = (("overall", "All DDoS Flooding", None),) + tuple(
-    (c.short, c.display_name, c) for c in TrafficClass if c is not TrafficClass.NORMAL
-)
+# (CSV key, report name, attack classes counted against normal traffic).
+_ATTACKS = tuple(c for c in TrafficClass if c is not TrafficClass.NORMAL)
+_SCOPES = (("overall", "All DDoS Flooding", _ATTACKS),) + tuple((c.short, c.display_name, (c,)) for c in _ATTACKS)
 _HEADINGS = ("Accuracy", "Precision", "Recall", "Specificity", "F-score")
 
 
@@ -111,8 +106,8 @@ def render_report(cm: np.ndarray) -> Report:
     scope_w = max(len(name) for _, name, _ in _SCOPES)
     lines.append(f"{'Scope':<{scope_w}}  " + "  ".join(f"{h:>11}" for h in _HEADINGS))
     csv_lines = [",".join(("scope",) + MetricSet._fields)]
-    for key, name, attack in _SCOPES:
-        ms = metric_set(collapse_binary(cm) if attack is None else pairwise_counts(cm, attack))
+    for key, name, attacks in _SCOPES:
+        ms = metric_set(binary_counts(cm, attacks))
         lines.append(f"{name:<{scope_w}}  " + "  ".join(f"{_fmt(v, 'undefined'):>11}" for v in ms))
         csv_lines.append(",".join([key] + [_fmt(v, "NA") for v in ms]))
     return Report(text="\n".join(lines) + "\n", csv="\n".join(csv_lines) + "\n")

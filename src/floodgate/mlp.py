@@ -26,14 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import NUM_CLASSES, NUM_FEATURES, Dataset, fit_normalization
-from .errors import (
-    BadMagic,
-    CorruptModel,
-    DimensionMismatch,
-    EmptyDataset,
-    NonFiniteLoss,
-    VersionMismatch,
-)
+from .errors import FloodgateError, NonFiniteLoss
 from .ioutil import atomic_write, open_text, strict_numbers
 
 INPUT_UNITS = NUM_FEATURES
@@ -171,7 +164,7 @@ def forward(m: MlpModel, x_rows) -> np.ndarray:
     """
     x_rows = np.asarray(x_rows, dtype=np.float64)
     if x_rows.ndim != 2 or x_rows.shape[1] != INPUT_UNITS:
-        raise DimensionMismatch(f"expected (n, {INPUT_UNITS}), got {x_rows.shape}")
+        raise ValueError(f"expected (n, {INPUT_UNITS}), got {x_rows.shape}")
     _, p = _forward_batch(m.params, (x_rows - m.mean) / m.std)
     return np.clip(p, _OPEN_LO, _OPEN_HI)
 
@@ -218,7 +211,7 @@ def train(train_ds: Dataset, val_ds: Dataset, epochs: int = 100, seed: int = 0) 
     if not (isinstance(seed, numbers.Integral) and seed >= 0):
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     if len(train_ds) == 0 or len(val_ds) == 0:
-        raise EmptyDataset("train and validation datasets must be non-empty")
+        raise FloodgateError("train and validation datasets must be non-empty")
 
     mean, std = fit_normalization(train_ds)
     x_train = (train_ds.features - mean) / std
@@ -292,12 +285,12 @@ def save_model(m: MlpModel, path) -> None:
 
 def load_model(path) -> MlpModel:
     """Read a model file written by save_model, checking it against `_SECTIONS`."""
-    with open_text(path, CorruptModel) as fh:
+    with open_text(path) as fh:
         first = fh.readline().split()
         if len(first) != 2 or first[0] != MODEL_MAGIC:
-            raise BadMagic(f"{path}: not a {MODEL_MAGIC} model file")
+            raise FloodgateError(f"{path}: not a {MODEL_MAGIC} model file")
         if first[1] != f"v{MODEL_VERSION}":
-            raise VersionMismatch(f"{path}: unsupported version {first[1]!r}")
+            raise FloodgateError(f"{path}: unsupported version {first[1]!r}")
         tokens = fh.read().split()
 
     arrays, pos = {}, 0
@@ -305,18 +298,18 @@ def load_model(path) -> MlpModel:
         words, count = head.split(), math.prod(shape)
         found = tokens[pos : pos + len(words)]
         if found != words:
-            raise CorruptModel(f"{path}: expected {' '.join(words)!r}, found {' '.join(found)!r}")
+            raise FloodgateError(f"{path}: expected {' '.join(words)!r}, found {' '.join(found)!r}")
         pos += len(words) + count
         try:
             values = np.array(strict_numbers(tokens[pos - count : pos]), dtype=np.float64).reshape(shape)
         except ValueError:
-            raise CorruptModel(f"{path}: section {words[0]!r} does not hold {count} numbers") from None
+            raise FloodgateError(f"{path}: section {words[0]!r} does not hold {count} numbers") from None
         if name:
             arrays[name] = values
     if pos != len(tokens):
-        raise CorruptModel(f"{path}: trailing data after model parameters")
+        raise FloodgateError(f"{path}: trailing data after model parameters")
 
     try:
         return MlpModel(**arrays)
     except ValueError as exc:
-        raise CorruptModel(f"{path}: {exc}") from None
+        raise FloodgateError(f"{path}: {exc}") from None

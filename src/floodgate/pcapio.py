@@ -23,7 +23,7 @@ from typing import Iterable, Iterator
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import BadMagic, FrameTooLarge, TruncatedRecord, UnsupportedLinkType
+from .errors import FloodgateError
 from .ioutil import atomic_write
 
 MAGIC_USEC = 0xA1B2C3D4
@@ -157,21 +157,21 @@ def _walk(path) -> tuple[bytes, str, list[int]]:
     with open(path, "rb") as fh:
         data = fh.read()
     if len(data) < 4:
-        raise BadMagic(f"{path}: too short to be a pcap file")
+        raise FloodgateError(f"{path}: too short to be a pcap file")
     magic = struct.unpack_from("<I", data)[0]
     if magic == MAGIC_USEC:
         endian = "<"
     elif magic == MAGIC_USEC_SWAPPED:
         endian = ">"
     elif magic in _OTHER_FORMATS:
-        raise BadMagic(f"{path}: {_OTHER_FORMATS[magic]} is not supported; convert with editcap -F pcap")
+        raise FloodgateError(f"{path}: {_OTHER_FORMATS[magic]} is not supported; convert with editcap -F pcap")
     else:
-        raise BadMagic(f"{path}: unknown magic 0x{magic:08x}")
+        raise FloodgateError(f"{path}: unknown magic 0x{magic:08x}")
     if len(data) < 24:
-        raise TruncatedRecord(f"{path}: incomplete global header")
+        raise FloodgateError(f"{path}: incomplete global header")
     linktype = struct.unpack_from(endian + "IHHiIII", data)[6]
     if linktype != LINKTYPE_ETHERNET:
-        raise UnsupportedLinkType(f"{path}: linktype {linktype} (only Ethernet is supported)")
+        raise FloodgateError(f"{path}: linktype {linktype} (only Ethernet is supported)")
 
     incl_len = struct.Struct(endian + "I").unpack_from
     starts: list[int] = []
@@ -183,9 +183,9 @@ def _walk(path) -> tuple[bytes, str, list[int]]:
         pos += incl_len(data, pos - 8)[0]
     if pos > len(data):
         claimed = pos - starts[-1]
-        raise TruncatedRecord(f"{path}: record claims {claimed} bytes, only {len(data) - starts[-1]} remain")
+        raise FloodgateError(f"{path}: record claims {claimed} bytes, only {len(data) - starts[-1]} remain")
     if pos < len(data):
-        raise TruncatedRecord(f"{path}: incomplete record header")
+        raise FloodgateError(f"{path}: incomplete record header")
     return data, endian, starts
 
 
@@ -294,12 +294,12 @@ def read_frames(path) -> list[Frame]:
 def record_headers(ts_sec, ts_usec, frame_len) -> np.ndarray:
     """The 16-byte little-endian record header of each frame, as an (n, 16) uint8 array.
 
-    Raises FrameTooLarge for a frame longer than MAX_FRAME_LEN, and
-    ValueError for a timestamp outside the format's unsigned 32 bits.
+    Raises ValueError for a frame longer than MAX_FRAME_LEN or a timestamp
+    outside the format's unsigned 32 bits.
     """
     ts_sec, ts_usec, frame_len = (np.asarray(a, dtype=np.int64) for a in (ts_sec, ts_usec, frame_len))
     if len(frame_len) and frame_len.max() > MAX_FRAME_LEN:
-        raise FrameTooLarge(f"frame of {frame_len.max()} bytes exceeds {MAX_FRAME_LEN}")
+        raise ValueError(f"frame of {frame_len.max()} bytes exceeds {MAX_FRAME_LEN}")
     for stamp in (ts_sec, ts_usec):
         if len(stamp) and not 0 <= stamp.min() <= stamp.max() <= 0xFFFFFFFF:
             raise ValueError("timestamp outside the 32-bit range of a pcap record")

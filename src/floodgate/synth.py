@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import TrafficClass, encode_label
-from .errors import BadScenario, UnknownLabel
+from .errors import FloodgateError
 from .features import write_truth
 from .ioutil import open_text, removed_on_failure, strict_numbers
 from .pcapio import ETHERTYPE_IPV4, PROTO_TCP, PROTO_UDP, record_headers, write_records
@@ -227,39 +227,39 @@ class ScenarioConfig:
     def __post_init__(self):
         # Each range test also rejects nan, which fails every comparison.
         if not 0 < self.duration <= MAX_DURATION_S:
-            raise BadScenario(f"duration must be positive and finite, at most {MAX_DURATION_S} s (a pcap timestamp)")
+            raise FloodgateError(f"duration must be positive and finite, at most {MAX_DURATION_S} s (a pcap timestamp)")
         if self.seed < 0:
-            raise BadScenario("seed must be non-negative")
+            raise FloodgateError("seed must be non-negative")
         if not 0 <= self.benign_rate < math.inf:
-            raise BadScenario("benign_rate must be non-negative and finite")
+            raise FloodgateError("benign_rate must be non-negative and finite")
         if not 1 <= self.victim_port <= 65535:
-            raise BadScenario(f"victim_port {self.victim_port} out of range")
+            raise FloodgateError(f"victim_port {self.victim_port} out of range")
         try:
             ip_to_int(self.victim_ip)
         except ValueError as exc:
-            raise BadScenario(str(exc)) from None
+            raise FloodgateError(str(exc)) from None
         for ep in self.episodes:
             if ep.attack is TrafficClass.NORMAL:
-                raise BadScenario("episodes must use one of the four attack classes")
+                raise FloodgateError("episodes must use one of the four attack classes")
             if not (0 <= ep.start < ep.end <= self.duration):
-                raise BadScenario(
+                raise FloodgateError(
                     f"episode [{ep.start}, {ep.end}) falls outside [0, {self.duration}]"
                 )
             if not 0 < ep.rate < math.inf:
-                raise BadScenario("episode rate must be positive and finite")
+                raise FloodgateError("episode rate must be positive and finite")
             if not 1 <= ep.attackers <= MAX_ATTACKERS:
-                raise BadScenario(
+                raise FloodgateError(
                     f"episode needs at least one attacker and at most {MAX_ATTACKERS}, the hosts of {ATTACKER_NET}/16"
                 )
         ordered = sorted(self.episodes, key=lambda e: e.start)
         for a, b in zip(ordered, ordered[1:]):
             if b.start < a.end:
-                raise BadScenario(
+                raise FloodgateError(
                     f"episodes overlap: [{a.start}, {a.end}) and [{b.start}, {b.end})"
                 )
         expected = self.benign_rate * self.duration + sum(ep.rate * (ep.end - ep.start) for ep in self.episodes)
         if expected > MAX_EXPECTED_PACKETS:
-            raise BadScenario(
+            raise FloodgateError(
                 f"scenario expects {expected:.4g} packets, more than the {MAX_EXPECTED_PACKETS} "
                 f"that fit synth's {SYNTH_MEMORY_BUDGET >> 20} MiB memory budget"
             )
@@ -285,26 +285,26 @@ def parse_scenario(text: str) -> ScenarioConfig:
         key = parts[0]
         if key == "episode":
             if len(parts) != 6:
-                raise BadScenario(f"line {lineno}: episode needs kind start end rate attackers")
+                raise FloodgateError(f"line {lineno}: episode needs kind start end rate attackers")
             try:
                 kind = encode_label(parts[1])
-            except UnknownLabel:
-                raise BadScenario(f"line {lineno}: unknown attack kind {parts[1]!r}") from None
+            except FloodgateError:
+                raise FloodgateError(f"line {lineno}: unknown attack kind {parts[1]!r}") from None
             try:
                 episodes.append(Episode(kind, *strict_numbers(parts[2:5]), *strict_numbers(parts[5:], int)))
             except ValueError:
-                raise BadScenario(f"line {lineno}: malformed episode numbers") from None
+                raise FloodgateError(f"line {lineno}: malformed episode numbers") from None
         elif key in _SCALAR_KINDS:
             if len(parts) != 2:
-                raise BadScenario(f"line {lineno}: {key} takes exactly one value")
+                raise FloodgateError(f"line {lineno}: {key} takes exactly one value")
             if key in values:
-                raise BadScenario(f"line {lineno}: duplicate {key}")
+                raise FloodgateError(f"line {lineno}: duplicate {key}")
             values[key] = parts[1]
         else:
-            raise BadScenario(f"line {lineno}: unknown directive {key!r}")
+            raise FloodgateError(f"line {lineno}: unknown directive {key!r}")
 
     if "duration" not in values:
-        raise BadScenario("missing required directive: duration")
+        raise FloodgateError("missing required directive: duration")
     try:
         return ScenarioConfig(
             **{key: text if _SCALAR_KINDS[key] is str else strict_numbers([text], _SCALAR_KINDS[key])[0]
@@ -312,11 +312,11 @@ def parse_scenario(text: str) -> ScenarioConfig:
             episodes=episodes,
         )
     except ValueError as exc:
-        raise BadScenario(f"malformed directive value: {exc}") from None
+        raise FloodgateError(f"malformed directive value: {exc}") from None
 
 
 def load_scenario(path) -> ScenarioConfig:
-    with open_text(path, BadScenario) as fh:
+    with open_text(path) as fh:
         return parse_scenario(fh.read())
 
 
@@ -423,7 +423,7 @@ def gen_attack(ep: Episode, cfg: ScenarioConfig, rng: np.random.Generator, rows:
             t += rng.exponential(1.0 / ep.rate)
 
     else:  # pragma: no cover - ScenarioConfig validation rejects this
-        raise BadScenario(f"unsupported episode kind {ep.attack}")
+        raise ValueError(f"unsupported episode kind {ep.attack}")
 
 
 def run_scenario(cfg: ScenarioConfig, out_pcap_path, out_truth_path) -> int:

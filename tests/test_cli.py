@@ -124,6 +124,18 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "too few in: syn_flood (0), http_flood (0), udp_flood (0)" in err
 
+    def test_empty_validation_split_is_input_error(self, scenario, tmp_path, capsys):
+        # With SPLIT, round-half-up splits a class of 3 records (3, 0, 0):
+        # every class passes the per-class check, and the validation split is
+        # still empty.
+        d, _ = scenario
+        ds = read_csv(d / "train.csv")
+        write_csv(ds.subset(np.concatenate([np.flatnonzero(ds.labels == c)[:3] for c in TrafficClass])),
+                  tmp_path / "three.csv")
+        capsys.readouterr()
+        assert_fails_cleanly(tmp_path, 2, "train", "--data", tmp_path / "three.csv", "--out-model", tmp_path / "m.txt")
+        assert capsys.readouterr().err == "floodgate train: train and validation datasets must be non-empty\n"
+
     @pytest.mark.parametrize("command, flag", [("eval", "--data"), ("eval", "--model"), ("classify", "--model"),
                                                ("extract", "--truth"), ("synth", "--config")])
     def test_non_utf8_input_is_input_error(self, scenario, tmp_path, command, flag):

@@ -20,13 +20,7 @@ from floodgate.dataset import (
     write_csv,
     write_rows,
 )
-from floodgate.errors import (
-    BadRatios,
-    EmptyClass,
-    EmptyDataset,
-    MalformedRow,
-    UnknownLabel,
-)
+from floodgate.errors import FloodgateError
 from floodgate.features import read_truth
 from floodgate.mlp import MlpModel, forward, init_model
 
@@ -70,7 +64,7 @@ class TestLabels:
         assert encode_label(alias) is expected
 
     def test_unknown_label(self):
-        with pytest.raises(UnknownLabel):
+        with pytest.raises(FloodgateError, match="^unknown traffic label: 'teardrop'$"):
             encode_label("teardrop")
 
     def test_alias_round_trip(self):
@@ -102,7 +96,7 @@ class TestSplit:
 
     def test_all_weight_on_train_is_rejected(self):
         ds = make_dataset((5, 5, 5, 5, 5))
-        with pytest.raises(BadRatios):
+        with pytest.raises(ValueError, match="^all three ratios must be positive and finite$"):
             stratified_split(ds, (1.0, 0.0, 0.0), seed=0)
 
     @pytest.mark.parametrize(
@@ -111,17 +105,17 @@ class TestSplit:
     )
     def test_bad_ratios(self, ratios):
         ds = make_dataset((5, 5, 5, 5, 5))
-        with pytest.raises(BadRatios):
+        with pytest.raises(ValueError, match="^(ratios must be three numbers|all three ratios must be positive|ratios must sum to 1)"):
             stratified_split(ds, ratios, seed=0)
 
     def test_class_with_too_few_records(self):
         ds = make_dataset((5, 5, 2, 5, 5))
-        with pytest.raises(EmptyClass):
+        with pytest.raises(FloodgateError, match="too few in: ack_flood \\(2\\)$"):
             stratified_split(ds, self.RATIOS, seed=0)
 
     def test_every_short_class_is_named(self):
         ds = make_dataset((5, 0, 5, 1, 2))
-        with pytest.raises(EmptyClass) as err:
+        with pytest.raises(FloodgateError, match="^a class needs at least 3 records") as err:
             stratified_split(ds, self.RATIOS, seed=0)
         assert str(err.value).endswith("too few in: syn_flood (0), http_flood (1), udp_flood (2)")
 
@@ -129,11 +123,11 @@ class TestSplit:
         # Per class, half-up rounding gives 2 + 2 of 4 records (and 45 + 45
         # of 100) to validation and test, so normal traffic has none for training.
         ds = make_dataset((4, 100, 100, 100, 100))
-        with pytest.raises(EmptyClass) as err:
+        with pytest.raises(FloodgateError, match="^a class needs at least 3 records") as err:
             stratified_split(ds, (0.1, 0.45, 0.45), seed=0)
         assert str(err.value).endswith("too few in: normal (4)")
         ds = make_dataset((4, 4, 4, 4, 4))
-        with pytest.raises(EmptyClass) as err:
+        with pytest.raises(FloodgateError, match="^a class needs at least 3 records") as err:
             stratified_split(ds, (0.02, 0.49, 0.49), seed=0)
         assert str(err.value).endswith("in: normal (4), syn_flood (4), ack_flood (4), http_flood (4), udp_flood (4)")
 
@@ -201,7 +195,7 @@ class TestNormalization:
         assert np.all(std == 1.0)
 
     def test_empty_dataset(self):
-        with pytest.raises(EmptyDataset):
+        with pytest.raises(ValueError, match="^cannot fit normalization on an empty dataset$"):
             fit_normalization(Dataset())
 
     def test_apply_centering_and_scaling(self, rng):
@@ -250,21 +244,21 @@ class TestCsv:
         path = tmp_path / "short.csv"
         row = ",".join(["1.0"] * (NUM_FEATURES - 1)) + ",normal"
         path.write_text(",".join(CSV_HEADER) + "\n" + row + "\n")
-        with pytest.raises(MalformedRow):
+        with pytest.raises(FloodgateError, match=":2: expected 25 columns, got 24$"):
             read_csv(path)
 
     def test_non_numeric_feature(self, tmp_path):
         path = tmp_path / "bad.csv"
         row = ",".join(["1.0"] * (NUM_FEATURES - 1) + ["oops"]) + ",normal"
         path.write_text(",".join(CSV_HEADER) + "\n" + row + "\n")
-        with pytest.raises(MalformedRow):
+        with pytest.raises(FloodgateError, match=":2: non-numeric value$"):
             read_csv(path)
 
     def test_non_finite_feature(self, tmp_path):
         path = tmp_path / "nan.csv"
         row = ",".join(["1.0"] * (NUM_FEATURES - 1) + ["nan"]) + ",normal"
         path.write_text(",".join(CSV_HEADER) + "\n" + row + "\n")
-        with pytest.raises(MalformedRow):
+        with pytest.raises(FloodgateError, match=":2: non-finite value$"):
             read_csv(path)
 
     @pytest.mark.parametrize("cell", ["1_000", " 2.5 ", "2.5\t", "\u0661"])
@@ -272,14 +266,14 @@ class TestCsv:
         path = tmp_path / "forms.csv"
         row = ",".join(["1.0"] * (NUM_FEATURES - 1) + [cell]) + ",normal"
         path.write_text(",".join(CSV_HEADER) + "\n" + row + "\n", encoding="utf-8")
-        with pytest.raises(MalformedRow) as raised:
+        with pytest.raises(FloodgateError, match="non-numeric value") as raised:
             read_csv(path)
         assert str(raised.value) == f"{path}:2: non-numeric value"
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "hdr.csv"
         path.write_text("a,b,c\n")
-        with pytest.raises(MalformedRow):
+        with pytest.raises(FloodgateError, match="hdr.csv: header does not match f01,f02,"):
             read_csv(path)
 
     def test_rows_round_trip_bit_exact(self, tmp_path):
@@ -302,12 +296,12 @@ class TestCsv:
         path = tmp_path / "unk.csv"
         row = ",".join(["0.0"] * NUM_FEATURES) + ",smurf"
         path.write_text(",".join(CSV_HEADER) + "\n" + row + "\n")
-        with pytest.raises(UnknownLabel) as raised:
+        with pytest.raises(FloodgateError, match="unknown traffic label") as raised:
             read_csv(path)
         assert str(raised.value) == f"{path}:2: unknown traffic label: 'smurf'"
         truth = tmp_path / "unk.truth"
         truth.write_text("start_ts,end_ts,label\n0.0,1.0,normal\n1.0,2.0,smurf\n")
-        with pytest.raises(UnknownLabel) as raised:
+        with pytest.raises(FloodgateError, match="unknown traffic label") as raised:
             read_truth(truth)
         assert str(raised.value) == f"{truth}:3: unknown traffic label: 'smurf'"
 
@@ -332,3 +326,20 @@ class TestRecordValidation:
         assert len(Dataset.from_records([])) == 0
         with pytest.raises(ValueError):
             Dataset.from_records([(np.zeros(NUM_FEATURES - 1), TrafficClass.NORMAL)])
+
+    def test_labels_that_are_not_integers_are_rejected(self):
+        # Before, 0.7 and 4.9 were truncated to classes 0 and 4.
+        with pytest.raises(ValueError, match="^labels must be integer ordinals, got dtype float64$"):
+            Dataset(np.zeros((2, NUM_FEATURES)), [0.7, 4.9])
+        with pytest.raises(ValueError, match="^labels must be integer ordinals, got dtype bool$"):
+            Dataset(np.zeros((1, NUM_FEATURES)), [True])
+
+    def test_features_that_are_not_numbers_are_rejected(self):
+        # Before, the text "1.5" was parsed, bypassing the strict number rule of the CSV reader.
+        with pytest.raises(ValueError, match="^features must be numbers, got dtype <U3$"):
+            Dataset.from_records([(["1.5"] * NUM_FEATURES, 0)])
+
+    def test_empty_sequences_are_accepted(self):
+        ds = Dataset(np.empty((0, NUM_FEATURES)), [])
+        assert len(ds) == 0
+        assert ds.features.dtype == np.float64 and ds.labels.dtype == np.int64

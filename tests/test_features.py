@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from floodgate.dataset import TrafficClass
-from floodgate.errors import MalformedRow, OverlappingTruth, UnsortedInput
+from floodgate.errors import FloodgateError
 from floodgate.features import (
     FEATURE_NAMES,
     extract_features,
@@ -75,7 +75,7 @@ class TestWindowing:
 
     def test_unsorted_input(self):
         pkts = [make_meta(ts=t) for t in (1.0, 2.0, 2.0, 1.5, 1.0)]
-        with pytest.raises(UnsortedInput, match="^packet 3 is earlier than its predecessor$"):
+        with pytest.raises(FloodgateError, match="^packet 3 is earlier than its predecessor$"):
             windowed(pkts, 1.0)
 
     def test_sub_second_windows(self):
@@ -302,7 +302,7 @@ class TestLabeling:
     def test_overlapping_truth(self):
         windows = windowed([make_meta(ts=0.5)], 1.0)
         truth = [(0.0, 5.0, TrafficClass.SYN_FLOOD), (3.0, 8.0, TrafficClass.ACK_FLOOD)]
-        with pytest.raises(OverlappingTruth):
+        with pytest.raises(FloodgateError, match="^interval starting at 3.0 overlaps one ending at 5.0$"):
             label_windows(windows, truth)
 
     def test_adjacent_intervals_allowed(self):
@@ -339,13 +339,13 @@ class TestTruthCsv:
     def test_malformed_rows(self, tmp_path):
         path = tmp_path / "truth.csv"
         path.write_text("start_ts,end_ts,label\n1.0,zzz,syn\n")
-        with pytest.raises(MalformedRow):
+        with pytest.raises(FloodgateError, match="truth.csv:2: non-numeric value$"):
             read_truth(path)
         path.write_text("start_ts,end_ts,label\n5.0,1.0,syn\n")
-        with pytest.raises(MalformedRow):
+        with pytest.raises(FloodgateError, match=r"truth.csv:2: interval \[5.0, 1.0\] does not end after it starts$"):
             read_truth(path)
         path.write_text("bogus\n")
-        with pytest.raises(MalformedRow):
+        with pytest.raises(FloodgateError, match="truth.csv: header does not match start_ts,end_ts,label$"):
             read_truth(path)
 
 

@@ -2,13 +2,11 @@ import numpy as np
 import pytest
 
 from floodgate.dataset import TrafficClass
-from floodgate.errors import InvalidClass
 from floodgate.metrics import (
     BinaryCounts,
+    binary_counts,
     build_confusion,
-    collapse_binary,
     metric_set,
-    pairwise_counts,
     render_report,
 )
 
@@ -39,6 +37,7 @@ FIELD_MATRIX = np.array(
 ZERO_MATRIX = np.zeros((5, 5), dtype=np.int64)
 
 N, S, A, H, U = TrafficClass
+FLOODS = (S, A, H, U)
 
 
 class TestBuildConfusion:
@@ -73,6 +72,8 @@ class TestBuildConfusion:
 
 
 class TestCollapseBinary:
+    """`binary_counts` against all four floods, the report's overall scope."""
+
     def _oracle(self, c):
         return (
             int(sum(c[t][p] for t in range(1, 5) for p in range(1, 5))),
@@ -83,45 +84,41 @@ class TestCollapseBinary:
 
     @pytest.mark.parametrize("cm", [DETECTION_MATRIX, FIELD_MATRIX])
     def test_matches_cell_sum_oracle(self, cm):
-        counts = collapse_binary(cm)
+        counts = binary_counts(cm, FLOODS)
         assert (counts.tp, counts.tn, counts.fp, counts.fn) == self._oracle(cm)
 
     def test_detection_counts(self):
-        counts = collapse_binary(DETECTION_MATRIX)
+        counts = binary_counts(DETECTION_MATRIX, FLOODS)
         assert (counts.tn, counts.fp, counts.fn, counts.tp) == (2471, 22, 15, 3254)
 
     def test_field_counts(self):
-        counts = collapse_binary(FIELD_MATRIX)
+        counts = binary_counts(FIELD_MATRIX, FLOODS)
         assert (counts.tn, counts.fp, counts.fn, counts.tp) == (3467, 378, 144, 6575)
 
     def test_all_zero(self):
-        counts = collapse_binary(ZERO_MATRIX)
+        counts = binary_counts(ZERO_MATRIX, FLOODS)
         assert counts == BinaryCounts(tp=0, tn=0, fp=0, fn=0)
 
     def test_count_sum_is_total(self):
-        assert sum(collapse_binary(DETECTION_MATRIX)) == DETECTION_MATRIX.sum()
+        assert sum(binary_counts(DETECTION_MATRIX, FLOODS)) == DETECTION_MATRIX.sum()
 
 
 class TestPairwiseCounts:
+    """`binary_counts` against one flood, a per-attack scope of the report."""
+
     def test_syn(self):
-        counts = pairwise_counts(DETECTION_MATRIX, S)
+        counts = binary_counts(DETECTION_MATRIX, (S,))
         assert (counts.tp, counts.fn, counts.fp, counts.tn) == (523, 10, 15, 2471)
 
     def test_http(self):
-        counts = pairwise_counts(DETECTION_MATRIX, H)
+        counts = binary_counts(DETECTION_MATRIX, (H,))
         assert (counts.tp, counts.fn, counts.fp, counts.tn) == (156, 1, 2, 2471)
-
-    def test_normal_rejected(self):
-        with pytest.raises(InvalidClass):
-            pairwise_counts(DETECTION_MATRIX, N)
 
     def test_depends_only_on_four_cells(self):
         perturbed = DETECTION_MATRIX.copy()
         perturbed[2][3] += 40
         perturbed[4][2] += 7
-        assert pairwise_counts(perturbed, S) == pairwise_counts(
-            DETECTION_MATRIX, S
-        )
+        assert binary_counts(perturbed, (S,)) == binary_counts(DETECTION_MATRIX, (S,))
 
 
 class TestMetricSet:
@@ -134,7 +131,7 @@ class TestMetricSet:
         assert ms.specificity == pytest.approx(100 * 2471 / 2486, abs=1e-12)
 
     def test_f_score_consistency(self):
-        ms = metric_set(collapse_binary(FIELD_MATRIX))
+        ms = metric_set(binary_counts(FIELD_MATRIX, FLOODS))
         p, r = ms.precision / 100, ms.recall / 100
         assert ms.f_score == pytest.approx(2 * p * r / (p + r), abs=1e-12)
 

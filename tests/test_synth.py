@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from floodgate import synth
 from floodgate.cli import main
 from floodgate.dataset import TrafficClass
-from floodgate.errors import BadScenario
+from floodgate.errors import FloodgateError
 from floodgate.features import read_truth
 from floodgate.pcapio import TCP, UDP, read_pcap
 from floodgate.synth import ATTACKER_NET, HTTP_GET, SPOOF_NET, ip_to_int, parse_scenario, run_scenario
@@ -79,7 +79,7 @@ class TestGrammar:
         ],
     )
     def test_rejected(self, text, message):
-        with pytest.raises(BadScenario, match=message):
+        with pytest.raises(FloodgateError, match=message):
             parse_scenario(text)
 
     def test_accepted_with_defaults_and_comments(self):
@@ -250,7 +250,7 @@ class TestPacketBudget:
         limit = synth.MAX_EXPECTED_PACKETS
         assert limit == synth.SYNTH_MEMORY_BUDGET // synth.SYNTH_PEAK_BYTES_PER_PACKET
         parse_scenario(f"duration 2\nbenign_rate {limit / 4}\nepisode ack 0 1 {limit / 2} 4\n")
-        with pytest.raises(BadScenario, match="memory budget"):
+        with pytest.raises(FloodgateError, match="memory budget"):
             parse_scenario(f"duration 2\nbenign_rate {limit / 4}\nepisode ack 0 1 {limit / 2 + 1} 4\n")
 
     def test_huge_rate_is_rejected_before_any_draw(self, tmp_path, capsys):
