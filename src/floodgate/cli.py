@@ -152,6 +152,8 @@ def cmd_train(args) -> int:
         f"best epoch {best + 1}: val_loss={history.val_loss[best]:.6f} "
         f"val_acc={100 * history.val_accuracy[best]:.2f}%"
     )
+    stop = f"patience ran out (best epoch {best + 1})" if history.patience_ran_out else "reached the --epochs cap"
+    print(f"stopped at epoch {len(history)}: {stop}")
     print(f"saved model to {args.out_model}")
     return EXIT_OK
 

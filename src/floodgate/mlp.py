@@ -14,7 +14,9 @@ normalized rows: training, `forward` (which `classify` calls once per
 capture) and `predict_batch` (which `eval` calls) all use it; the latter two
 take raw features and normalize them with the model's `mean` and `std`.
 There is one backward computation, `_backward`, which `train` calls on each
-mini-batch.
+mini-batch; it writes into views of the flat gradient vector. `train` keeps
+its parameters, gradients and Adam moments in flat vectors of 3,185 entries,
+with `w1`, `b1`, `w2` and `b2` as views in `_SECTIONS` order (`_views`).
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import NUM_CLASSES, NUM_FEATURES, Dataset, fit_normalization
+from .dataset import NUM_CLASSES, NUM_FEATURES, Dataset, TrafficClass, fit_normalization
 from .errors import FloodgateError, NonFiniteLoss
 from .ioutil import atomic_write, open_text, strict_numbers
 
@@ -131,23 +133,30 @@ def _forward_batch(params, x_rows):
     return h, p
 
 
-def _backward(w2, x_rows, y, h, p):
+def _views(flat):
+    """`(w1, b1, w2, b2)`, the last four of `_SECTIONS`, as reshaped views into one flat vector."""
+    shapes = [shape for _, _, shape in _SECTIONS[-4:]]
+    parts = np.split(flat, np.cumsum([math.prod(shape) for shape in shapes])[:-1])
+    return [part.reshape(shape) for part, shape in zip(parts, shapes)]
+
+
+def _backward(w2, x_rows, y, h, p, out):
     """Gradients of the mean cross-entropy over a batch, from its forward pass.
 
     `h` and `p` are the hidden activations and probabilities `_forward_batch`
     returned for `x_rows`; `p` is overwritten with the output-layer error.
-    Returns the gradients of the hidden weights and biases, then the output's.
+    The gradients of `(w1, b1, w2, b2)` are written into the four arrays of `out`.
     """
+    gw1, gb1, gw2, gb2 = out
     n = len(y)
     d2 = p
     d2[np.arange(n), y] -= 1.0
     d2 /= n
-    gw2 = d2.T @ h
-    gb2 = d2.sum(axis=0)
+    np.matmul(d2.T, h, out=gw2)
+    d2.sum(axis=0, out=gb2)
     d1 = (d2 @ w2) * (1.0 - h * h)
-    gw1 = d1.T @ x_rows
-    gb1 = d1.sum(axis=0)
-    return gw1, gb1, gw2, gb2
+    np.matmul(d1.T, x_rows, out=gw1)
+    d1.sum(axis=0, out=gb1)
 
 
 def forward(m: MlpModel, x_rows) -> np.ndarray:
@@ -176,11 +185,12 @@ def predict_batch(m: MlpModel, x_rows) -> np.ndarray:
 
 @dataclass
 class TrainHistory:
-    """Per-epoch training loss, validation loss, and validation accuracy."""
+    """Per-epoch training loss, validation loss and accuracy; whether patience ran out."""
 
     train_loss: list[float] = field(default_factory=list)
     val_loss: list[float] = field(default_factory=list)
     val_accuracy: list[float] = field(default_factory=list)
+    patience_ran_out: bool = False
 
     def __len__(self) -> int:
         return len(self.train_loss)
@@ -210,8 +220,10 @@ def train(train_ds: Dataset, val_ds: Dataset, epochs: int = 100, seed: int = 0) 
         raise ValueError(f"epochs must be an integer of at least 1, got {epochs!r}")
     if not (isinstance(seed, numbers.Integral) and seed >= 0):
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-    if len(train_ds) == 0 or len(val_ds) == 0:
-        raise FloodgateError("train and validation datasets must be non-empty")
+    for split, ds in (("training", train_ds), ("validation", val_ds)):
+        if len(ds) == 0:
+            counts = ", ".join(f"{TrafficClass(c).alias} ({n})" for c, n in enumerate(train_ds.class_counts()))
+            raise FloodgateError(f"the {split} split is empty; training rows per class: {counts}")
 
     mean, std = fit_normalization(train_ds)
     x_train = (train_ds.features - mean) / std
@@ -219,38 +231,43 @@ def train(train_ds: Dataset, val_ds: Dataset, epochs: int = 100, seed: int = 0) 
     x_val = (val_ds.features - mean) / std
     y_val = val_ds.labels
 
-    params = list(init_model(seed, mean, std).params)
-    m_state = [np.zeros_like(p) for p in params]
-    v_state = [np.zeros_like(p) for p in params]
+    theta = np.concatenate([a.ravel() for a in init_model(seed, mean, std).params])
+    grad, m, v, work, denom = (np.zeros_like(theta) for _ in range(5))
+    params, grads = _views(theta), _views(grad)
     step = 0
 
     shuffle_rng = np.random.default_rng((seed, 0x5F10AD))
     history = TrainHistory()
     best_val = math.inf
-    best_params = [p.copy() for p in params]
+    best = theta.copy()
     improved_val = math.inf
     epochs_since_improvement = 0
 
     n = len(y_train)
     for epoch in range(epochs):
         order = shuffle_rng.permutation(n)
+        x_epoch, y_epoch = x_train[order], y_train[order]
         batch_losses = []
         for start in range(0, n, BATCH_SIZE):
-            idx = order[start : start + BATCH_SIZE]
-            xb, yb = x_train[idx], y_train[idx]
+            xb, yb = x_epoch[start : start + BATCH_SIZE], y_epoch[start : start + BATCH_SIZE]
             h, p = _forward_batch(params, xb)
             batch_losses.append(_checked_loss(p, yb, f"epoch {epoch + 1}"))
-            grads = _backward(params[2], xb, yb, h, p)
+            _backward(params[2], xb, yb, h, p, grads)
 
+            # Adam: every entry goes through m = β1·m + (1-β1)·g,
+            # v = β2·v + (1-β2)·(g·g), then θ -= LR·(m/bias1) / (sqrt(v/bias2) + ε).
             step += 1
-            bias1 = 1.0 - ADAM_BETA1**step
-            bias2 = 1.0 - ADAM_BETA2**step
-            for param, grad, m_acc, v_acc in zip(params, grads, m_state, v_state):
-                m_acc *= ADAM_BETA1
-                m_acc += (1.0 - ADAM_BETA1) * grad
-                v_acc *= ADAM_BETA2
-                v_acc += (1.0 - ADAM_BETA2) * (grad * grad)
-                param -= LEARNING_RATE * (m_acc / bias1) / (np.sqrt(v_acc / bias2) + ADAM_EPSILON)
+            m *= ADAM_BETA1
+            m += np.multiply(grad, 1.0 - ADAM_BETA1, out=work)
+            v *= ADAM_BETA2
+            v += np.multiply(np.multiply(grad, grad, out=work), 1.0 - ADAM_BETA2, out=work)
+            np.divide(m, 1.0 - ADAM_BETA1**step, out=work)
+            work *= LEARNING_RATE
+            np.divide(v, 1.0 - ADAM_BETA2**step, out=denom)
+            np.sqrt(denom, out=denom)
+            denom += ADAM_EPSILON
+            work /= denom
+            theta -= work
 
         _, p_val = _forward_batch(params, x_val)
         val_loss = _checked_loss(p_val, y_val, f"validation after epoch {epoch + 1}")
@@ -261,16 +278,17 @@ def train(train_ds: Dataset, val_ds: Dataset, epochs: int = 100, seed: int = 0) 
 
         if val_loss < best_val:
             best_val = val_loss
-            best_params = [p.copy() for p in params]
+            best[:] = theta
         if val_loss < improved_val - MIN_IMPROVEMENT:
             improved_val = val_loss
             epochs_since_improvement = 0
         else:
             epochs_since_improvement += 1
             if epochs_since_improvement > PATIENCE:
+                history.patience_ran_out = True
                 break
 
-    return MlpModel(mean, std, *best_params), history
+    return MlpModel(mean, std, *_views(best)), history
 
 
 def save_model(m: MlpModel, path) -> None:

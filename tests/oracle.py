@@ -11,6 +11,11 @@ one window's PacketMeta records that the columnar
 restricted to non-empty windows. The columnar code must equal them bit for
 bit. Float sums are explicit loops so that they stay sequential: from
 Python 3.12 on, `sum()` of floats is compensated.
+
+`train` is the training loop with one Adam pass per array, `(w1, b1, w2,
+b2)` each with its own moment arrays, and `backward` the backward pass that
+returns new gradient arrays, as `mlp` had them before `mlp.train` kept its
+state in one flat vector; `mlp.train` must equal it bit for bit.
 """
 
 import math
@@ -18,6 +23,8 @@ import struct
 
 import numpy as np
 
+from floodgate import mlp
+from floodgate.dataset import fit_normalization
 from floodgate.features import HTTP_METHODS, HTTP_PORTS, SMALL_UDP_MAX_PAYLOAD
 from floodgate.pcapio import PacketMeta, Transport
 
@@ -246,3 +253,79 @@ def features(metas, window_len):
     """The feature matrix of every non-empty window, as the reference computes it."""
     rows = [window_features(pkts) for _, _, pkts in windows(metas, window_len)]
     return np.array(rows, dtype=np.float64).reshape(len(rows), 24)
+
+
+def backward(w2, x_rows, y, h, p):
+    """Gradients of `(w1, b1, w2, b2)` for one batch; `p` is overwritten."""
+    n = len(y)
+    d2 = p
+    d2[np.arange(n), y] -= 1.0
+    d2 /= n
+    gw2 = d2.T @ h
+    gb2 = d2.sum(axis=0)
+    d1 = (d2 @ w2) * (1.0 - h * h)
+    gw1 = d1.T @ x_rows
+    gb1 = d1.sum(axis=0)
+    return gw1, gb1, gw2, gb2
+
+
+def train(train_ds, val_ds, epochs, seed):
+    """`mlp.train` as one Adam pass per parameter array, with the same
+    shuffle, early stopping and best-epoch rule."""
+    mean, std = fit_normalization(train_ds)
+    x_train = (train_ds.features - mean) / std
+    y_train = train_ds.labels
+    x_val = (val_ds.features - mean) / std
+    y_val = val_ds.labels
+
+    params = list(mlp.init_model(seed, mean, std).params)
+    m_state = [np.zeros_like(p) for p in params]
+    v_state = [np.zeros_like(p) for p in params]
+    step = 0
+
+    shuffle_rng = np.random.default_rng((seed, 0x5F10AD))
+    history = mlp.TrainHistory()
+    best_val = math.inf
+    best_params = [p.copy() for p in params]
+    improved_val = math.inf
+    epochs_since_improvement = 0
+
+    n = len(y_train)
+    for epoch in range(epochs):
+        order = shuffle_rng.permutation(n)
+        batch_losses = []
+        for start in range(0, n, mlp.BATCH_SIZE):
+            idx = order[start : start + mlp.BATCH_SIZE]
+            xb, yb = x_train[idx], y_train[idx]
+            h, p = mlp._forward_batch(params, xb)
+            batch_losses.append(mlp._checked_loss(p, yb, f"epoch {epoch + 1}"))
+            grads = backward(params[2], xb, yb, h, p)
+
+            step += 1
+            bias1 = 1.0 - mlp.ADAM_BETA1**step
+            bias2 = 1.0 - mlp.ADAM_BETA2**step
+            for param, grad, m_acc, v_acc in zip(params, grads, m_state, v_state):
+                m_acc *= mlp.ADAM_BETA1
+                m_acc += (1.0 - mlp.ADAM_BETA1) * grad
+                v_acc *= mlp.ADAM_BETA2
+                v_acc += (1.0 - mlp.ADAM_BETA2) * (grad * grad)
+                param -= mlp.LEARNING_RATE * (m_acc / bias1) / (np.sqrt(v_acc / bias2) + mlp.ADAM_EPSILON)
+
+        _, p_val = mlp._forward_batch(params, x_val)
+        val_loss = mlp._checked_loss(p_val, y_val, f"validation after epoch {epoch + 1}")
+        history.train_loss.append(float(np.mean(batch_losses)))
+        history.val_loss.append(val_loss)
+        history.val_accuracy.append(float(np.mean(p_val.argmax(axis=1) == y_val)))
+
+        if val_loss < best_val:
+            best_val = val_loss
+            best_params = [p.copy() for p in params]
+        if val_loss < improved_val - mlp.MIN_IMPROVEMENT:
+            improved_val = val_loss
+            epochs_since_improvement = 0
+        else:
+            epochs_since_improvement += 1
+            if epochs_since_improvement > mlp.PATIENCE:
+                break
+
+    return mlp.MlpModel(mean, std, *best_params), history

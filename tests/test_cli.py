@@ -2,10 +2,13 @@
 
 Covers the exit codes the `cli.py` docstring promises (0 success, 1 usage,
 2 input/format, 3 runtime), that a failed command leaves no output file,
-where the seed comes from, that `train` splits as the benchmark expects, and
-that `classify` and `eval` share one inference path.
+where the seed comes from, that `train` says why it stopped, that its model
+bytes do not depend on the number of BLAS threads, that `train` splits as the
+benchmark expects, and that `classify` and `eval` share one inference path.
 """
 
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -134,7 +137,10 @@ class TestExitCodes:
                   tmp_path / "three.csv")
         capsys.readouterr()
         assert_fails_cleanly(tmp_path, 2, "train", "--data", tmp_path / "three.csv", "--out-model", tmp_path / "m.txt")
-        assert capsys.readouterr().err == "floodgate train: train and validation datasets must be non-empty\n"
+        assert capsys.readouterr().err == (
+            "floodgate train: the validation split is empty; training rows per class: "
+            "normal (3), syn_flood (3), ack_flood (3), http_flood (3), udp_flood (3)\n"
+        )
 
     @pytest.mark.parametrize("command, flag", [("eval", "--data"), ("eval", "--model"), ("classify", "--model"),
                                                ("extract", "--truth"), ("synth", "--config")])
@@ -193,6 +199,28 @@ class TestSeedSource:
         assert run(*train, "--out-model", tmp_path / "none.txt") == 0
         assert (tmp_path / "none.txt").read_bytes() == (tmp_path / "zero.txt").read_bytes()
         assert (tmp_path / "five.txt").read_bytes() != (tmp_path / "zero.txt").read_bytes()
+
+
+def test_train_says_why_it_stopped(scenario, tmp_path, capsys):
+    d, _ = scenario
+    capsys.readouterr()
+    assert run("train", "--data", d / "train.csv", "--out-model", tmp_path / "m.txt", "--epochs", 2) == 0
+    assert capsys.readouterr().out.splitlines()[-2:] == [
+        "stopped at epoch 2: reached the --epochs cap",
+        f"saved model to {tmp_path / 'm.txt'}",
+    ]
+
+
+def test_blas_threads_do_not_change_model_bytes(scenario, tmp_path):
+    """The benchmark trains with one OpenBLAS thread; a user's default may be several."""
+    d, _ = scenario
+    src = str(Path(mlp.__file__).resolve().parents[1])
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        argv = ["train", "--data", d / "train.csv", "--out-model", tmp_path / f"{threads}.txt", "--epochs", EPOCHS]
+        subprocess.run([sys.executable, "-m", "floodgate.cli", *map(str, argv)], env=env, check=True,
+                       stdout=subprocess.DEVNULL, timeout=120)
+    assert (tmp_path / "1.txt").read_bytes() == (tmp_path / "2.txt").read_bytes()
 
 
 def test_train_split_is_the_benchmarks():

@@ -2,6 +2,7 @@ import hashlib
 import math
 
 import numpy as np
+import oracle
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -72,8 +73,11 @@ def hidden_of(value):
 
 
 def gradients(model, x, y):
-    """The backward pass `train` runs, on the forward pass it runs."""
-    return _backward(model.w2, x, y, *_forward_batch(model.params, x))
+    """The backward pass `train` runs, on the forward pass it runs, into views
+    of one flat vector as in `train`; NaN-filled first, so every entry must be written."""
+    out = mlp._views(np.full(sum(a.size for a in model.params), np.nan))
+    _backward(model.w2, x, y, *_forward_batch(model.params, x), out)
+    return out
 
 
 def batch_loss(model, x, y):
@@ -313,9 +317,11 @@ class TestGradients:
     def test_train_runs_the_checked_backward_pass(self, rng, monkeypatch):
         calls = []
 
-        def spy(*args):
-            calls.append(len(args[2]))
-            return _backward(*args)
+        def spy(w2, x_rows, y, h, p, out):
+            calls.append(len(y))
+            # The gradients land in views of one flat vector.
+            assert len({id(g.base) for g in out}) == 1 and out[0].base.size == 3185
+            return _backward(w2, x_rows, y, h, p, out)
 
         monkeypatch.setattr(mlp, "_backward", spy)
         batch = mlp.BATCH_SIZE
@@ -388,8 +394,18 @@ class TestTrain:
             train(train_ds, val_ds, epochs=5, seed=0)
 
     def test_empty_dataset(self, rng):
-        with pytest.raises(FloodgateError, match="^train and validation datasets must be non-empty$"):
+        with pytest.raises(FloodgateError) as empty_train:
             train(Dataset(), separable_dataset(rng, 20), epochs=1)
+        assert str(empty_train.value) == (
+            "the training split is empty; training rows per class: "
+            "normal (0), syn_flood (0), ack_flood (0), http_flood (0), udp_flood (0)"
+        )
+        with pytest.raises(FloodgateError) as empty_val:
+            train(separable_dataset(rng, 6), Dataset(), epochs=1)
+        assert str(empty_val.value) == (
+            "the validation split is empty; training rows per class: "
+            "normal (3), syn_flood (3), ack_flood (0), http_flood (0), udp_flood (0)"
+        )
 
     def test_small_lr_decreases_loss(self, rng, monkeypatch):
         train_ds = separable_dataset(rng, 100, spread=1.5)
@@ -404,12 +420,14 @@ class TestTrain:
         _, history = train(train_ds, val_ds, epochs=4, seed=1)
         assert len(history) == 4
         assert len(history.val_loss) == len(history.val_accuracy) == 4
+        assert not history.patience_ran_out
 
     def test_early_stopping_can_shorten_training(self, rng):
         train_ds = separable_dataset(rng, 60)
         val_ds = separable_dataset(rng, 20)
         _, history = train(train_ds, val_ds, epochs=400, seed=1)
         assert len(history) < 400
+        assert history.patience_ran_out
 
     def test_early_stop_returns_lowest_validation_loss_weights(self, rng):
         train_ds = separable_dataset(rng, 60)
@@ -418,6 +436,19 @@ class TestTrain:
         assert len(history) < 400
         val_loss = batch_loss(model, val_ds.features, val_ds.labels)
         assert val_loss == pytest.approx(min(history.val_loss), rel=1e-9)
+
+    # A last batch shorter than BATCH_SIZE, then a run that stops early.
+    @pytest.mark.parametrize("rows, epochs, stops_early", [(3 * mlp.BATCH_SIZE + 2, 5, False), (60, 400, True)])
+    def test_flat_vector_equals_per_array_loop(self, rng, rows, epochs, stops_early):
+        train_ds, val_ds = separable_dataset(rng, rows), separable_dataset(rng, 20)
+        model, history = train(train_ds, val_ds, epochs=epochs, seed=1)
+        want_model, want_history = oracle.train(train_ds, val_ds, epochs=epochs, seed=1)
+        for name in ARRAYS:
+            assert np.array_equal(getattr(model, name), getattr(want_model, name))
+        assert history.train_loss == want_history.train_loss
+        assert history.val_loss == want_history.val_loss
+        assert history.val_accuracy == want_history.val_accuracy
+        assert history.patience_ran_out == stops_early == (len(history) < epochs)
 
     def test_config_validation(self, rng):
         train_ds = separable_dataset(rng, 60)
