@@ -19,8 +19,6 @@ import argparse
 import math
 import sys
 
-import numpy as np
-
 from . import __version__
 from .dataset import SPLIT, Dataset, TrafficClass, read_csv, stratified_split, write_csv
 from .errors import FloodgateError, NonFiniteLoss
@@ -147,12 +145,12 @@ def cmd_train(args) -> int:
             f"epoch {i + 1:3d}: train_loss={history.train_loss[i]:.6f} "
             f"val_loss={history.val_loss[i]:.6f} val_acc={100 * history.val_accuracy[i]:.2f}%"
         )
-    best = int(np.argmin(history.val_loss))
+    best = history.best_epoch
     print(
-        f"best epoch {best + 1}: val_loss={history.val_loss[best]:.6f} "
-        f"val_acc={100 * history.val_accuracy[best]:.2f}%"
+        f"best epoch {best}: val_loss={history.val_loss[best - 1]:.6f} "
+        f"val_acc={100 * history.val_accuracy[best - 1]:.2f}%"
     )
-    stop = f"patience ran out (best epoch {best + 1})" if history.patience_ran_out else "reached the --epochs cap"
+    stop = f"patience ran out (best epoch {best})" if history.patience_ran_out else "reached the --epochs cap"
     print(f"stopped at epoch {len(history)}: {stop}")
     print(f"saved model to {args.out_model}")
     return EXIT_OK

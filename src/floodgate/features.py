@@ -271,7 +271,8 @@ def label_windows(windows: Windows, truth: Sequence[TruthInterval]) -> np.ndarra
     """Label each window by its midpoint, as int64 TrafficClass ordinals.
 
     A window gets the class of the truth interval covering its midpoint;
-    uncovered windows default to normal traffic.
+    uncovered windows default to normal traffic. The intervals must not
+    overlap, so no midpoint falls in two of them.
     """
     intervals = sorted(truth, key=lambda iv: (iv[0], iv[1]))
     for (s1, e1, _), (s2, _, _) in zip(intervals, intervals[1:]):
@@ -280,11 +281,8 @@ def label_windows(windows: Windows, truth: Sequence[TruthInterval]) -> np.ndarra
 
     mid = (windows.start_ts + windows.end_ts) / 2.0
     labels = np.full(len(mid), int(TrafficClass.NORMAL), dtype=np.int64)
-    unlabeled = np.ones(len(mid), dtype=bool)
     for start, end, cls in intervals:
-        hit = unlabeled & (start <= mid) & (mid < end)
-        labels[hit] = int(cls)
-        unlabeled &= ~hit
+        labels[(start <= mid) & (mid < end)] = int(cls)
     return labels
 
 

@@ -185,11 +185,13 @@ def predict_batch(m: MlpModel, x_rows) -> np.ndarray:
 
 @dataclass
 class TrainHistory:
-    """Per-epoch training loss, validation loss and accuracy; whether patience ran out."""
+    """Per-epoch training loss, validation loss and accuracy; the 1-based epoch whose
+    weights were kept (the first with the lowest validation loss); whether patience ran out."""
 
     train_loss: list[float] = field(default_factory=list)
     val_loss: list[float] = field(default_factory=list)
     val_accuracy: list[float] = field(default_factory=list)
+    best_epoch: int = 0
     patience_ran_out: bool = False
 
     def __len__(self) -> int:
@@ -279,6 +281,7 @@ def train(train_ds: Dataset, val_ds: Dataset, epochs: int = 100, seed: int = 0) 
         if val_loss < best_val:
             best_val = val_loss
             best[:] = theta
+            history.best_epoch = epoch + 1
         if val_loss < improved_val - MIN_IMPROVEMENT:
             improved_val = val_loss
             epochs_since_improvement = 0

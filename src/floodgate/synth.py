@@ -6,17 +6,16 @@ A scenario is described by a small text config (one directive per line,
     duration     60          # seconds, required
     seed         7           # optional, default 0
     benign_rate  100         # background packets/s, optional, default 100
-    victim_ip    10.0.0.10   # optional
-    victim_port  80          # optional
     episode syn_flood 10 20 1500 40   # kind start end rate attackers
 
-Benign traffic mixes completed TCP handshakes, short HTTP exchanges,
+Every stream targets one victim, VICTIM_IP (10.0.0.10) port VICTIM_PORT
+(80). Benign traffic mixes completed TCP handshakes, short HTTP exchanges,
 DNS-style UDP lookups and bulk TCP data. Episode kinds: syn_flood sends
 SYN-only packets from spoofed 198.18/16 sources; ack_flood sends bare ACKs
 belonging to no connection; http_flood completes minimal handshakes and
-hammers "GET /" requests at port 80; udp_flood sprays small datagrams at
-uniformly random ports. Everything is reproducible from the seed, which
-is the `seed` line or 0 without one.
+hammers "GET /" requests; udp_flood sprays small datagrams at uniformly
+random ports. Everything is reproducible from the seed, which is the
+`seed` line or 0 without one.
 
 The draws fix the bytes: each stream calls its seeded generator in a fixed
 order and records every packet as one row of fields (time, addresses,
@@ -123,10 +122,7 @@ MAX_DURATION_S = 2**32 - 1
 
 
 def ip_to_int(dotted: str) -> int:
-    try:
-        return int(ipaddress.IPv4Address(dotted))
-    except ValueError:
-        raise ValueError(f"bad IPv4 address {dotted!r}") from None
+    return int(ipaddress.IPv4Address(dotted))
 
 
 def _pcap_time(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -220,8 +216,6 @@ class ScenarioConfig:
     duration: float
     seed: int = 0
     benign_rate: float = 100.0
-    victim_ip: str = "10.0.0.10"
-    victim_port: int = 80
     episodes: list[Episode] = field(default_factory=list)
 
     def __post_init__(self):
@@ -232,12 +226,6 @@ class ScenarioConfig:
             raise FloodgateError("seed must be non-negative")
         if not 0 <= self.benign_rate < math.inf:
             raise FloodgateError("benign_rate must be non-negative and finite")
-        if not 1 <= self.victim_port <= 65535:
-            raise FloodgateError(f"victim_port {self.victim_port} out of range")
-        try:
-            ip_to_int(self.victim_ip)
-        except ValueError as exc:
-            raise FloodgateError(str(exc)) from None
         for ep in self.episodes:
             if ep.attack is TrafficClass.NORMAL:
                 raise FloodgateError("episodes must use one of the four attack classes")
@@ -265,9 +253,8 @@ class ScenarioConfig:
             )
 
 
-# How each scalar directive's value is read (`str` keeps the text); an absent
-# one takes the `ScenarioConfig` default.
-_SCALAR_KINDS = {"duration": float, "seed": int, "benign_rate": float, "victim_ip": str, "victim_port": int}
+# How each scalar directive's value is read; an absent one takes the `ScenarioConfig` default.
+_SCALAR_KINDS = {"duration": float, "seed": int, "benign_rate": float}
 
 
 def parse_scenario(text: str) -> ScenarioConfig:
@@ -307,8 +294,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
         raise FloodgateError("missing required directive: duration")
     try:
         return ScenarioConfig(
-            **{key: text if _SCALAR_KINDS[key] is str else strict_numbers([text], _SCALAR_KINDS[key])[0]
-               for key, text in values.items()},
+            **{key: strict_numbers([text], _SCALAR_KINDS[key])[0] for key, text in values.items()},
             episodes=episodes,
         )
     except ValueError as exc:
@@ -320,21 +306,30 @@ def load_scenario(path) -> ScenarioConfig:
         return parse_scenario(fh.read())
 
 
+VICTIM_IP = ip_to_int("10.0.0.10")
+VICTIM_PORT = 80
 # Benign client pool: even hosts behave Linux-like (TTL 64), odd Windows-like (128).
 _CLIENTS = tuple(ip_to_int(f"192.168.1.{10 + i}") for i in range(12))
 _DNS_SERVER = ip_to_int("192.168.1.2")
 
 
-def gen_benign(cfg: ScenarioConfig, start: float, end: float, rng: np.random.Generator, rows: array) -> None:
-    """Record background conversations' packets over [start, end) as rows appended to `rows`."""
-    if cfg.benign_rate <= 0 or end <= start:
+def _arrivals(rng: np.random.Generator, start: float, end: float, rate: float):
+    """Poisson arrival times over [start, end) at `rate` per second. Each gap
+    is drawn only after the caller's draws for the previous arrival."""
+    t = start + rng.exponential(1.0 / rate)
+    while t < end:
+        yield t
+        t += rng.exponential(1.0 / rate)
+
+
+def gen_benign(rate: float, end: float, rng: np.random.Generator, rows: array) -> None:
+    """Record background conversations' packets over [0, end) as rows appended to `rows`."""
+    if rate <= 0:
         return
-    victim, vport = ip_to_int(cfg.victim_ip), cfg.victim_port
-    event_rate = cfg.benign_rate / _MEAN_EVENT_PKTS
+    victim, vport = VICTIM_IP, VICTIM_PORT
     put = rows.extend
 
-    t = start + rng.exponential(1.0 / event_rate)
-    while t < end:
+    for t in _arrivals(rng, 0.0, end, rate / _MEAN_EVENT_PKTS):
         kind = _BENIGN_MIX[_MIX_CDF.searchsorted(rng.random(), side="right")][0]
         client_idx = int(rng.integers(len(_CLIENTS)))
         client = _CLIENTS[client_idx]
@@ -365,62 +360,51 @@ def gen_benign(cfg: ScenarioConfig, start: float, end: float, rng: np.random.Gen
             body_len = int(rng.integers(400, 1400))
             push(victim, client, vport, cport, FLAG_PSH | FLAG_ACK, PROTO_TCP, 64, BULK, body_len)
 
-        t += rng.exponential(1.0 / event_rate)
 
-
-def gen_attack(ep: Episode, cfg: ScenarioConfig, rng: np.random.Generator, rows: array) -> None:
+def gen_attack(ep: Episode, rng: np.random.Generator, rows: array) -> None:
     """Record one episode's packets over [start, end) as rows appended to `rows`."""
-    victim, vport = ip_to_int(cfg.victim_ip), cfg.victim_port
+    victim, vport = VICTIM_IP, VICTIM_PORT
     first_attacker = ip_to_int(ATTACKER_NET) + 1  # attacker i is first_attacker + i
     put = rows.extend
 
     if ep.attack is TrafficClass.SYN_FLOOD:
         spoof_base = ip_to_int(SPOOF_NET)
-        t = ep.start + rng.exponential(1.0 / ep.rate)
-        while t < ep.end:
+        for t in _arrivals(rng, ep.start, ep.end, ep.rate):
             src = spoof_base + int(rng.integers(1, 65535))
             sport = int(rng.integers(1024, 65536))
             ttl = int(rng.integers(32, 256))
             put((t, src, victim, sport, vport, FLAG_SYN, PROTO_TCP, ttl, ZEROS, 0))
-            t += rng.exponential(1.0 / ep.rate)
 
     elif ep.attack is TrafficClass.ACK_FLOOD:
-        t = ep.start + rng.exponential(1.0 / ep.rate)
-        while t < ep.end:
+        for t in _arrivals(rng, ep.start, ep.end, ep.rate):
             src = first_attacker + int(rng.integers(ep.attackers))
             sport = int(rng.integers(1024, 65536))
             put((t, src, victim, sport, vport, FLAG_ACK, PROTO_TCP, 64, ZEROS, 0))
-            t += rng.exponential(1.0 / ep.rate)
 
     elif ep.attack is TrafficClass.HTTP_FLOOD:
-        session_rate = ep.rate / _HTTP_SESSION_MEAN_PKTS
-        t = ep.start + rng.exponential(1.0 / session_rate)
-        while t < ep.end:
+        for t in _arrivals(rng, ep.start, ep.end, ep.rate / _HTTP_SESSION_MEAN_PKTS):
             src = first_attacker + int(rng.integers(ep.attackers))
             sport = int(rng.integers(1024, 65536))
             when = t
             packets = [
-                (src, victim, sport, 80, FLAG_SYN, PROTO_TCP, 64, ZEROS, 0),
-                (victim, src, 80, sport, FLAG_SYN | FLAG_ACK, PROTO_TCP, 64, ZEROS, 0),
-                (src, victim, sport, 80, FLAG_ACK, PROTO_TCP, 64, ZEROS, 0),
+                (src, victim, sport, vport, FLAG_SYN, PROTO_TCP, 64, ZEROS, 0),
+                (victim, src, vport, sport, FLAG_SYN | FLAG_ACK, PROTO_TCP, 64, ZEROS, 0),
+                (src, victim, sport, vport, FLAG_ACK, PROTO_TCP, 64, ZEROS, 0),
             ]
             gets = int(rng.integers(_HTTP_SESSION_MIN_GETS, _HTTP_SESSION_MAX_GETS + 1))
-            packets += [(src, victim, sport, 80, FLAG_PSH | FLAG_ACK, PROTO_TCP, 64, GET, len(HTTP_GET))] * gets
+            packets += [(src, victim, sport, vport, FLAG_PSH | FLAG_ACK, PROTO_TCP, 64, GET, len(HTTP_GET))] * gets
             for fields in packets:
                 if when < ep.end:
                     put((when, *fields))
                 when += rng.exponential(0.002)
-            t += rng.exponential(1.0 / session_rate)
 
     elif ep.attack is TrafficClass.UDP_FLOOD:
-        t = ep.start + rng.exponential(1.0 / ep.rate)
-        while t < ep.end:
+        for t in _arrivals(rng, ep.start, ep.end, ep.rate):
             src = first_attacker + int(rng.integers(ep.attackers))
             payload_len = int(rng.integers(8, 65))
             sport = int(rng.integers(1024, 65536))
             dport = int(rng.integers(1, 65536))
             put((t, src, victim, sport, dport, 0, PROTO_UDP, 64, ZEROS, payload_len))
-            t += rng.exponential(1.0 / ep.rate)
 
     else:  # pragma: no cover - ScenarioConfig validation rejects this
         raise ValueError(f"unsupported episode kind {ep.attack}")
@@ -435,9 +419,9 @@ def run_scenario(cfg: ScenarioConfig, out_pcap_path, out_truth_path) -> int:
     the order in which they were drawn.
     """
     rec = array("d")
-    gen_benign(cfg, 0.0, cfg.duration, np.random.default_rng((cfg.seed, 0)), rec)
+    gen_benign(cfg.benign_rate, cfg.duration, np.random.default_rng((cfg.seed, 0)), rec)
     for index, ep in enumerate(cfg.episodes):
-        gen_attack(ep, cfg, np.random.default_rng((cfg.seed, index + 1)), rec)
+        gen_attack(ep, np.random.default_rng((cfg.seed, index + 1)), rec)
 
     rows = np.frombuffer(rec, dtype=np.float64).reshape(-1, N_FIELDS)
     sec, usec = _pcap_time(rows[:, 0])

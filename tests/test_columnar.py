@@ -9,7 +9,7 @@ window's row must equal the per-packet loop in `oracle.py` bit for bit
 
 import sys
 import tempfile
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -228,3 +228,52 @@ def test_workload_shaped_captures_match_the_reference(shaped_captures, shape):
     assert len(metas) > 1000
     windows = window_packets(packets, 0.1)
     assert_bitwise_equal(extract_features(packets, windows), oracle.features(metas, 0.1))
+
+
+# --- a capture cut at a window boundary -------------------------------------
+
+
+def sliced(packets, start, stop):
+    """Rows start:stop of every `Packets` column."""
+    return Packets(*(getattr(packets, f.name)[start:stop] for f in fields(Packets)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    benign_rate=st.sampled_from([50, 200]),
+    kind=st.sampled_from(["syn", "ack", "http", "udp"]),
+    window_len=st.sampled_from([0.1, 0.25, 1.0]),
+    data=st.data(),
+)
+def test_a_capture_cut_at_a_window_boundary_extracts_exactly(seed, benign_rate, kind, window_len, data):
+    """Features need nothing from an earlier window: the halves of a capture cut
+    at a window's first packet give the whole capture's rows, bit for bit."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = parse_scenario(f"duration 2\nseed {seed}\nbenign_rate {benign_rate}\nepisode {kind} 0.5 1.5 400 5\n")
+        run_scenario(cfg, Path(tmp) / "c.pcap", Path(tmp) / "c.truth")
+        packets = read_pcap(Path(tmp) / "c.pcap")
+    windows = window_packets(packets, window_len)
+    whole = extract_features(packets, windows)
+
+    def halves(cut):
+        """Each half's feature rows, and the window starts of both halves."""
+        parts = (sliced(packets, 0, cut), sliced(packets, cut, None))
+        part_windows = [window_packets(part, window_len) for part in parts]
+        rows = [extract_features(part, w) for part, w in zip(parts, part_windows)]
+        return rows, np.concatenate([w.start_ts for w in part_windows])
+
+    w = data.draw(st.integers(1, len(windows) - 1), label="boundary window")
+    (head, tail), starts = halves(windows.bounds[w])
+    assert_bitwise_equal(np.vstack([head, tail]), whole)
+    assert np.array_equal(starts, windows.start_ts)
+
+    # A cut after a window's first packet splits that window into two rows.
+    sizes = np.diff(windows.bounds)
+    w = data.draw(st.sampled_from(np.flatnonzero(sizes >= 2).tolist()), label="split window")
+    cut = windows.bounds[w] + data.draw(st.integers(1, sizes[w] - 1), label="packets before the cut")
+    (head, tail), starts = halves(cut)
+    assert len(head) + len(tail) == len(whole) + 1
+    assert_bitwise_equal(head[:w], whole[:w])
+    assert_bitwise_equal(tail[1:], whole[w + 1 :])
+    assert np.array_equal(np.delete(starts, w), windows.start_ts)

@@ -437,6 +437,22 @@ class TestTrain:
         val_loss = batch_loss(model, val_ds.features, val_ds.labels)
         assert val_loss == pytest.approx(min(history.val_loss), rel=1e-9)
 
+    @pytest.mark.parametrize("epochs, stops_early", [(30, False), (400, True)])
+    def test_best_epoch_names_the_kept_weights(self, rng, epochs, stops_early):
+        # Labels that are noise: validation loss turns up before either run ends.
+        train_ds = Dataset(rng.normal(size=(20, NUM_FEATURES)), rng.integers(0, 2, 20))
+        val_ds = Dataset(rng.normal(size=(20, NUM_FEATURES)), rng.integers(0, 2, 20))
+        model, history = train(train_ds, val_ds, epochs=epochs, seed=1)
+        assert history.patience_ran_out == stops_early
+        best = history.best_epoch
+        assert 1 <= best < len(history)
+        # The first epoch with the lowest validation loss.
+        assert history.val_loss[best - 1] == min(history.val_loss) < min(history.val_loss[: best - 1], default=math.inf)
+        # Training for exactly `best` epochs ends on the same weights.
+        at_best, _ = train(train_ds, val_ds, epochs=best, seed=1)
+        for name in ARRAYS:
+            assert np.array_equal(getattr(model, name), getattr(at_best, name))
+
     # A last batch shorter than BATCH_SIZE, then a run that stops early.
     @pytest.mark.parametrize("rows, epochs, stops_early", [(3 * mlp.BATCH_SIZE + 2, 5, False), (60, 400, True)])
     def test_flat_vector_equals_per_array_loop(self, rng, rows, epochs, stops_early):

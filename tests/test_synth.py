@@ -8,6 +8,7 @@ uses, from captures holding one episode and no benign traffic.
 import hashlib
 import struct
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -24,8 +25,6 @@ from floodgate.synth import ATTACKER_NET, HTTP_GET, SPOOF_NET, ip_to_int, parse_
 
 import oracle
 
-VICTIM = "10.0.0.10"
-VICTIM_PORT = 8443
 ATTACKERS = 7
 SYN, PSH, ACK = 0x02, 0x08, 0x10
 
@@ -65,15 +64,12 @@ class TestGrammar:
             ("duration 5\nepisode syn_flood 0 1 inf 1\n", "episode rate must be positive and finite"),
             ("duration 5\nepisode syn_flood 0 1 nan 1\n", "episode rate must be positive and finite"),
             ("duration 5\nseed -3\n", "seed must be non-negative"),
-            ("duration 5\nvictim_port 70000\n", "victim_port 70000 out of range"),
-            ("duration 5\nvictim_ip 10.0.0\n", "bad IPv4 address"),
-            ("duration 5\nvictim_ip +10.0.0.1\n", "bad IPv4 address '\\+10.0.0.1'"),
-            ("duration 5\nvictim_ip 1_0.0.0.1\n", "bad IPv4 address '1_0.0.0.1'"),
-            ("duration 5\nvictim_ip 010.0.0.1\n", "bad IPv4 address '010.0.0.1'"),
-            # Python's `float` and `int` read these as 10 s, seed 3 and port 80.
+            # Every stream targets synth.VICTIM_IP and synth.VICTIM_PORT; neither is a directive.
+            ("duration 5\nvictim_ip 10.0.0.1\n", "line 2: unknown directive 'victim_ip'"),
+            ("duration 5\nvictim_port 80\n", "line 2: unknown directive 'victim_port'"),
+            # Python's `float` and `int` read these as 10 s and seed 3.
             ("duration 1_0\n", "malformed directive value: '1_0' is not a plain number"),
             ("duration 5\nseed \u0663\n", "malformed directive value"),
-            ("duration 5\nvictim_port 8_0\n", "malformed directive value"),
             ("duration 5\nepisode syn 1 2 1_00 4\n", "line 2: malformed episode numbers"),
             ("duration 5\nepisode syn 1 2 100 \u0664\n", "line 2: malformed episode numbers"),
         ],
@@ -86,8 +82,8 @@ class TestGrammar:
         cfg = parse_scenario(
             "# header\nduration 12.5  # seconds\n\nepisode SYN 1 2 100 4\nepisode udp_flood 2 3 50 1\n"
         )
-        scalars = (cfg.duration, cfg.seed, cfg.benign_rate, cfg.victim_ip, cfg.victim_port)
-        assert scalars == (12.5, 0, 100.0, VICTIM, 80)
+        assert [f.name for f in fields(cfg)] == ["duration", "seed", "benign_rate", "episodes"]
+        assert (cfg.duration, cfg.seed, cfg.benign_rate) == (12.5, 0, 100.0)
         assert [(e.attack, e.start, e.end, e.rate, e.attackers) for e in cfg.episodes] == [
             (TrafficClass.SYN_FLOOD, 1.0, 2.0, 100.0, 4),
             (TrafficClass.UDP_FLOOD, 2.0, 3.0, 50.0, 1),
@@ -101,8 +97,7 @@ class TestGrammar:
 def one_episode(tmp_path, kind, rate=400):
     """The decoded packets of a 3 s capture holding one episode over [1, 2.5) and nothing else."""
     cfg = parse_scenario(
-        f"duration 3\nseed 11\nbenign_rate 0\nvictim_ip {VICTIM}\nvictim_port {VICTIM_PORT}\n"
-        f"episode {kind} 1 2.5 {rate} {ATTACKERS}\n"
+        f"duration 3\nseed 11\nbenign_rate 0\nepisode {kind} 1 2.5 {rate} {ATTACKERS}\n"
     )
     count = run_scenario(cfg, tmp_path / "e.pcap", tmp_path / "e.truth")
     packets = read_pcap(tmp_path / "e.pcap")
@@ -128,7 +123,7 @@ class TestEpisodeShapes:
         assert (p.tcp_flags == SYN).all()
         assert in_net(p.src_ip, SPOOF_NET).all()
         assert len(np.unique(p.src_ip)) > ATTACKERS
-        assert (p.dst_ip == ip_to_int(VICTIM)).all() and (p.dst_port == VICTIM_PORT).all()
+        assert (p.dst_ip == synth.VICTIM_IP).all() and (p.dst_port == synth.VICTIM_PORT).all()
         assert (p.payload_len == 0).all()
 
     def test_ack_flood_is_bare_acks_from_the_attacker_pool(self, tmp_path):
@@ -137,14 +132,14 @@ class TestEpisodeShapes:
         assert (p.tcp_flags == ACK).all()
         assert (p.payload_len == 0).all()
         assert in_net(p.src_ip, ATTACKER_NET).all() and from_pool(p.src_ip).all()
-        assert (p.dst_ip == ip_to_int(VICTIM)).all() and (p.dst_port == VICTIM_PORT).all()
+        assert (p.dst_ip == synth.VICTIM_IP).all() and (p.dst_port == synth.VICTIM_PORT).all()
 
     def test_http_flood_sends_gets_to_port_80(self, tmp_path):
         p = one_episode(tmp_path, "http_flood")
         assert (p.transport == TCP).all()
-        to_victim = p.dst_ip == ip_to_int(VICTIM)
-        # Handshake replies come back from the victim; everything else goes to it, on port 80.
-        assert (np.where(to_victim, p.dst_port, p.src_port) == 80).all()
+        to_victim = p.dst_ip == synth.VICTIM_IP
+        # Handshake replies come back from the victim; everything else goes to it, on its port.
+        assert (np.where(to_victim, p.dst_port, p.src_port) == synth.VICTIM_PORT).all()
         assert (p.tcp_flags[~to_victim] == SYN | ACK).all()
         assert from_pool(p.src_ip[to_victim]).all()
         gets = p.tcp_flags == PSH | ACK
@@ -160,7 +155,7 @@ class TestEpisodeShapes:
         assert ((p.payload_len >= 8) & (p.payload_len <= 64)).all()
         assert len(np.unique(p.payload_len)) > 40
         assert in_net(p.src_ip, ATTACKER_NET).all() and from_pool(p.src_ip).all()
-        assert (p.dst_ip == ip_to_int(VICTIM)).all()
+        assert (p.dst_ip == synth.VICTIM_IP).all()
         assert ((p.dst_port >= 1) & (p.dst_port <= 65535)).all() and len(np.unique(p.dst_port)) > 100
 
 
