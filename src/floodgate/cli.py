@@ -2,6 +2,8 @@
 
 Exit codes: 0 success, 1 usage error, 2 bad input (a `FloodgateError`, or an
 `OSError` reading or writing a file), 3 training divergence (`NonFiniteLoss`).
+A usage error prints argparse's own usage line and message; `main` turns its
+exit status 2 into 1.
 By the rule in `errors`, a `ValueError` is a caller's bug, not bad input, so it
 ends in a traceback. A failed run leaves no output: each file is written
 atomically, and the first of two is removed if the second fails.
@@ -34,7 +36,7 @@ EXIT_USAGE = 1
 EXIT_INPUT = 2
 EXIT_RUNTIME = 3
 
-CLASSIFY_HEADER = "window_start,window_end,predicted_label,p_normal,p_syn,p_ack,p_http,p_udp"
+CLASSIFY_HEADER = ",".join(["window_start", "window_end", "predicted_label"] + [f"p_{c.short}" for c in TrafficClass])
 
 
 def _integer(text: str, minimum: int) -> int:
@@ -66,15 +68,8 @@ def _window(text: str) -> float:
     return value
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
-
-
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="floodgate", description=__doc__.split("\n\n")[0])
+    parser = argparse.ArgumentParser(prog="floodgate", description=__doc__.split("\n\n")[0])
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
@@ -191,10 +186,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        code = exc.code
-        if code is None:
-            return EXIT_OK
-        return code if isinstance(code, int) else EXIT_USAGE
+        return EXIT_OK if exc.code == 0 else EXIT_USAGE
     try:
         return args.func(args)
     except (FloodgateError, OSError) as exc:

@@ -44,16 +44,9 @@ class TrafficClass(IntEnum):
 
     @property
     def display_name(self) -> str:
-        return _DISPLAY[self]
+        """The report's name: "Normal traffic", or "SYN Flooding" for SYN_FLOOD."""
+        return "Normal traffic" if self is TrafficClass.NORMAL else f"{self.short.upper()} Flooding"
 
-
-_DISPLAY = {
-    TrafficClass.NORMAL: "Normal traffic",
-    TrafficClass.SYN_FLOOD: "SYN Flooding",
-    TrafficClass.ACK_FLOOD: "ACK Flooding",
-    TrafficClass.HTTP_FLOOD: "HTTP Flooding",
-    TrafficClass.UDP_FLOOD: "UDP Flooding",
-}
 
 _ALIASES = {name: c for c in TrafficClass for name in (c.alias, c.short)}
 
@@ -109,7 +102,7 @@ class Dataset:
 
     def class_counts(self) -> list[int]:
         """Record count per class, in TrafficClass ordinal order."""
-        return [int(np.count_nonzero(self.labels == c)) for c in range(NUM_CLASSES)]
+        return np.bincount(self.labels, minlength=NUM_CLASSES).tolist()
 
     def subset(self, indices) -> "Dataset":
         indices = np.asarray(indices, dtype=np.int64)

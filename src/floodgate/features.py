@@ -218,7 +218,8 @@ def extract_features(packets: Packets, windows: Windows) -> np.ndarray:
     new_flow[1:] = (flow_owner[1:] != flow_owner[:-1]) | (pair[1:] != pair[:-1]) | (ports[1:] != ports[:-1])
     five_tuples = np.bincount(flow_owner[new_flow], minlength=n_windows)
 
-    # Gaps between consecutive packets of a window, from float timestamps.
+    # Gaps between consecutive packets of a window, from float timestamps. A
+    # window of one packet has none: its gap sums are +0.0, divided by 1.
     stamps = packets.ts_sec + packets.ts_usec / 1e6
     same = owner[1:] == owner[:-1]
     gaps = (stamps[1:] - stamps[:-1])[same]
@@ -229,7 +230,6 @@ def extract_features(packets: Packets, windows: Windows) -> np.ndarray:
     # differently for about 0.1% of values.
     dev_sq = np.float_power(gaps - mean_gap[gap_owner], 2)
     std_gap = np.sqrt(np.bincount(gap_owner, weights=dev_sq, minlength=n_windows) / n_gaps)
-    several = n >= 2
 
     syn_count = count(tcp & syn & ~ack)
     pure_ack = count(tcp & ~syn & ack & (packets.payload_len == 0))
@@ -253,15 +253,15 @@ def extract_features(packets: Packets, windows: Windows) -> np.ndarray:
         unique_ports,
         port_entropy,
         src_entropy,
-        np.where(several, mean_gap, 0.0),
-        np.where(several, std_gap, 0.0),
+        mean_gap,
+        std_gap,
         http_count,
         http_count / n,
         count(udp & (packets.payload_len <= SMALL_UDP_MAX_PAYLOAD)) / n,
-        np.where(ip_count > 0, ttl_sum / np.maximum(ip_count, 1), 0.0),
+        ttl_sum / np.maximum(ip_count, 1),
         five_tuples,
     )
-    return np.column_stack(columns).astype(np.float64)
+    return np.column_stack(columns)
 
 
 TruthInterval = tuple[float, float, TrafficClass]

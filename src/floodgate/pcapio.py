@@ -88,10 +88,6 @@ class PacketMeta:
     payload_len: int = 0
     payload_prefix: bytes = b""
 
-    @property
-    def timestamp(self) -> float:
-        return self.ts_sec + self.ts_usec / 1e6
-
 
 @dataclass(frozen=True, eq=False)
 class Packets:
@@ -100,8 +96,8 @@ class Packets:
     Row i holds the decoded fields of record i, encoded as in PacketMeta:
     `transport` holds the codes NON_IP, OTHER_IP, TCP and UDP, and
     `payload_prefix` the prefix bytes zero-padded to PAYLOAD_PREFIX_LEN, with
-    their count in `prefix_len`. Indexing and iteration yield the rows as
-    PacketMeta records.
+    their count in `prefix_len`. Iteration yields the rows as PacketMeta
+    records.
     """
 
     ts_sec: np.ndarray
@@ -129,9 +125,6 @@ class Packets:
 
     def __len__(self) -> int:
         return len(self.ts_sec)
-
-    def __getitem__(self, i: int) -> PacketMeta:
-        return _meta(*(int(getattr(self, name)[i]) for name in _INT_COLUMNS), self.payload_prefix[i].tobytes())
 
     def __iter__(self) -> Iterator[PacketMeta]:
         columns = [getattr(self, name).tolist() for name in _INT_COLUMNS]
@@ -225,7 +218,8 @@ def decode_frame(data: bytes, ts_sec: int = 0, ts_usec: int = 0, original_len: i
     out.original_len[0] = len(data) if original_len is None else original_len
     # Four zero bytes give every field gather a window to view; the captured length bounds the reads.
     _decode(np.frombuffer(data + bytes(4), dtype=np.uint8), np.zeros(1, dtype=np.int64), out)
-    return out[0]
+    (meta,) = out
+    return meta
 
 
 def _decode(buf: np.ndarray, offsets: np.ndarray, out: Packets) -> None:

@@ -119,7 +119,7 @@ def make_meta(
 
 
 def packets_from_metas(metas) -> Packets:
-    """Columns from PacketMeta records; the inverse of indexing `Packets`."""
+    """Columns from PacketMeta records; the inverse of iterating `Packets`."""
     out = Packets.empty(len(metas))
     for i, m in enumerate(metas):
         prefix = m.payload_prefix

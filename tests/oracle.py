@@ -41,6 +41,11 @@ _TCP = struct.Struct("!HHIIBBHHH")
 _UDP = struct.Struct("!HHHH")
 
 
+def timestamp(p: PacketMeta) -> float:
+    """A record's time in seconds, as `features` computes it from the two columns."""
+    return p.ts_sec + p.ts_usec / 1e6
+
+
 def decode_frame(data: bytes, ts_sec: int = 0, ts_usec: int = 0, original_len: int | None = None) -> PacketMeta:
     """Decode one Ethernet frame; never raises, degrades to the layer reached."""
     meta = PacketMeta(
@@ -210,7 +215,7 @@ def window_features(pkts):
     var_size = max(byte_sq / n - mean_size * mean_size, 0.0)
 
     if n >= 2:
-        stamps = [p.timestamp for p in pkts]
+        stamps = [timestamp(p) for p in pkts]
         gaps = [b - a for a, b in zip(stamps, stamps[1:])]
         mean_gap = _fsum_sequential(gaps) / len(gaps)
         var_gap = _fsum_sequential((g - mean_gap) ** 2 for g in gaps) / len(gaps)

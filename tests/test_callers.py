@@ -18,9 +18,7 @@ FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 # module.qualified name -> the caller outside `src/` that keeps it.
 OUTSIDE_CALLERS = {
-    "cli._Parser.error": "argparse, on a usage error",
     "dataset.Dataset.from_records": "perfbench/tracing.py, which patches it",
-    "pcapio.PacketMeta.timestamp": "tests/oracle.py",
     "pcapio.decode_frame": "perfbench/test_perfbench.py",
     "pcapio.read_frames": "perfbench/pipeline.py, run.py and workloads.py",
     "pcapio.write_pcap": "perfbench/test_perfbench.py",

@@ -106,6 +106,25 @@ class TestExitCodes:
         train = ["train", "--data", d / "train.csv", "--out-model", tmp_path / "m.txt", "--epochs", 1]
         assert_fails_cleanly(tmp_path, 1, *train, flag, value)
 
+    # argparse wraps the usage line to the terminal's width, so only the message line is compared.
+    @pytest.mark.parametrize("argv, message", [
+        ([], "floodgate: error: the following arguments are required: COMMAND"),
+        (["bogus"], "floodgate: error: argument COMMAND: invalid choice: 'bogus' ("),
+        (["extract", "--pcap", "x", "--out", "y", "--window", "0"],
+         "floodgate extract: error: argument --window: window must be at least 1e-6 s and finite in microseconds"),
+    ])
+    def test_usage_error_is_argparse_message_and_1(self, capsys, argv, message):
+        assert run(*argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: floodgate")
+        assert captured.err.splitlines()[-1].startswith(message)
+
+    @pytest.mark.parametrize("flag, shown", [("--help", "usage: floodgate"), ("--version", "floodgate ")])
+    def test_help_and_version_are_0(self, capsys, flag, shown):
+        assert run(flag) == 0
+        assert capsys.readouterr().out.startswith(shown)
+
     @pytest.mark.parametrize("command", ["extract", "classify"])
     def test_bad_magic_is_input_error(self, scenario, tmp_path, command):
         d, _ = scenario

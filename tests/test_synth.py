@@ -211,6 +211,8 @@ episode udp_flood 6.5 7.5 2000 20
 PINNED_PACKETS = 12259
 PINNED_PCAP_SHA256 = "9d3c8a92faeecfe5404ed9182edffb5c94f19e11457c63cf02e8743392074762"
 PINNED_TRUTH_SHA256 = "0a53c00a6a7b318765f043fae0e77f4bcd10fa2522140dcac95e7999280b9568"
+# `floodgate extract --window 0.1 --truth` of PINNED; no feature goes through BLAS.
+PINNED_FEATURES_SHA256 = "3989db91054962beb59d3c16f735541f9cba0e5e26b274f464dca1c466f8ac0a"
 
 
 def test_pinned_scenario_bytes(tmp_path):
@@ -219,6 +221,14 @@ def test_pinned_scenario_bytes(tmp_path):
     assert run_scenario(parse_scenario(PINNED), pcap, truth) == PINNED_PACKETS
     assert hashlib.sha256(pcap.read_bytes()).hexdigest() == PINNED_PCAP_SHA256
     assert hashlib.sha256(truth.read_bytes()).hexdigest() == PINNED_TRUTH_SHA256
+
+
+def test_pinned_scenario_features_bytes(tmp_path):
+    """The features CSV that `extract` writes for the pinned capture and truth."""
+    pcap, truth, out = tmp_path / "p.pcap", tmp_path / "p.truth", tmp_path / "p.csv"
+    run_scenario(parse_scenario(PINNED), pcap, truth)
+    assert main(["extract", "--pcap", str(pcap), "--truth", str(truth), "--window", "0.1", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_FEATURES_SHA256
 
 
 # tracemalloc peak of `run_scenario` on PINNED with the struct-per-packet
