@@ -36,6 +36,11 @@ The features of all windows are computed at once from the packet columns
 of `pcapio.Packets`. Every float is reduced per window in packet order, with
 the same operations as a loop over that window's packets, so each row is
 bit-for-bit what such a loop gives; the tests keep that loop as the oracle.
+Means and stds (f03, f04, f18, f19) take integers: frame lengths in bytes, and
+gaps between consecutive stamps `ts_sec * 10**6 + ts_usec` in microseconds.
+A mean is their sum, exact below 2**53, over f01 (sizes) or f01 - 1 (gaps);
+a std is a second pass over the deviations from it. Gap statistics become
+seconds by one division by 10**6, so a capture's date does not change them.
 """
 
 from __future__ import annotations
@@ -157,6 +162,14 @@ def _distinct_and_entropy(owner: np.ndarray, key: np.ndarray, n_windows: int) ->
     return np.bincount(term_owner, minlength=n_windows), entropy
 
 
+def _mean_and_std(owner: np.ndarray, x: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per window (`owner`): the mean of the integers `x` over `count`, and the
+    population std about it; both sums run in packet order, squares are products."""
+    mean = np.bincount(owner, weights=x, minlength=len(count)) / count
+    dev = x - mean[owner]
+    return mean, np.sqrt(np.bincount(owner, weights=dev * dev, minlength=len(count)) / count)
+
+
 def extract_features(packets: Packets, windows: Windows) -> np.ndarray:
     """The 24 schema-v1 features of every window: a (len(windows), 24) array.
 
@@ -188,19 +201,9 @@ def extract_features(packets: Packets, windows: Windows) -> np.ndarray:
         & np.isin(method, _HTTP_METHOD_CODES)
     )
 
-    # Sizes are summed exactly in int64 where a window's sum of squares stays
-    # below 2**53 (so its float conversion is exact too), else as Python ints.
     size = packets.original_len
     byte_count = np.add.reduceat(size, first)
-    exact = np.maximum.reduceat(size, first).astype(np.float64) ** 2 * n < 2.0**53
-    byte_sq = np.add.reduceat(np.where(exact[owner], size, 0) ** 2, first)
-    mean_size = byte_count / n
-    var_size = np.maximum(byte_sq / n - mean_size * mean_size, 0.0)
-    for w in np.flatnonzero(~exact).tolist():
-        sizes = size[windows.bounds[w] : windows.bounds[w + 1]].tolist()
-        mean = sum(sizes) / len(sizes)
-        mean_size[w] = mean
-        var_size[w] = max(sum(s * s for s in sizes) / len(sizes) - mean * mean, 0.0)
+    mean_size, std_size = _mean_and_std(owner, size, n)
 
     ip_owner = owner[ipv4]
     ip_count = np.bincount(ip_owner, minlength=n_windows)
@@ -218,18 +221,11 @@ def extract_features(packets: Packets, windows: Windows) -> np.ndarray:
     new_flow[1:] = (flow_owner[1:] != flow_owner[:-1]) | (pair[1:] != pair[:-1]) | (ports[1:] != ports[:-1])
     five_tuples = np.bincount(flow_owner[new_flow], minlength=n_windows)
 
-    # Gaps between consecutive packets of a window, from float timestamps. A
-    # window of one packet has none: its gap sums are +0.0, divided by 1.
-    stamps = packets.ts_sec + packets.ts_usec / 1e6
+    # Gaps between consecutive packets of a window, in integer microseconds. A
+    # window of one packet has none: its sums are +0.0, divided by 1.
     same = owner[1:] == owner[:-1]
-    gaps = (stamps[1:] - stamps[:-1])[same]
-    gap_owner = owner[1:][same]
-    n_gaps = np.maximum(n - 1, 1)
-    mean_gap = np.bincount(gap_owner, weights=gaps, minlength=n_windows) / n_gaps
-    # float_power is libm pow, as `x ** 2` on a Python float; x * x rounds
-    # differently for about 0.1% of values.
-    dev_sq = np.float_power(gaps - mean_gap[gap_owner], 2)
-    std_gap = np.sqrt(np.bincount(gap_owner, weights=dev_sq, minlength=n_windows) / n_gaps)
+    gaps = np.diff(packets.ts_sec * 1_000_000 + packets.ts_usec)[same]
+    mean_gap, std_gap = _mean_and_std(owner[1:][same], gaps, np.maximum(n - 1, 1))
 
     syn_count = count(tcp & syn & ~ack)
     pure_ack = count(tcp & ~syn & ack & (packets.payload_len == 0))
@@ -239,7 +235,7 @@ def extract_features(packets: Packets, windows: Windows) -> np.ndarray:
         n,
         byte_count,
         mean_size,
-        np.sqrt(var_size),
+        std_size,
         tcp_count / n,
         udp_count / n,
         (n - tcp_count - udp_count) / n,
@@ -253,8 +249,8 @@ def extract_features(packets: Packets, windows: Windows) -> np.ndarray:
         unique_ports,
         port_entropy,
         src_entropy,
-        mean_gap,
-        std_gap,
+        mean_gap / 1e6,
+        std_gap / 1e6,
         http_count,
         http_count / n,
         count(udp & (packets.payload_len <= SMALL_UDP_MAX_PAYLOAD)) / n,

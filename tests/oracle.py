@@ -9,8 +9,12 @@ encoder must equal them byte for byte. `window_features` is the loop over
 one window's PacketMeta records that the columnar
 `features.extract_features` replaced, and `windows` the windowing rule
 restricted to non-empty windows. The columnar code must equal them bit for
-bit. Float sums are explicit loops so that they stay sequential: from
-Python 3.12 on, `sum()` of floats is compensated.
+bit. Its means and stds take the rule `features` states: integer sizes and
+microsecond gaps, a sequential float sum, a second pass for the std, and
+seconds from one division by 10**6. Float sums are explicit loops so that
+they stay sequential: from Python 3.12 on, `sum()` of floats is compensated.
+`timestamp` gives a record's float seconds only to check which window holds
+it and in what order.
 
 `train` is the training loop with one Adam pass per array, `(w1, b1, w2,
 b2)` each with its own moment arrays, and `backward` the backward pass that
@@ -42,7 +46,7 @@ _UDP = struct.Struct("!HHHH")
 
 
 def timestamp(p: PacketMeta) -> float:
-    """A record's time in seconds, as `features` computes it from the two columns."""
+    """A record's time in seconds, for checking which window holds it and in what order."""
     return p.ts_sec + p.ts_usec / 1e6
 
 
@@ -168,11 +172,17 @@ def _entropy(counts):
     return h + 0.0
 
 
+def _mean_and_std(values, count):
+    """The mean of integer `values` over `count`, and their population std
+    about it: two sequential float sums, the second of squared deviations."""
+    mean = _fsum_sequential(float(v) for v in values) / count
+    return mean, math.sqrt(_fsum_sequential((v - mean) * (v - mean) for v in values) / count)
+
+
 def window_features(pkts):
     """The 24 schema-v1 features of one non-empty window's packets."""
     n = len(pkts)
     byte_count = 0
-    byte_sq = 0
     tcp = udp = 0
     syn = pure_ack = finrst = synack = 0
     http_req = small_udp = 0
@@ -185,7 +195,6 @@ def window_features(pkts):
     for p in pkts:
         size = p.original_len
         byte_count += size
-        byte_sq += size * size
         if p.transport is Transport.TCP:
             tcp += 1
             f = p.tcp_flags
@@ -211,24 +220,17 @@ def window_features(pkts):
             port_counts[p.dst_port] = port_counts.get(p.dst_port, 0) + 1
             five_tuples.add((p.src_ip, p.dst_ip, p.src_port, p.dst_port, p.transport))
 
-    mean_size = byte_count / n
-    var_size = max(byte_sq / n - mean_size * mean_size, 0.0)
-
-    if n >= 2:
-        stamps = [timestamp(p) for p in pkts]
-        gaps = [b - a for a, b in zip(stamps, stamps[1:])]
-        mean_gap = _fsum_sequential(gaps) / len(gaps)
-        var_gap = _fsum_sequential((g - mean_gap) ** 2 for g in gaps) / len(gaps)
-        std_gap = math.sqrt(var_gap)
-    else:
-        mean_gap = std_gap = 0.0
+    mean_size, std_size = _mean_and_std([p.original_len for p in pkts], n)
+    # Gaps in integer microseconds; a window of one packet has none, and 0.0 for both.
+    stamps = [p.ts_sec * 1_000_000 + p.ts_usec for p in pkts]
+    mean_gap, std_gap = _mean_and_std([b - a for a, b in zip(stamps, stamps[1:])], max(n - 1, 1))
 
     return np.array(
         [
             float(n),
             float(byte_count),
             mean_size,
-            math.sqrt(var_size),
+            std_size,
             tcp / n,
             udp / n,
             (n - tcp - udp) / n,
@@ -242,8 +244,8 @@ def window_features(pkts):
             float(len(port_counts)),
             _entropy(port_counts.values()),
             _entropy(src_counts.values()),
-            mean_gap,
-            std_gap,
+            mean_gap / 1e6,
+            std_gap / 1e6,
             float(http_req),
             http_req / n,
             small_udp / n,

@@ -17,7 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from floodgate.features import extract_features, window_packets
+from floodgate.dataset import TrafficClass
+from floodgate.features import HTTP_PORTS, extract_features, label_windows, window_packets
 from floodgate.pcapio import (
     Frame,
     PacketMeta,
@@ -150,8 +151,11 @@ def packet_streams(draw):
     return metas
 
 
+WINDOW_LENS = [1e-6, 0.0137, 0.1, 0.25, 1.0, 3600.0]
+
+
 @settings(max_examples=300, deadline=None)
-@given(metas=packet_streams(), window_len=st.sampled_from([1e-6, 0.0137, 0.1, 0.25, 1.0, 3600.0]))
+@given(metas=packet_streams(), window_len=st.sampled_from(WINDOW_LENS))
 def test_features_equal_the_per_packet_loop(metas, window_len):
     packets = packets_from_metas(metas)
     windows = window_packets(packets, window_len)
@@ -164,13 +168,14 @@ def test_features_equal_the_per_packet_loop(metas, window_len):
 def test_last_bit_cases_of_log2_and_squares():
     # Entropy terms need math.log2: np.log2(28 / 31) differs in the last bit,
     # and so does the entropy of counts 28, 1, 1, 1. Squared gap deviations
-    # need pow: x * x rounds differently for these four stamps' gaps.
+    # are one product each: with `x ** 2` (libm pow), these four stamps' f19
+    # differs in the last bit.
     flows = [53] * 28 + [1, 2, 3]
     first = [
         make_meta(transport=Transport.UDP, src_ip=port, dst_port=port)
         for port in flows
     ]
-    second = [replace(make_meta(), ts_sec=1_731_009_969, ts_usec=us) for us in (25_176, 83_773, 85_718, 87_730)]
+    second = [replace(make_meta(), ts_sec=1_731_009_969, ts_usec=us) for us in (25_176, 301_464, 426_972, 778_531)]
     metas = [replace(m, ts_sec=100, ts_usec=i) for i, m in enumerate(first)] + second
     packets = packets_from_metas(metas)
     assert_bitwise_equal(extract_features(packets, window_packets(packets, 1.0)), oracle.features(metas, 1.0))
@@ -276,3 +281,77 @@ def test_a_capture_cut_at_a_window_boundary_extracts_exactly(seed, benign_rate, 
     assert_bitwise_equal(head[:w], whole[:w])
     assert_bitwise_equal(tail[1:], whole[w + 1 :])
     assert np.array_equal(np.delete(starts, w), windows.start_ts)
+
+
+# --- metamorphic relations ----------------------------------------------------
+
+MAX_STAMP_US = 2**32 * 1_000_000  # a pcap record's seconds field is 32 bits
+
+
+def stamp(meta):
+    return meta.ts_sec * 1_000_000 + meta.ts_usec
+
+
+def moved(meta, us):
+    """`meta` with its stamp moved by `us` microseconds."""
+    ts_sec, ts_usec = divmod(stamp(meta) + us, 1_000_000)
+    return replace(meta, ts_sec=ts_sec, ts_usec=ts_usec)
+
+
+@settings(max_examples=200, deadline=None)
+@given(metas=packet_streams(), window_len=st.sampled_from(WINDOW_LENS), data=st.data())
+def test_moving_a_capture_by_whole_windows_keeps_features_and_labels(metas, window_len, data):
+    """A capture's date changes nothing: moved by any whole number of windows
+    that 32-bit seconds allow, with truth intervals on window boundaries moved
+    alike, it gives the same feature bits and labels."""
+    len_us = round(window_len * 1e6)
+    first, last = stamp(metas[0]) // len_us, stamp(metas[-1]) // len_us
+    moved_by = data.draw(st.integers(-first, (MAX_STAMP_US - 1) // len_us - last), label="windows moved")
+    edges = sorted(data.draw(st.sets(st.integers(first, last + 1), min_size=2, max_size=6), label="truth edges"))
+    classes = data.draw(st.lists(st.sampled_from(list(TrafficClass)), min_size=len(edges) - 1,
+                                 max_size=len(edges) - 1), label="truth classes")
+
+    def features_and_labels(slots):
+        truth = [
+            (((a + slots) * len_us) / 1e6, ((b + slots) * len_us) / 1e6, cls)
+            for a, b, cls in zip(edges, edges[1:], classes)
+        ]
+        packets = packets_from_metas([moved(m, slots * len_us) for m in metas])
+        windows = window_packets(packets, window_len)
+        return extract_features(packets, windows), label_windows(windows, truth)
+
+    features, labels = features_and_labels(0)
+    moved_features, moved_labels = features_and_labels(moved_by)
+    assert_bitwise_equal(moved_features, features)
+    assert np.array_equal(moved_labels, labels)
+
+
+@settings(max_examples=200, deadline=None)
+@given(metas=packet_streams(), window_len=st.sampled_from(WINDOW_LENS), data=st.data())
+def test_renaming_addresses_and_ports_keeps_features(metas, window_len, data):
+    """Renaming IPv4 addresses by a bijection, and ports other than the HTTP
+    ports by one that fixes those, gives the same feature bits."""
+    ip = [m for m in metas if m.transport is not Transport.NON_IP]
+    ported = [m for m in ip if m.transport in PORTED]
+    addresses = sorted({m.src_ip for m in ip} | {m.dst_ip for m in ip})
+    ports = sorted(({m.src_port for m in ported} | {m.dst_port for m in ported}) - set(HTTP_PORTS))
+    new_addresses = data.draw(st.lists(U32, min_size=len(addresses), max_size=len(addresses), unique=True))
+    new_ports = data.draw(
+        st.lists(st.integers(0, 65535).filter(lambda p: p not in HTTP_PORTS), min_size=len(ports),
+                 max_size=len(ports), unique=True)
+    )
+    address = dict(zip(addresses, new_addresses))
+    port = dict(zip(ports, new_ports)) | {p: p for p in HTTP_PORTS}
+
+    def renamed(m):
+        if m.transport is Transport.NON_IP:
+            return m
+        m = replace(m, src_ip=address[m.src_ip], dst_ip=address[m.dst_ip])
+        return replace(m, src_port=port[m.src_port], dst_port=port[m.dst_port]) if m.transport in PORTED else m
+
+    packets = packets_from_metas(metas)
+    renamed_packets = packets_from_metas([renamed(m) for m in metas])
+    assert_bitwise_equal(
+        extract_features(renamed_packets, window_packets(renamed_packets, window_len)),
+        extract_features(packets, window_packets(packets, window_len)),
+    )

@@ -27,8 +27,8 @@ def test_bogus_early_timestamp_costs_no_empty_windows(tmp_path):
 
 
 def test_huge_original_lengths_give_the_reference_sizes(tmp_path):
-    # Squares of 0xFFFFFFFF do not fit in int64, and their sums not in a
-    # float exactly; f02/f04 must still be what Python ints give.
+    # Squares of 0xFFFFFFFF do not fit in int64. f02 is the exact int64 sum,
+    # and f03/f04 follow the one mean-and-std rule, as the oracle's loop does.
     huge = 0xFFFFFFFF
     records = [(10, 1000, huge, FRAME), (10, 2000, huge, FRAME), (20, 0, 60, FRAME), (20, 5, huge, FRAME)]
     records += [(30, i, 1500, FRAME) for i in range(50)] + [(30, 60, huge, FRAME)]
@@ -40,6 +40,23 @@ def test_huge_original_lengths_give_the_reference_sizes(tmp_path):
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
     assert got[0, F["byte_count"]] == 2.0 * huge
     assert got[0, F["std_packet_size"]] == 0.0
+
+
+def test_near_max_original_lengths_in_every_window_give_the_reference_features(tmp_path):
+    # 0xFFFFFFFF and 0xFFFFFFFE alternate across 40 windows, so every window
+    # mixes two near-2**32 sizes and a std of half a byte; in the windows
+    # with odd packet counts, the mean sits off the midpoint of the two.
+    sizes = (0xFFFFFFFF, 0xFFFFFFFE)
+    records = [(w, i * 1000, sizes[i % 2], FRAME) for w in range(40) for i in range(2 + w % 5)]
+    path = tmp_path / "t.pcap"
+    write_records(path, records)
+    packets = read_pcap(path)
+    got = extract_features(packets, window_packets(packets, 1.0))
+    assert len(got) == 40
+    assert np.isfinite(got).all()
+    want = oracle.features(list(packets), 1.0)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert got[0, F["std_packet_size"]] == 0.5
 
 
 def test_truncated_last_record_fails_extract_without_output(tmp_path, capsys):

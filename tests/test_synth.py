@@ -19,11 +19,12 @@ from floodgate import synth
 from floodgate.cli import main
 from floodgate.dataset import TrafficClass
 from floodgate.errors import FloodgateError
-from floodgate.features import read_truth
+from floodgate.features import read_truth, write_truth
 from floodgate.pcapio import TCP, UDP, read_pcap
 from floodgate.synth import ATTACKER_NET, HTTP_GET, SPOOF_NET, ip_to_int, parse_scenario, run_scenario
 
 import oracle
+from conftest import read_records, write_records
 
 ATTACKERS = 7
 SYN, PSH, ACK = 0x02, 0x08, 0x10
@@ -212,7 +213,7 @@ PINNED_PACKETS = 12259
 PINNED_PCAP_SHA256 = "9d3c8a92faeecfe5404ed9182edffb5c94f19e11457c63cf02e8743392074762"
 PINNED_TRUTH_SHA256 = "0a53c00a6a7b318765f043fae0e77f4bcd10fa2522140dcac95e7999280b9568"
 # `floodgate extract --window 0.1 --truth` of PINNED; no feature goes through BLAS.
-PINNED_FEATURES_SHA256 = "3989db91054962beb59d3c16f735541f9cba0e5e26b274f464dca1c466f8ac0a"
+PINNED_FEATURES_SHA256 = "83c5038c0f920b8f13b4bb9cc44dcb986ffb7b075b8a072684488ee9034dd4a7"
 
 
 def test_pinned_scenario_bytes(tmp_path):
@@ -229,6 +230,22 @@ def test_pinned_scenario_features_bytes(tmp_path):
     run_scenario(parse_scenario(PINNED), pcap, truth)
     assert main(["extract", "--pcap", str(pcap), "--truth", str(truth), "--window", "0.1", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_FEATURES_SHA256
+
+
+def test_pinned_scenario_moved_to_2023_extracts_the_same_bytes(tmp_path):
+    """Moving every record and the truth by +1,700,000,000 s changes no byte
+    that `extract` writes."""
+    pcap, truth = tmp_path / "p.pcap", tmp_path / "p.truth"
+    run_scenario(parse_scenario(PINNED), pcap, truth)
+    moved_pcap, moved_truth = tmp_path / "m.pcap", tmp_path / "m.truth"
+    write_records(moved_pcap, [(s + 1_700_000_000, u, orig, data) for s, u, orig, data in read_records(pcap)])
+    write_truth(moved_truth, [(start + 1_700_000_000, end + 1_700_000_000, c) for start, end, c in read_truth(truth)])
+    outputs = []
+    for capture, intervals in ((pcap, truth), (moved_pcap, moved_truth)):
+        outputs.append(tmp_path / f"{capture.stem}.csv")
+        argv = ["extract", "--pcap", str(capture), "--truth", str(intervals), "--window", "0.1", "--out", str(outputs[-1])]
+        assert main(argv) == 0
+    assert outputs[1].read_bytes() == outputs[0].read_bytes()
 
 
 # tracemalloc peak of `run_scenario` on PINNED with the struct-per-packet
