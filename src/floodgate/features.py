@@ -37,7 +37,7 @@ of `pcapio.Packets`. Every float is reduced per window in packet order, with
 the same operations as a loop over that window's packets, so each row is
 bit-for-bit what such a loop gives; the tests keep that loop as the oracle.
 Means and stds (f03, f04, f18, f19) take integers: frame lengths in bytes, and
-gaps between consecutive stamps `ts_sec * 10**6 + ts_usec` in microseconds.
+gaps between consecutive stamps `Packets.ts_us` in microseconds.
 A mean is their sum, exact below 2**53, over f01 (sizes) or f01 - 1 (gaps);
 a std is a second pass over the deviations from it. Gap statistics become
 seconds by one division by 10**6, so a capture's date does not change them.
@@ -53,7 +53,7 @@ import numpy as np
 
 from .dataset import TrafficClass, read_rows, write_rows
 from .errors import FloodgateError
-from .pcapio import NON_IP, TCP, UDP, Packets
+from .pcapio import FLAG_ACK, FLAG_FIN, FLAG_RST, FLAG_SYN, NON_IP, TCP, UDP, Packets
 
 SCHEMA_VERSION = 1
 
@@ -89,8 +89,6 @@ HTTP_METHODS = (b"GET ", b"POST", b"HEAD", b"PUT ")
 SMALL_UDP_MAX_PAYLOAD = 64
 
 _HTTP_METHOD_CODES = [int.from_bytes(m, "big") for m in HTTP_METHODS]
-# Bits of the `tcp_flags` column (the low six bits of the TCP flags octet).
-_FIN, _SYN, _RST, _ACK = 0x01, 0x02, 0x04, 0x10
 
 TRUTH_HEADER = ("start_ts", "end_ts", "label")
 
@@ -126,20 +124,16 @@ def window_packets(packets: Packets, window_len: float) -> Windows:
 
     if len(packets) == 0:
         return Windows(np.empty(0), np.empty(0), np.zeros(1, dtype=np.int64))
-    stamps = packets.ts_sec * 1_000_000 + packets.ts_usec
+    stamps = packets.ts_us
     unsorted = np.flatnonzero(stamps[1:] < stamps[:-1])
     if unsorted.size:
         raise FloodgateError(f"packet {unsorted[0] + 1} is earlier than its predecessor")
     # Stamps stay below 2**53, so any longer window puts them all in window 0 as well.
     slot = stamps // min(len_us, 1 << 62)
     bounds = np.concatenate(([0], np.flatnonzero(np.diff(slot)) + 1, [len(slot)]))
-    # Python ints: k * len_us may not fit in int64 for a very long window.
-    slots = slot[bounds[:-1]].tolist()
-    return Windows(
-        start_ts=np.array([(k * len_us) / 1e6 for k in slots], dtype=np.float64),
-        end_ts=np.array([((k + 1) * len_us) / 1e6 for k in slots], dtype=np.float64),
-        bounds=bounds,
-    )
+    # k and len_us are exact in float64, so each bound is one rounding of the exact product.
+    k = slot[bounds[:-1]]
+    return Windows(start_ts=k * float(len_us) / 1e6, end_ts=(k + 1) * float(len_us) / 1e6, bounds=bounds)
 
 
 def _distinct_and_entropy(owner: np.ndarray, key: np.ndarray, n_windows: int) -> tuple[np.ndarray, np.ndarray]:
@@ -192,8 +186,8 @@ def extract_features(packets: Packets, windows: Windows) -> np.ndarray:
     tcp, udp = transport == TCP, transport == UDP
     ported, ipv4 = tcp | udp, transport != NON_IP
     flags = packets.tcp_flags
-    syn, ack = (flags & _SYN) != 0, (flags & _ACK) != 0
-    method = packets.payload_prefix[:, :4].copy().view(">u4")[:, 0]
+    syn, ack = (flags & FLAG_SYN) != 0, (flags & FLAG_ACK) != 0
+    method = packets.payload_prefix.view(">u4")[:, 0]
     http = (
         tcp
         & np.isin(packets.dst_port, HTTP_PORTS)
@@ -224,7 +218,7 @@ def extract_features(packets: Packets, windows: Windows) -> np.ndarray:
     # Gaps between consecutive packets of a window, in integer microseconds. A
     # window of one packet has none: its sums are +0.0, divided by 1.
     same = owner[1:] == owner[:-1]
-    gaps = np.diff(packets.ts_sec * 1_000_000 + packets.ts_usec)[same]
+    gaps = np.diff(packets.ts_us)[same]
     mean_gap, std_gap = _mean_and_std(owner[1:][same], gaps, np.maximum(n - 1, 1))
 
     syn_count = count(tcp & syn & ~ack)
@@ -243,7 +237,7 @@ def extract_features(packets: Packets, windows: Windows) -> np.ndarray:
         syn_count / n,
         pure_ack,
         pure_ack / n,
-        count(tcp & ((flags & (_FIN | _RST)) != 0)) / n,
+        count(tcp & ((flags & (FLAG_FIN | FLAG_RST)) != 0)) / n,
         count(tcp & syn & ack),
         unique_src,
         unique_ports,

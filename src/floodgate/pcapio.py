@@ -10,7 +10,10 @@ There is one decoder, `_decode`, which fills `Packets` columns for all
 records at once: each header field is read for every record with one array
 gather, masked by the tests that record's captured bytes pass. `read_pcap`
 walks a file's records and decodes them all; `decode_frame` is its one-row
-call, and its `PacketMeta` is one row of `Packets`, field for field.
+call, and its `PacketMeta` is one row of `Packets`, field for field. A
+decoded packet's time is one integer, `ts_us`: its record header's
+ts_sec * 10**6 + ts_usec as read, even a ts_usec of 10**6 or more. Of the
+payload it keeps at most the first 4 bytes, which the HTTP-method test reads.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ _OTHER_FORMATS = {0x0A0D0D0A: "pcapng", 0xA1B23C4D: "nanosecond pcap", 0x4D3CB2A
 SNAPLEN = 65535
 LINKTYPE_ETHERNET = 1
 MAX_FRAME_LEN = 65535
-PAYLOAD_PREFIX_LEN = 8
+PAYLOAD_PREFIX_LEN = 4
 
 ETHERTYPE_IPV4 = 0x0800
 PROTO_TCP = 6
@@ -49,6 +52,9 @@ class Transport(Enum):
     TCP = "tcp"
     UDP = "udp"
 
+
+# Bits of the `tcp_flags` column (the low six bits of the TCP flags octet).
+FLAG_FIN, FLAG_SYN, FLAG_RST, FLAG_PSH, FLAG_ACK = 0x01, 0x02, 0x04, 0x08, 0x10
 
 # The code of each transport in the `Packets.transport` column.
 NON_IP, OTHER_IP, TCP, UDP = range(len(Transport))
@@ -69,13 +75,14 @@ class PacketMeta:
     """One row of `Packets`: the decoded fields of one record, encoded as the columns are.
 
     The IPv4 fields (`src_ip`, `dst_ip`, `ttl`) are 0 where `transport` is
-    NON_IP, and the ports are 0 where it is not TCP or UDP. `tcp_flags` holds
+    NON_IP, and the ports are 0 where it is not TCP or UDP. `ts_us` is the
+    record header's ts_sec * 10**6 + ts_usec as read, even where ts_usec is
+    10**6 or more. `tcp_flags` holds
     the low six bits of the TCP flags octet (FIN SYN RST PSH ACK URG), and
-    `payload_prefix` at most PAYLOAD_PREFIX_LEN leading payload bytes.
+    `payload_prefix` at most PAYLOAD_PREFIX_LEN (4) leading payload bytes.
     """
 
-    ts_sec: int
-    ts_usec: int
+    ts_us: int
     captured_len: int
     original_len: int
     transport: Transport = Transport.NON_IP
@@ -94,14 +101,13 @@ class Packets:
     """Decoded packet metadata of a whole capture as columns, one row per record.
 
     Row i holds the decoded fields of record i, encoded as in PacketMeta:
-    `transport` holds the codes NON_IP, OTHER_IP, TCP and UDP, and
-    `payload_prefix` the prefix bytes zero-padded to PAYLOAD_PREFIX_LEN, with
-    their count in `prefix_len`. Iteration yields the rows as PacketMeta
-    records.
+    `ts_us` the header's ts_sec * 10**6 + ts_usec as read, `transport` the
+    codes NON_IP, OTHER_IP, TCP and UDP, and `payload_prefix` the prefix bytes
+    zero-padded to PAYLOAD_PREFIX_LEN (4), with their count in `prefix_len`.
+    Iteration yields the rows as PacketMeta records.
     """
 
-    ts_sec: np.ndarray
-    ts_usec: np.ndarray
+    ts_us: np.ndarray
     captured_len: np.ndarray
     original_len: np.ndarray
     transport: np.ndarray
@@ -124,7 +130,7 @@ class Packets:
         )
 
     def __len__(self) -> int:
-        return len(self.ts_sec)
+        return len(self.ts_us)
 
     def __iter__(self) -> Iterator[PacketMeta]:
         columns = [getattr(self, name).tolist() for name in _INT_COLUMNS]
@@ -134,11 +140,9 @@ class Packets:
 _INT_COLUMNS = tuple(Packets.__dataclass_fields__)[:-1]
 
 
-def _meta(ts_sec, ts_usec, cap, orig, code, src, dst, sport, dport, flags, ttl, plen, prefix_len, prefix):
+def _meta(ts_us, cap, orig, code, src, dst, sport, dport, flags, ttl, plen, prefix_len, prefix):
     """One row of Packets, its values in column order, as a PacketMeta."""
-    return PacketMeta(
-        ts_sec, ts_usec, cap, orig, _TRANSPORTS[code], src, dst, sport, dport, flags, ttl, plen, prefix[:prefix_len]
-    )
+    return PacketMeta(ts_us, cap, orig, _TRANSPORTS[code], src, dst, sport, dport, flags, ttl, plen, prefix[:prefix_len])
 
 
 def _walk(path) -> tuple[bytes, str, list[int]]:
@@ -206,15 +210,19 @@ def read_pcap(path) -> Packets:
     buf = np.frombuffer(data, dtype=np.uint8)
     header = sliding_window_view(buf, 16)[offsets - 16].view(endian + "u4")
     out = Packets.empty(len(offsets))
-    out.ts_sec[:], out.ts_usec[:], out.captured_len[:], out.original_len[:] = header.T
+    sec, usec, out.captured_len[:], out.original_len[:] = header.T
+    stamps = out.ts_us
+    stamps[:] = sec
+    stamps *= 1_000_000
+    stamps += usec
     _decode(buf, offsets, out)
     return out
 
 
-def decode_frame(data: bytes, ts_sec: int = 0, ts_usec: int = 0, original_len: int | None = None) -> PacketMeta:
+def decode_frame(data: bytes, ts_us: int = 0, original_len: int | None = None) -> PacketMeta:
     """Decode one Ethernet frame as `read_pcap` decodes a record; never raises."""
     out = Packets.empty(1)
-    out.ts_sec[0], out.ts_usec[0], out.captured_len[0] = ts_sec, ts_usec, len(data)
+    out.ts_us[0], out.captured_len[0] = ts_us, len(data)
     out.original_len[0] = len(data) if original_len is None else original_len
     # Four zero bytes give every field gather a window to view; the captured length bounds the reads.
     _decode(np.frombuffer(data + bytes(4), dtype=np.uint8), np.zeros(1, dtype=np.int64), out)

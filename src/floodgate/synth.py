@@ -40,11 +40,7 @@ from .dataset import TrafficClass, encode_label
 from .errors import FloodgateError
 from .features import write_truth
 from .ioutil import open_text, removed_on_failure, strict_numbers
-from .pcapio import ETHERTYPE_IPV4, PROTO_TCP, PROTO_UDP, record_headers, write_records
-
-FLAG_SYN = 0x02
-FLAG_PSH = 0x08
-FLAG_ACK = 0x10
+from .pcapio import ETHERTYPE_IPV4, FLAG_ACK, FLAG_PSH, FLAG_SYN, PROTO_TCP, PROTO_UDP, record_headers, write_records
 
 # Benign conversation mix: (kind, weight, packets per conversation).
 _BENIGN_MIX = (
@@ -125,13 +121,11 @@ def ip_to_int(dotted: str) -> int:
     return int(ipaddress.IPv4Address(dotted))
 
 
-def _pcap_time(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Whole seconds and microseconds of non-negative float timestamps:
-    `int(t)` and round-half-even microseconds, carried into the seconds at 10**6."""
+def _pcap_us(t: np.ndarray) -> np.ndarray:
+    """Integer microseconds of non-negative float timestamps: `int(t)` seconds
+    plus the fraction's round-half-even microseconds."""
     sec = t.astype(np.int64)
-    usec = np.rint((t - sec) * 1e6).astype(np.int64)
-    carry = usec >= 1_000_000
-    return sec + carry, usec - carry * 1_000_000
+    return sec * 1_000_000 + np.rint((t - sec) * 1e6).astype(np.int64)
 
 
 def encode_records(rows: np.ndarray) -> np.ndarray:
@@ -140,7 +134,7 @@ def encode_records(rows: np.ndarray) -> np.ndarray:
     `rows` is an (n, N_FIELDS) float64 array; each record is the 16-byte
     record header and the frame in the one layout above.
     """
-    sec, usec = _pcap_time(rows[:, 0])
+    sec, usec = np.divmod(_pcap_us(rows[:, 0]), 1_000_000)
     src, dst, sport, dport, flags, proto, ttl, kind, plen = rows[:, 1:].T.astype(np.int64)
     tcp = proto == PROTO_TCP
     head_len = np.where(tcp, _TCP_HEAD, _UDP_HEAD)
@@ -424,9 +418,7 @@ def run_scenario(cfg: ScenarioConfig, out_pcap_path, out_truth_path) -> int:
         gen_attack(ep, np.random.default_rng((cfg.seed, index + 1)), rec)
 
     rows = np.frombuffer(rec, dtype=np.float64).reshape(-1, N_FIELDS)
-    sec, usec = _pcap_time(rows[:, 0])
-    order = np.argsort(sec * 1_000_000 + usec, kind="stable")
-    del sec, usec
+    order = np.argsort(_pcap_us(rows[:, 0]), kind="stable")
     write_records(
         out_pcap_path,
         (encode_records(rows[order[i : i + CHUNK_ROWS]]) for i in range(0, len(order), CHUNK_ROWS)),

@@ -100,10 +100,8 @@ def make_meta(
     payload_prefix: bytes = b"",
 ) -> PacketMeta:
     sec = int(ts)
-    usec = round((ts - sec) * 1e6)
     return PacketMeta(
-        ts_sec=sec,
-        ts_usec=usec,
+        ts_us=sec * 1_000_000 + round((ts - sec) * 1e6),
         captured_len=size,
         original_len=size,
         transport=transport,
@@ -126,7 +124,7 @@ def packets_from_metas(metas) -> Packets:
         if len(prefix) > PAYLOAD_PREFIX_LEN:
             raise ValueError(f"packet {i}: payload prefix of {len(prefix)} bytes exceeds {PAYLOAD_PREFIX_LEN}")
         row = (
-            m.ts_sec, m.ts_usec, m.captured_len, m.original_len, list(Transport).index(m.transport),
+            m.ts_us, m.captured_len, m.original_len, list(Transport).index(m.transport),
             m.src_ip, m.dst_ip, m.src_port, m.dst_port, m.tcp_flags, m.ttl, m.payload_len, len(prefix),
         )
         for name, value in zip(Packets.__dataclass_fields__, row):  # every column but payload_prefix

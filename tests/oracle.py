@@ -13,8 +13,8 @@ bit. Its means and stds take the rule `features` states: integer sizes and
 microsecond gaps, a sequential float sum, a second pass for the std, and
 seconds from one division by 10**6. Float sums are explicit loops so that
 they stay sequential: from Python 3.12 on, `sum()` of floats is compensated.
-`timestamp` gives a record's float seconds only to check which window holds
-it and in what order.
+`timestamp` gives a record's float seconds, from its integer microseconds
+`ts_us`, only to check which window holds it and in what order.
 
 `train` is the training loop with one Adam pass per array, `(w1, b1, w2,
 b2)` each with its own moment arrays, and `backward` the backward pass that
@@ -37,7 +37,7 @@ FIN, SYN, RST, ACK = 0x01, 0x02, 0x04, 0x10
 ETHERTYPE_IPV4 = 0x0800
 PROTO_TCP = 6
 PROTO_UDP = 17
-PAYLOAD_PREFIX_LEN = 8
+PAYLOAD_PREFIX_LEN = 4
 
 _ETH = struct.Struct("!6s6sH")
 _IPV4 = struct.Struct("!BBHHHBBH4s4s")
@@ -47,14 +47,13 @@ _UDP = struct.Struct("!HHHH")
 
 def timestamp(p: PacketMeta) -> float:
     """A record's time in seconds, for checking which window holds it and in what order."""
-    return p.ts_sec + p.ts_usec / 1e6
+    return p.ts_us / 1e6
 
 
-def decode_frame(data: bytes, ts_sec: int = 0, ts_usec: int = 0, original_len: int | None = None) -> PacketMeta:
+def decode_frame(data: bytes, ts_us: int = 0, original_len: int | None = None) -> PacketMeta:
     """Decode one Ethernet frame; never raises, degrades to the layer reached."""
     meta = PacketMeta(
-        ts_sec=ts_sec,
-        ts_usec=ts_usec,
+        ts_us=ts_us,
         captured_len=len(data),
         original_len=len(data) if original_len is None else original_len,
     )
@@ -150,7 +149,7 @@ def windows(metas, window_len):
     len_us = round(window_len * 1e6)
     slots = {}
     for m in metas:
-        slots.setdefault((m.ts_sec * 1_000_000 + m.ts_usec) // len_us, []).append(m)
+        slots.setdefault(m.ts_us // len_us, []).append(m)
     return [((k * len_us) / 1e6, ((k + 1) * len_us) / 1e6, pkts) for k, pkts in slots.items()]
 
 
@@ -206,7 +205,7 @@ def window_features(pkts):
                 pure_ack += 1
             if f & (FIN | RST):
                 finrst += 1
-            if p.dst_port in HTTP_PORTS and p.payload_prefix[:4] in HTTP_METHODS:
+            if p.dst_port in HTTP_PORTS and p.payload_prefix in HTTP_METHODS:
                 http_req += 1
         elif p.transport is Transport.UDP:
             udp += 1
@@ -222,7 +221,7 @@ def window_features(pkts):
 
     mean_size, std_size = _mean_and_std([p.original_len for p in pkts], n)
     # Gaps in integer microseconds; a window of one packet has none, and 0.0 for both.
-    stamps = [p.ts_sec * 1_000_000 + p.ts_usec for p in pkts]
+    stamps = [p.ts_us for p in pkts]
     mean_gap, std_gap = _mean_and_std([b - a for a, b in zip(stamps, stamps[1:])], max(n - 1, 1))
 
     return np.array(

@@ -96,11 +96,11 @@ def test_read_pcap_decodes_every_record_like_decode_frame(records, endian):
         write_records(path, records, endian)
         packets = read_pcap(path)
         frames = read_frames(path)
-    want = [oracle.decode_frame(data, s, u, orig) for s, u, orig, data in records]
+    want = [oracle.decode_frame(data, s * 1_000_000 + u, orig) for s, u, orig, data in records]
     assert len(packets) == len(want)
     assert list(packets) == want
     # One row decoded alone equals the same row decoded in a batch.
-    assert [decode_frame(data, s, u, orig) for s, u, orig, data in records] == list(packets)
+    assert [decode_frame(data, s * 1_000_000 + u, orig) for s, u, orig, data in records] == list(packets)
     assert frames == [Frame(s, u, data) for s, u, _, data in records]
     again = packets_from_metas(want)
     for name in Packets.__dataclass_fields__:
@@ -110,8 +110,8 @@ def test_read_pcap_decodes_every_record_like_decode_frame(records, endian):
 def test_from_metas_rejects_records_decode_frame_cannot_make():
     good = decode_frame(ethernet(ipv4(udp(b"x"), proto=17)))
     assert list(packets_from_metas([good])) == [good]
-    with pytest.raises(ValueError, match="packet 1: payload prefix of 9 bytes exceeds 8"):
-        packets_from_metas([good, PacketMeta(0, 0, 60, 60, payload_prefix=b"123456789")])
+    with pytest.raises(ValueError, match="packet 1: payload prefix of 5 bytes exceeds 4"):
+        packets_from_metas([good, PacketMeta(0, 60, 60, payload_prefix=b"12345")])
 
 
 # --- features -----------------------------------------------------------------
@@ -133,8 +133,7 @@ def packet_streams(draw):
         size = draw(st.one_of(st.integers(0, 1600), st.sampled_from([65535, 2**31, 2**32 - 1])))
         metas.append(
             PacketMeta(
-                ts_sec=clock // 1_000_000,
-                ts_usec=clock % 1_000_000,
+                ts_us=clock,
                 captured_len=min(size, 96),
                 original_len=size,
                 transport=transport,
@@ -145,13 +144,14 @@ def packet_streams(draw):
                 tcp_flags=draw(st.integers(0, 63)),
                 ttl=draw(st.sampled_from([1, 64, 128, 255])) if ip else 0,
                 payload_len=draw(st.sampled_from([0, 1, 64, 65, 1400])),
-                payload_prefix=draw(st.sampled_from([b"", b"GET", b"GET / HT", b"POST /x", b"PUT \x00", b"HTTP/1.1"])),
+                payload_prefix=draw(st.sampled_from([b"", b"GET", b"GET ", b"POST", b"HEAD", b"PUT ", b"HTTP"])),
             )
         )
     return metas
 
 
-WINDOW_LENS = [1e-6, 0.0137, 0.1, 0.25, 1.0, 3600.0]
+# 2.5e-6 rounds half-even to 2 us; 1e13 s is 10**19 us, past int64, so its bounds come from floats.
+WINDOW_LENS = [1e-6, 2.5e-6, 0.0137, 0.1, 0.25, 1.0, 3600.0, 1e13]
 
 
 @settings(max_examples=300, deadline=None)
@@ -175,20 +175,20 @@ def test_last_bit_cases_of_log2_and_squares():
         make_meta(transport=Transport.UDP, src_ip=port, dst_port=port)
         for port in flows
     ]
-    second = [replace(make_meta(), ts_sec=1_731_009_969, ts_usec=us) for us in (25_176, 301_464, 426_972, 778_531)]
-    metas = [replace(m, ts_sec=100, ts_usec=i) for i, m in enumerate(first)] + second
+    second = [replace(make_meta(), ts_us=1_731_009_969_000_000 + us) for us in (25_176, 301_464, 426_972, 778_531)]
+    metas = [replace(m, ts_us=100_000_000 + i) for i, m in enumerate(first)] + second
     packets = packets_from_metas(metas)
     assert_bitwise_equal(extract_features(packets, window_packets(packets, 1.0)), oracle.features(metas, 1.0))
 
 
 def test_hostile_microseconds_are_kept_as_read(tmp_path):
-    # ts_usec >= 10**6 is not a valid pcap timestamp, but it is read as it is
-    # and windows and gaps follow from ts_sec * 10**6 + ts_usec as before.
+    # ts_usec >= 10**6 is not a valid pcap timestamp, but it is read as it is:
+    # ts_us = ts_sec * 10**6 + ts_usec, and windows and gaps follow from that.
     frame = ethernet(ipv4(udp(b"q"), proto=17))
     records = [(5, 999_999, 60, frame), (5, 2_500_000, 60, frame), (8, 0, 60, frame)]
     write_records(tmp_path / "t.pcap", records)
     packets = read_pcap(tmp_path / "t.pcap")
-    assert [(m.ts_sec, m.ts_usec) for m in packets] == [(5, 999_999), (5, 2_500_000), (8, 0)]
+    assert [m.ts_us for m in packets] == [5_999_999, 7_500_000, 8_000_000]
     metas = list(packets)
     windows = window_packets(packets, 1.0)
     assert windows.start_ts.tolist() == [5.0, 7.0, 8.0]
@@ -227,7 +227,7 @@ def shaped_captures(tmp_path_factory):
 def test_workload_shaped_captures_match_the_reference(shaped_captures, shape):
     path = shaped_captures[shape]
     packets = read_pcap(path)
-    metas = [oracle.decode_frame(data, s, u, orig) for s, u, orig, data in read_records(path)]
+    metas = [oracle.decode_frame(data, s * 1_000_000 + u, orig) for s, u, orig, data in read_records(path)]
     assert list(packets) == metas
     assert len(metas) > 1000
     windows = window_packets(packets, 0.1)
@@ -288,14 +288,9 @@ def test_a_capture_cut_at_a_window_boundary_extracts_exactly(seed, benign_rate, 
 MAX_STAMP_US = 2**32 * 1_000_000  # a pcap record's seconds field is 32 bits
 
 
-def stamp(meta):
-    return meta.ts_sec * 1_000_000 + meta.ts_usec
-
-
 def moved(meta, us):
     """`meta` with its stamp moved by `us` microseconds."""
-    ts_sec, ts_usec = divmod(stamp(meta) + us, 1_000_000)
-    return replace(meta, ts_sec=ts_sec, ts_usec=ts_usec)
+    return replace(meta, ts_us=meta.ts_us + us)
 
 
 @settings(max_examples=200, deadline=None)
@@ -305,7 +300,7 @@ def test_moving_a_capture_by_whole_windows_keeps_features_and_labels(metas, wind
     that 32-bit seconds allow, with truth intervals on window boundaries moved
     alike, it gives the same feature bits and labels."""
     len_us = round(window_len * 1e6)
-    first, last = stamp(metas[0]) // len_us, stamp(metas[-1]) // len_us
+    first, last = metas[0].ts_us // len_us, metas[-1].ts_us // len_us
     moved_by = data.draw(st.integers(-first, (MAX_STAMP_US - 1) // len_us - last), label="windows moved")
     edges = sorted(data.draw(st.sets(st.integers(first, last + 1), min_size=2, max_size=6), label="truth edges"))
     classes = data.draw(st.lists(st.sampled_from(list(TrafficClass)), min_size=len(edges) - 1,

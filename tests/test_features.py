@@ -176,11 +176,11 @@ class TestExtract:
 
     def test_http_request_detection(self):
         pkts = [
-            make_meta(ts=0.1, flags=ACK, dst_port=80, payload_len=20, payload_prefix=b"GET / HT"),
-            make_meta(ts=0.2, flags=ACK, dst_port=8080, payload_len=20, payload_prefix=b"POST /fo"),
-            make_meta(ts=0.3, flags=ACK, dst_port=443, payload_len=20, payload_prefix=b"GET / HT"),
-            make_meta(ts=0.4, flags=ACK, dst_port=80, payload_len=20, payload_prefix=b"HTTP/1.1"),
-            make_meta(ts=0.5, transport=Transport.UDP, dst_port=80, payload_prefix=b"GET / HT"),
+            make_meta(ts=0.1, flags=ACK, dst_port=80, payload_len=20, payload_prefix=b"GET "),
+            make_meta(ts=0.2, flags=ACK, dst_port=8080, payload_len=20, payload_prefix=b"POST"),
+            make_meta(ts=0.3, flags=ACK, dst_port=443, payload_len=20, payload_prefix=b"GET "),
+            make_meta(ts=0.4, flags=ACK, dst_port=80, payload_len=20, payload_prefix=b"HTTP"),
+            make_meta(ts=0.5, transport=Transport.UDP, dst_port=80, payload_prefix=b"GET "),
         ]
         v = features(pkts)
         # Only TCP packets to 80/8080 whose payload starts with a method count.
@@ -272,7 +272,7 @@ class TestExtract:
         base = features(pkts, 10.0)
         shuffled = list(pkts)
         rng.shuffle(shuffled)
-        shuffled.sort(key=lambda p: (p.ts_sec, p.ts_usec))
+        shuffled.sort(key=lambda p: p.ts_us)
         again = features(shuffled, 10.0)
         assert np.array_equal(base, again)
 

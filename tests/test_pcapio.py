@@ -42,7 +42,7 @@ class TestRoundTrip:
         path = tmp_path / "t.pcap"
         write_pcap(path, frames)
         metas = read_pcap(path)
-        assert [(m.ts_sec, m.ts_usec) for m in metas] == [(f.ts_sec, f.ts_usec) for f in frames]
+        assert [m.ts_us for m in metas] == [f.ts_sec * 1_000_000 + f.ts_usec for f in frames]
         stamps = [oracle.timestamp(m) for m in metas]
         assert stamps == sorted(stamps)
 
@@ -129,13 +129,13 @@ class TestDecode:
 
     def test_minimal_tcp_syn(self):
         frame = ethernet(ipv4(tcp(flags=0x02, sport=40000, dport=80), proto=6, ttl=64))
-        meta = decode_frame(frame, 5, 123456)
+        meta = decode_frame(frame, 5_123_456)
         assert meta.transport is Transport.TCP
         assert meta.tcp_flags == 0x02
         assert meta.payload_len == 0
         assert meta.src_port == 40000 and meta.dst_port == 80
         assert meta.ttl == 64
-        assert (meta.ts_sec, meta.ts_usec) == (5, 123456)
+        assert meta.ts_us == 5_123_456
 
     def test_syn_ack_flag_bits(self):
         meta = decode_frame(ethernet(ipv4(tcp(flags=0x12), proto=6)))
@@ -165,10 +165,10 @@ class TestDecode:
                     assert meta.payload_len == expected
                     assert meta.transport is Transport.TCP
 
-    def test_payload_prefix_capped_at_eight_bytes(self):
+    def test_payload_prefix_capped_at_four_bytes(self):
         frame = ethernet(ipv4(tcp(payload=b"GET /index.html HTTP/1.1", flags=0x18), proto=6))
         meta = decode_frame(frame)
-        assert meta.payload_prefix == b"GET /ind"
+        assert meta.payload_prefix == b"GET "
 
     def test_arp_is_non_ip(self):
         meta = decode_frame(ethernet(b"\x00" * 28, ethertype=0x0806))
@@ -210,6 +210,6 @@ class TestDecode:
     def test_decode_never_raises(self, data):
         meta = decode_frame(data)
         assert meta.captured_len == len(data)
-        assert len(meta.payload_prefix) <= 8
+        assert len(meta.payload_prefix) <= 4
         if meta.transport is not Transport.TCP:
             assert meta.tcp_flags == 0
