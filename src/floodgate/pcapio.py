@@ -19,6 +19,7 @@ payload it keeps at most the first 4 bytes, which the HTTP-method test reads.
 from __future__ import annotations
 
 import struct
+from array import array
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator
@@ -145,11 +146,12 @@ def _meta(ts_us, cap, orig, code, src, dst, sport, dport, flags, ttl, plen, pref
     return PacketMeta(ts_us, cap, orig, _TRANSPORTS[code], src, dst, sport, dport, flags, ttl, plen, prefix[:prefix_len])
 
 
-def _walk(path) -> tuple[bytes, str, list[int]]:
+def _walk(path) -> tuple[bytes, str, array]:
     """Read a whole pcap file and walk its record headers once.
 
     Returns the file's bytes, its struct byte-order prefix, and the offset of
-    each record's frame data, which follows its 16-byte record header.
+    each record's frame data, which follows its 16-byte record header, as
+    8 bytes per record in an `array('q')`.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -171,7 +173,7 @@ def _walk(path) -> tuple[bytes, str, list[int]]:
         raise FloodgateError(f"{path}: linktype {linktype} (only Ethernet is supported)")
 
     incl_len = struct.Struct(endian + "I").unpack_from
-    starts: list[int] = []
+    starts = array("q")
     append = starts.append
     pos, last = 24, len(data) - 16
     while pos <= last:
@@ -206,7 +208,7 @@ def _set_prefix(out: Packets, buf: np.ndarray, rows: np.ndarray, at: np.ndarray,
 def read_pcap(path) -> Packets:
     """Decode every record of a pcap file into packet metadata columns, in file order."""
     data, endian, offsets = _walk(path)
-    offsets = np.array(offsets, dtype=np.int64)  # and let the list go
+    offsets = np.frombuffer(offsets, dtype=np.int64)
     buf = np.frombuffer(data, dtype=np.uint8)
     header = sliding_window_view(buf, 16)[offsets - 16].view(endian + "u4")
     out = Packets.empty(len(offsets))
@@ -215,6 +217,7 @@ def read_pcap(path) -> Packets:
     stamps[:] = sec
     stamps *= 1_000_000
     stamps += usec
+    del header, sec, usec  # the headers' copy goes before the decoder's temporaries come
     _decode(buf, offsets, out)
     return out
 

@@ -20,11 +20,20 @@ random ports. Everything is reproducible from the seed, which is the
 The draws fix the bytes: each stream calls its seeded generator in a fixed
 order and records every packet as one row of fields (time, addresses,
 ports, flags, protocol, TTL, payload kind and length), and changing that
-order changes the capture. `encode_records` turns rows into pcap records,
-headers, checksums and payloads of many rows at once; it holds the one
-frame layout, which `build_tcp_frame` and `build_udp_frame` use for one
-frame. A scenario may expect at most MAX_EXPECTED_PACKETS packets, so that
-synth stays within SYNTH_MEMORY_BUDGET.
+order changes the capture. Gaps and the benign mix are
+`Generator.exponential` and `Generator.random` draws. Bounded integers are
+taken from the generator's raw PCG64 words (`_halves`) by the rule
+`Generator.integers` applies to them, Lemire's multiply-shift with
+rejection on 32-bit halves (`_integers`), without that method's per-call
+overhead. A capture so depends on PCG64's raw stream, which numpy keeps
+stable, and not on `Generator.integers`; a `Generator.integers` call in a
+stream would take the half-word `_halves` holds and change the capture.
+
+`encode_records` turns rows into pcap records, headers, checksums and
+payloads of many rows at once; it holds the one frame layout, which
+`build_tcp_frame` and `build_udp_frame` use for one frame. A scenario may
+expect at most MAX_EXPECTED_PACKETS packets, so that synth stays within
+SYNTH_MEMORY_BUDGET.
 """
 
 from __future__ import annotations
@@ -316,19 +325,51 @@ def _arrivals(rng: np.random.Generator, start: float, end: float, rate: float):
         t += rng.exponential(1.0 / rate)
 
 
+def _halves(rng: np.random.Generator):
+    """The 32-bit halves of the generator's raw PCG64 words, low half first.
+
+    This is how PCG64 serves 32-bit draws: a word's high half waits for the
+    next one, and draws of whole words in between (`exponential`, `random`)
+    leave it waiting.
+    """
+    raw = rng.bit_generator.random_raw
+    while True:
+        word = raw()
+        yield word & 0xFFFFFFFF
+        yield word >> 32
+
+
+def _integers(halves, low: int, high: int) -> int:
+    """What `Generator.integers(low, high)` draws, for high - low <= 2**32, taken from `_halves`.
+
+    numpy's rule is Lemire's multiply-shift with rejection on 32-bit draws,
+    and a span of 1 draws nothing.
+    """
+    span = high - low
+    if span == 1:
+        return low
+    m = next(halves) * span
+    if m & 0xFFFFFFFF < span:  # the cheap test numpy makes before the exact one
+        threshold = (2**32 - span) % span
+        while m & 0xFFFFFFFF < threshold:
+            m = next(halves) * span
+    return low + (m >> 32)
+
+
 def gen_benign(rate: float, end: float, rng: np.random.Generator, rows: array) -> None:
     """Record background conversations' packets over [0, end) as rows appended to `rows`."""
     if rate <= 0:
         return
     victim, vport = VICTIM_IP, VICTIM_PORT
     put = rows.extend
+    halves = _halves(rng)
 
     for t in _arrivals(rng, 0.0, end, rate / _MEAN_EVENT_PKTS):
         kind = _BENIGN_MIX[_MIX_CDF.searchsorted(rng.random(), side="right")][0]
-        client_idx = int(rng.integers(len(_CLIENTS)))
+        client_idx = _integers(halves, 0, len(_CLIENTS))
         client = _CLIENTS[client_idx]
         ttl = 64 if client_idx % 2 == 0 else 128
-        cport = int(rng.integers(1024, 65536))
+        cport = _integers(halves, 1024, 65536)
         when = t
 
         def push(*fields) -> None:
@@ -343,15 +384,15 @@ def gen_benign(rate: float, end: float, rng: np.random.Generator, rows: array) -
             push(client, victim, cport, vport, FLAG_ACK, PROTO_TCP, ttl, ZEROS, 0)
             if kind == "http":
                 push(client, victim, cport, vport, FLAG_PSH | FLAG_ACK, PROTO_TCP, ttl, GET, len(HTTP_GET))
-                body_len = len(HTTP_RESPONSE) + int(rng.integers(100, 900))
+                body_len = len(HTTP_RESPONSE) + _integers(halves, 100, 900)
                 push(victim, client, vport, cport, FLAG_PSH | FLAG_ACK, PROTO_TCP, 64, RESPONSE, body_len)
         elif kind == "dns":
-            query_len = 4 + int(rng.integers(12, 40))
+            query_len = 4 + _integers(halves, 12, 40)
             push(client, _DNS_SERVER, cport, 53, 0, PROTO_UDP, ttl, DNS_QUERY, query_len)
-            answer_len = 4 + int(rng.integers(20, 80))
+            answer_len = 4 + _integers(halves, 20, 80)
             push(_DNS_SERVER, client, 53, cport, 0, PROTO_UDP, 64, DNS_ANSWER, answer_len)
         else:  # bulk data from the server
-            body_len = int(rng.integers(400, 1400))
+            body_len = _integers(halves, 400, 1400)
             push(victim, client, vport, cport, FLAG_PSH | FLAG_ACK, PROTO_TCP, 64, BULK, body_len)
 
 
@@ -360,32 +401,33 @@ def gen_attack(ep: Episode, rng: np.random.Generator, rows: array) -> None:
     victim, vport = VICTIM_IP, VICTIM_PORT
     first_attacker = ip_to_int(ATTACKER_NET) + 1  # attacker i is first_attacker + i
     put = rows.extend
+    halves = _halves(rng)
 
     if ep.attack is TrafficClass.SYN_FLOOD:
         spoof_base = ip_to_int(SPOOF_NET)
         for t in _arrivals(rng, ep.start, ep.end, ep.rate):
-            src = spoof_base + int(rng.integers(1, 65535))
-            sport = int(rng.integers(1024, 65536))
-            ttl = int(rng.integers(32, 256))
+            src = spoof_base + _integers(halves, 1, 65535)
+            sport = _integers(halves, 1024, 65536)
+            ttl = _integers(halves, 32, 256)
             put((t, src, victim, sport, vport, FLAG_SYN, PROTO_TCP, ttl, ZEROS, 0))
 
     elif ep.attack is TrafficClass.ACK_FLOOD:
         for t in _arrivals(rng, ep.start, ep.end, ep.rate):
-            src = first_attacker + int(rng.integers(ep.attackers))
-            sport = int(rng.integers(1024, 65536))
+            src = first_attacker + _integers(halves, 0, ep.attackers)
+            sport = _integers(halves, 1024, 65536)
             put((t, src, victim, sport, vport, FLAG_ACK, PROTO_TCP, 64, ZEROS, 0))
 
     elif ep.attack is TrafficClass.HTTP_FLOOD:
         for t in _arrivals(rng, ep.start, ep.end, ep.rate / _HTTP_SESSION_MEAN_PKTS):
-            src = first_attacker + int(rng.integers(ep.attackers))
-            sport = int(rng.integers(1024, 65536))
+            src = first_attacker + _integers(halves, 0, ep.attackers)
+            sport = _integers(halves, 1024, 65536)
             when = t
             packets = [
                 (src, victim, sport, vport, FLAG_SYN, PROTO_TCP, 64, ZEROS, 0),
                 (victim, src, vport, sport, FLAG_SYN | FLAG_ACK, PROTO_TCP, 64, ZEROS, 0),
                 (src, victim, sport, vport, FLAG_ACK, PROTO_TCP, 64, ZEROS, 0),
             ]
-            gets = int(rng.integers(_HTTP_SESSION_MIN_GETS, _HTTP_SESSION_MAX_GETS + 1))
+            gets = _integers(halves, _HTTP_SESSION_MIN_GETS, _HTTP_SESSION_MAX_GETS + 1)
             packets += [(src, victim, sport, vport, FLAG_PSH | FLAG_ACK, PROTO_TCP, 64, GET, len(HTTP_GET))] * gets
             for fields in packets:
                 if when < ep.end:
@@ -394,10 +436,10 @@ def gen_attack(ep: Episode, rng: np.random.Generator, rows: array) -> None:
 
     elif ep.attack is TrafficClass.UDP_FLOOD:
         for t in _arrivals(rng, ep.start, ep.end, ep.rate):
-            src = first_attacker + int(rng.integers(ep.attackers))
-            payload_len = int(rng.integers(8, 65))
-            sport = int(rng.integers(1024, 65536))
-            dport = int(rng.integers(1, 65536))
+            src = first_attacker + _integers(halves, 0, ep.attackers)
+            payload_len = _integers(halves, 8, 65)
+            sport = _integers(halves, 1024, 65536)
+            dport = _integers(halves, 1, 65536)
             put((t, src, victim, sport, dport, 0, PROTO_UDP, 64, ZEROS, payload_len))
 
     else:  # pragma: no cover - ScenarioConfig validation rejects this

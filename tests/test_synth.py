@@ -1,21 +1,25 @@
 """The scenario grammar, the packets each episode kind sends, seeded
-reproducibility, and the record encoder against the struct reference.
+reproducibility, the record encoder against the struct reference, and the
+draw loops and `_integers` against numpy's `Generator.integers`.
 
 Packet shapes are read back through `read_pcap`, the decoder the pipeline
 uses, from captures holding one episode and no benign traffic.
 """
 
+import ast
 import hashlib
 import struct
 import tracemalloc
+from array import array
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from floodgate import synth
+from floodgate import pcapio, synth
 from floodgate.cli import main
 from floodgate.dataset import TrafficClass
 from floodgate.errors import FloodgateError
@@ -279,25 +283,48 @@ def test_pinned_scenario_peak_memory(tmp_path):
     assert peak / PINNED_PACKETS <= STRUCT_SYNTH_PEAK_BYTES_PER_PACKET
 
 
+def pinned_read_peak_per_packet(tmp_path, read):
+    """tracemalloc peak of a second `read(pcap)` of PINNED's capture, in bytes per packet."""
+    pcap = tmp_path / "p.pcap"
+    run_scenario(parse_scenario(PINNED), pcap, tmp_path / "p.truth")
+    read(pcap)  # first-call allocations stay out of the peak
+    tracemalloc.start()
+    try:
+        read(pcap)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak / PINNED_PACKETS
+
+
 # tracemalloc peak of a second `read_pcap` of PINNED when `Packets` held the
 # record header's seconds and microseconds as two int64 columns and 8 payload
 # bytes per packet: 4,273,890 B, 348.6 B/packet, in each of three runs.
 TWO_CLOCK_COLUMNS_READ_PEAK_BYTES_PER_PACKET = 348.6
+# The same peak when `_walk` collected the record offsets in a Python list and
+# `read_pcap` kept its copy of the record headers through the decode:
+# 4,126,863-4,127,103 B, 336.6-336.7 B/packet, over three runs.
+LIST_WALK_READ_PEAK_BYTES_PER_PACKET = 336.6
 
 
 def test_pinned_capture_read_peak_memory(tmp_path):
     """One microsecond column and a 4-byte prefix keep `read_pcap`'s peak below
     what two timestamp columns and an 8-byte prefix took."""
-    pcap = tmp_path / "p.pcap"
-    run_scenario(parse_scenario(PINNED), pcap, tmp_path / "p.truth")
-    read_pcap(pcap)  # first-call allocations stay out of the peak
-    tracemalloc.start()
-    try:
-        read_pcap(pcap)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak / PINNED_PACKETS < TWO_CLOCK_COLUMNS_READ_PEAK_BYTES_PER_PACKET
+    assert pinned_read_peak_per_packet(tmp_path, read_pcap) < TWO_CLOCK_COLUMNS_READ_PEAK_BYTES_PER_PACKET
+
+
+def test_pinned_capture_read_peak_memory_below_the_list_walk(tmp_path):
+    """Dropping the record headers' copy before the decode keeps `read_pcap`'s
+    peak below what it was with the list walk."""
+    assert pinned_read_peak_per_packet(tmp_path, read_pcap) < LIST_WALK_READ_PEAK_BYTES_PER_PACKET
+
+
+def test_pinned_capture_walk_peak_memory(tmp_path):
+    """`_walk` holds the file's bytes plus at most 16 bytes per record: an
+    8-byte offset in an `array('q')` and the array's room to grow. With a
+    Python list of offsets it held about 41 (135.7 B/packet in all)."""
+    peak = pinned_read_peak_per_packet(tmp_path, pcapio._walk)
+    assert peak < (tmp_path / "p.pcap").stat().st_size / PINNED_PACKETS + 16
 
 
 class TestPacketBudget:
@@ -397,3 +424,96 @@ def test_frame_builders_equal_struct_reference():
     assert synth.build_udp_frame(0xFFFFFFFF, 0, 65535, 0, bytes(range(256)), 255) == oracle.build_udp_frame(
         0xFFFFFFFF, 0, 65535, 0, bytes(range(256)), 255
     )
+
+
+# --- the draw loops against oracle.py's `rng.integers` loops --------------------
+
+SEED = st.integers(0, 2**64 - 1)
+# 1 attacker draws nothing, 65534 is MAX_ATTACKERS.
+ATTACKER_COUNTS = st.one_of(st.sampled_from([1, 2, synth.MAX_ATTACKERS]), st.integers(1, synth.MAX_ATTACKERS))
+ATTACKS = st.sampled_from([c for c in TrafficClass if c is not TrafficClass.NORMAL])
+
+
+def assert_same_stream(seed, draw_rows, reference_rows):
+    """synth's rows of one stream equal the oracle's bit for bit, each drawn
+    from its own generator of `seed`, and both generators used the same raw words."""
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    got, want = array("d"), array("d")
+    draw_rows(ours, got)
+    reference_rows(theirs, want)
+    assert got.tobytes() == want.tobytes()
+    assert ours.bit_generator.state["state"] == theirs.bit_generator.state["state"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=SEED, end=st.floats(0.1, 2.0), rate=st.floats(50.0, 1000.0))
+def test_benign_rows_equal_the_integers_loop(seed, end, rate):
+    assert_same_stream(
+        seed,
+        lambda rng, rows: synth.gen_benign(rate, end, rng, rows),
+        lambda rng, rows: oracle.gen_benign(rate, end, rng, rows),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=SEED, attack=ATTACKS, start=st.floats(0.0, 1.0), length=st.floats(0.1, 1.0),
+       rate=st.floats(100.0, 2000.0), attackers=ATTACKER_COUNTS)
+@example(seed=5, attack=TrafficClass.HTTP_FLOOD, start=0.0, length=1.0, rate=2000.0, attackers=1)
+@example(seed=5, attack=TrafficClass.UDP_FLOOD, start=0.0, length=1.0, rate=2000.0, attackers=synth.MAX_ATTACKERS)
+def test_attack_rows_equal_the_integers_loop(seed, attack, start, length, rate, attackers):
+    ep = synth.Episode(attack, start, start + length, rate, attackers)
+    assert_same_stream(
+        seed,
+        lambda rng, rows: synth.gen_attack(ep, rng, rows),
+        lambda rng, rows: oracle.gen_attack(ep, rng, rows),
+    )
+
+
+# --- `_integers` against `Generator.integers` ----------------------------------
+
+# 2**31 + 1 rejects about half of its 32-bit draws; 2**32 is the widest span.
+SPAN = st.one_of(st.sampled_from([1, 2, 12, 2**31 + 1, 2**32]), st.integers(1, 2**32))
+DRAW = st.one_of(
+    st.tuples(st.just("integers"), st.integers(-(2**40), 2**40), SPAN),
+    st.tuples(st.sampled_from(["exponential", "random"])),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=SEED, draws=st.lists(DRAW, max_size=60))
+@example(seed=0, draws=[("integers", 0, 2**31 + 1)] * 30 + [("exponential",)])
+@example(seed=1, draws=[("integers", 7, 1), ("integers", 0, 12), ("random",), ("integers", 0, 2**32)])
+def test_integers_equals_the_generator(seed, draws):
+    """Interleaved with whole-word draws on a twin generator, `_integers`
+    draws what `Generator.integers` draws, and both generators end alike."""
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    halves = synth._halves(ours)
+    for name, *args in draws:
+        if name == "integers":
+            low, span = args
+            assert synth._integers(halves, low, low + span) == theirs.integers(low, low + span)
+        else:
+            assert getattr(ours, name)() == getattr(theirs, name)()
+    assert ours.exponential() == theirs.exponential()
+
+
+# --- no draw bypasses `_halves` --------------------------------------------------
+
+
+def integers_calls(tree):
+    """The line of each call of an attribute named `integers` (`x.integers(...)`)."""
+    return [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "integers"
+    ]
+
+
+def test_synth_makes_no_integers_call():
+    """A `Generator.integers` call in a stream that also reads `_halves` would
+    take PCG64's buffered half-word from under it and change the capture."""
+    assert integers_calls(ast.parse(Path(synth.__file__).read_text(encoding="utf-8"))) == []
+
+
+def test_an_integers_call_is_found():
+    tree = ast.parse("a = rng.integers(3)\nb = _integers(h, 0, 3)\nc = np.random.default_rng(1).integers(2, 9)\n")
+    assert integers_calls(tree) == [1, 3]
