@@ -8,6 +8,7 @@ uses, from captures holding one episode and no benign traffic.
 
 import ast
 import hashlib
+import re
 import struct
 import tracemalloc
 from array import array
@@ -150,8 +151,20 @@ class TestEpisodeShapes:
         assert (p.payload_len[gets] == len(HTTP_GET)).all()
         assert {bytes(row) for row in p.payload_prefix[gets]} == {HTTP_GET[:4]}
         assert (p.payload_len[~gets] == 0).all()
-        # Every session sends 5 to 14 GETs after one handshake.
-        assert gets.sum() >= 5 * (p.tcp_flags == SYN).sum() * 0.9
+
+    def test_http_flood_sessions_are_a_handshake_then_5_to_14_gets(self, tmp_path):
+        p = one_episode(tmp_path, "http_flood", rate=1000)
+        to_victim = p.dst_ip == synth.VICTIM_IP
+        attacker, sport = np.where(to_victim, p.src_ip, p.dst_ip), np.where(to_victim, p.src_port, p.dst_port)
+        symbol = dict(zip([SYN, SYN | ACK, ACK, PSH | ACK], "SsAG"))
+        gets = []
+        for first_us, shape in conversations(p.ts_us, zip(attacker, sport), [symbol[f] for f in p.tcp_flags]):
+            if not re.fullmatch("SsAG{5,14}", shape):
+                # Only a session that starts near the episode's end may lose its last packets to the cut.
+                assert first_us > 2_300_000 and re.fullmatch("S(s(AG{0,13})?)?", shape), shape
+            else:
+                gets.append(len(shape) - 3)
+        assert min(gets) == 5 and max(gets) == 14
 
     def test_udp_flood_sends_8_to_64_byte_payloads(self, tmp_path):
         p = one_episode(tmp_path, "udp_flood")
@@ -161,6 +174,57 @@ class TestEpisodeShapes:
         assert in_net(p.src_ip, ATTACKER_NET).all() and from_pool(p.src_ip).all()
         assert (p.dst_ip == synth.VICTIM_IP).all()
         assert ((p.dst_port >= 1) & (p.dst_port <= 65535)).all() and len(np.unique(p.dst_port)) > 100
+
+
+def conversations(ts_us, keys, symbols):
+    """(first stamp, symbols joined in time order) of each conversation, the packets with one key."""
+    found = {}
+    for ts, key, symbol in zip(ts_us.tolist(), keys, symbols):
+        found.setdefault(key, [ts, ""])[1] += symbol
+    return found.values()
+
+
+class TestBenignShape:
+    CLIENTS = [ip_to_int(f"192.168.1.{10 + i}") for i in range(12)]
+    DNS = ip_to_int("192.168.1.2")
+
+    BODY = len(synth.HTTP_RESPONSE)
+    # Each packet kind of a benign conversation: sent by the client, TCP flags,
+    # transport, payload length range and payload prefix.
+    KINDS = {
+        "S": (True, SYN, TCP, 0, 0, b""), "s": (False, SYN | ACK, TCP, 0, 0, b""),
+        "A": (True, ACK, TCP, 0, 0, b""), "G": (True, PSH | ACK, TCP, len(HTTP_GET), len(HTTP_GET), b"GET "),
+        "r": (False, PSH | ACK, TCP, BODY + 100, BODY + 899, b"HTTP"), "b": (False, PSH | ACK, TCP, 400, 1399, b"dddd"),
+        "Q": (True, 0, UDP, 16, 43, b"\x00\x01\x01\x00"), "a": (False, 0, UDP, 24, 83, b"\x00\x01\x81\x80"),
+    }
+
+    def symbol(self, from_client, flags, transport, plen, prefix):
+        """The letter of the packet's kind, or "?"."""
+        for letter, (client, f, t, low, high, start) in self.KINDS.items():
+            if (client, f, t, start) == (from_client, flags, transport, prefix) and low <= plen <= high:
+                return letter
+        return "?"
+
+    def test_every_conversation_has_its_kinds_shape(self, tmp_path):
+        cfg = parse_scenario("duration 3\nseed 11\nbenign_rate 400\n")
+        assert run_scenario(cfg, tmp_path / "b.pcap", tmp_path / "b.truth") > 1000
+        p = read_pcap(tmp_path / "b.pcap")
+        from_client = np.isin(p.src_ip, self.CLIENTS)
+        client, cport = np.where(from_client, p.src_ip, p.dst_ip), np.where(from_client, p.src_port, p.dst_port)
+        server, sport = np.where(from_client, p.dst_ip, p.src_ip), np.where(from_client, p.dst_port, p.src_port)
+        assert np.isin(client, self.CLIENTS).all() and (cport >= 1024).all()
+        assert set(zip(server.tolist(), sport.tolist())) == {(synth.VICTIM_IP, synth.VICTIM_PORT), (self.DNS, 53)}
+        # Even clients send with TTL 64, odd ones with 128; the servers with 64.
+        assert (p.ttl == np.where(from_client & ((client - self.CLIENTS[0]) % 2 == 1), 128, 64)).all()
+        symbols = [self.symbol(*row) for row in zip(from_client.tolist(), p.tcp_flags.tolist(), p.transport.tolist(),
+                                                     p.payload_len.tolist(),
+                                                     [bytes(b[:n]) for b, n in zip(p.payload_prefix, p.prefix_len)])]
+        shapes = conversations(p.ts_us, zip(client.tolist(), cport.tolist(), server.tolist()), symbols)
+        for first_us, shape in shapes:
+            if not re.fullmatch("SsA(Gr)?|Qa|b", shape):
+                # Only a conversation that starts near the end may lose its last packets to the cut.
+                assert first_us > 2_950_000 and re.fullmatch("S(s(AG?)?)?|Q", shape), shape
+        assert {shape for _, shape in shapes} >= {"SsA", "SsAGr", "Qa", "b"}
 
 
 class TestReproducible:
