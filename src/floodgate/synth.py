@@ -17,17 +17,15 @@ hammers "GET /" requests; udp_flood sprays small datagrams at uniformly
 random ports. Everything is reproducible from the seed, which is the
 `seed` line or 0 without one.
 
-The draws fix the bytes: each stream calls its seeded generator in a fixed
-order and records every packet as one row of fields (time, addresses,
-ports, flags, protocol, TTL, payload kind and length), and changing that
-order changes the capture. Gaps and the benign mix are
-`Generator.exponential` and `Generator.random` draws. Bounded integers are
-taken from the generator's raw PCG64 words (`_halves`) by the rule
-`Generator.integers` applies to them, Lemire's multiply-shift with
-rejection on 32-bit halves (`_integers`), without that method's per-call
-overhead. A capture so depends on PCG64's raw stream, which numpy keeps
-stable, and not on `Generator.integers`; a `Generator.integers` call in a
-stream would take the half-word `_halves` holds and change the capture.
+Each stream draws from its own generator, seeded with (seed, stream
+index): the benign mix is stream 0 and episode i stream i + 1. A stream
+draws whole arrays in a fixed order: its arrival times (cumulative sums of
+`Generator.exponential` gaps, drawn until they pass the stream's end), then
+one `Generator.integers` or `Generator.choice` array per field. Benign
+conversations and HTTP-flood sessions then draw one more gap array for the
+packets within each conversation, and the payload lengths of the packets
+that fall before the end. Changing that order, or any draw in it, changes
+the capture.
 
 `encode_records` turns rows into pcap records, headers, checksums and
 payloads of many rows at once; it holds the one frame layout, which
@@ -40,7 +38,6 @@ from __future__ import annotations
 
 import ipaddress
 import math
-from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,18 +47,6 @@ from .errors import FloodgateError
 from .features import write_truth
 from .ioutil import open_text, removed_on_failure, strict_numbers
 from .pcapio import ETHERTYPE_IPV4, FLAG_ACK, FLAG_PSH, FLAG_SYN, PROTO_TCP, PROTO_UDP, record_headers, write_records
-
-# Benign conversation mix: (kind, weight, packets per conversation).
-_BENIGN_MIX = (
-    ("handshake", 0.25, 3),
-    ("http", 0.35, 5),
-    ("dns", 0.20, 2),
-    ("bulk", 0.20, 1),
-)
-_MEAN_EVENT_PKTS = sum(w * k for _, w, k in _BENIGN_MIX)
-# What Generator.choice(p=weights) computes from one rng.random() draw.
-_MIX_CDF = np.array([w for _, w, _ in _BENIGN_MIX]).cumsum()
-_MIX_CDF /= _MIX_CDF[-1]
 
 _HTTP_SESSION_MIN_GETS = 5
 _HTTP_SESSION_MAX_GETS = 14
@@ -74,10 +59,12 @@ SPOOF_NET = "198.18.0.0"  # benchmark-reserved range used for spoofed SYN source
 ATTACKER_NET = "198.19.0.0"  # deterministic per-episode attacker hosts
 MAX_ATTACKERS = 65534  # the host addresses of ATTACKER_NET's /16
 
-# One packet is one row of N_FIELDS float64s (every integer field is below
-# 2**53): time, source and destination IPv4 address, source and destination
-# port, TCP flags, IP protocol, TTL, payload kind and payload length.
-N_FIELDS = 10
+# A stream records each packet as one `_ROW`: its time in seconds and nine
+# integer fields, each in the narrowest type that holds it (26 bytes).
+# `encode_records` takes the same ten fields as the columns of float64 rows,
+# which hold every one of them exactly.
+_ROW = np.dtype([("t", "f8"), ("src", "u4"), ("dst", "u4"), ("sport", "u2"), ("dport", "u2"),
+                 ("flags", "u1"), ("proto", "u1"), ("ttl", "u1"), ("kind", "u1"), ("plen", "u2")])
 
 # Payload kinds: a payload is its kind's prefix, cut or filled out to the
 # row's payload length with its kind's fill byte.
@@ -116,9 +103,12 @@ _RECORD_HEAD = 16  # the pcap record header before each frame
 CHUNK_ROWS = 2048
 
 # The most packets a scenario may expect. Until the capture is written, synth
-# holds each packet's row plus its sort key and index: a tracemalloc peak of
-# 125-126 B/packet at 0.38M and 0.86M packets, rounded up to 128. A 1 GiB
-# budget then allows 8,388,608 packets (a pcap of about 0.8 GB).
+# holds each packet's 26-byte record, plus the temporaries of the stream it
+# draws, or a sort key and index per packet while it sorts. Benign traffic,
+# the stream with the most temporaries, peaks (tracemalloc) at 96.8-96.9
+# B/packet alone at 0.25M and 1M packets; flood_mix's training capture at
+# 61.5. The budget keeps 128 B/packet, so 1 GiB allows 8,388,608 packets
+# (a pcap of about 0.8 GB).
 SYNTH_MEMORY_BUDGET = 1 << 30
 SYNTH_PEAK_BYTES_PER_PACKET = 128
 MAX_EXPECTED_PACKETS = SYNTH_MEMORY_BUDGET // SYNTH_PEAK_BYTES_PER_PACKET
@@ -128,6 +118,11 @@ MAX_DURATION_S = 2**32 - 1
 
 def ip_to_int(dotted: str) -> int:
     return int(ipaddress.IPv4Address(dotted))
+
+
+def _float_rows(records: np.ndarray) -> np.ndarray:
+    """`_ROW` records as the (n, 10) float64 rows that `encode_records` takes."""
+    return np.stack([records[name] for name in _ROW.names], axis=1, dtype=np.float64)
 
 
 def _pcap_us(t: np.ndarray) -> np.ndarray:
@@ -140,8 +135,9 @@ def _pcap_us(t: np.ndarray) -> np.ndarray:
 def encode_records(rows: np.ndarray) -> np.ndarray:
     """The pcap records of packet rows, in row order, back to back as one uint8 buffer.
 
-    `rows` is an (n, N_FIELDS) float64 array; each record is the 16-byte
-    record header and the frame in the one layout above.
+    `rows` is an (n, 10) float64 array whose columns are the `_ROW` fields;
+    each record is the 16-byte record header and the frame in the one layout
+    above.
     """
     sec, usec = np.divmod(_pcap_us(rows[:, 0]), 1_000_000)
     src, dst, sport, dport, flags, proto, ttl, kind, plen = rows[:, 1:].T.astype(np.int64)
@@ -312,138 +308,140 @@ def load_scenario(path) -> ScenarioConfig:
 VICTIM_IP = ip_to_int("10.0.0.10")
 VICTIM_PORT = 80
 # Benign client pool: even hosts behave Linux-like (TTL 64), odd Windows-like (128).
-_CLIENTS = tuple(ip_to_int(f"192.168.1.{10 + i}") for i in range(12))
+_CLIENTS = np.array([ip_to_int(f"192.168.1.{10 + i}") for i in range(12)])
 _DNS_SERVER = ip_to_int("192.168.1.2")
 
 
-def _arrivals(rng: np.random.Generator, start: float, end: float, rate: float):
-    """Poisson arrival times over [start, end) at `rate` per second. Each gap
-    is drawn only after the caller's draws for the previous arrival."""
-    t = start + rng.exponential(1.0 / rate)
-    while t < end:
-        yield t
-        t += rng.exponential(1.0 / rate)
+# The packets of a conversation, one template row each: whether the client
+# sends it (the server answers otherwise), the server's address and port, TCP
+# flags, IP protocol, payload kind and the payload length's range [low, high).
+_CONVERSATION = np.array(
+    [
+        (True, VICTIM_IP, VICTIM_PORT, FLAG_SYN, PROTO_TCP, ZEROS, 0, 1),
+        (False, VICTIM_IP, VICTIM_PORT, FLAG_SYN | FLAG_ACK, PROTO_TCP, ZEROS, 0, 1),
+        (True, VICTIM_IP, VICTIM_PORT, FLAG_ACK, PROTO_TCP, ZEROS, 0, 1),
+        (True, VICTIM_IP, VICTIM_PORT, FLAG_PSH | FLAG_ACK, PROTO_TCP, GET, len(HTTP_GET), len(HTTP_GET) + 1),
+        (False, VICTIM_IP, VICTIM_PORT, FLAG_PSH | FLAG_ACK, PROTO_TCP, RESPONSE,
+         len(HTTP_RESPONSE) + 100, len(HTTP_RESPONSE) + 900),
+        (True, _DNS_SERVER, 53, 0, PROTO_UDP, DNS_QUERY, 4 + 12, 4 + 40),
+        (False, _DNS_SERVER, 53, 0, PROTO_UDP, DNS_ANSWER, 4 + 20, 4 + 80),
+        (False, VICTIM_IP, VICTIM_PORT, FLAG_PSH | FLAG_ACK, PROTO_TCP, BULK, 400, 1400),
+    ],
+    dtype=[("client_sends", "?"), ("server", "u4"), ("server_port", "u2"), ("flags", "u1"), ("proto", "u1"),
+           ("kind", "u1"), ("plen_low", "u2"), ("plen_high", "u2")],
+)
+# Benign conversation mix: handshake, HTTP exchange, DNS lookup and bulk data
+# from the server, with their weights, first template rows and packets.
+_BENIGN_WEIGHTS = np.array([0.25, 0.35, 0.20, 0.20])
+_BENIGN_FIRST_ROW = np.array([0, 0, 5, 7])
+_BENIGN_PACKETS = np.array([3, 5, 2, 1])
+_MEAN_EVENT_PKTS = float(_BENIGN_WEIGHTS @ _BENIGN_PACKETS)
+# An HTTP-flood session is template rows 0-3, its GET (row 3) repeated.
+_HTTP_GET_ROW = 3
 
 
-def _halves(rng: np.random.Generator):
-    """The 32-bit halves of the generator's raw PCG64 words, low half first.
+def _arrivals(rng: np.random.Generator, start: float, end: float, rate: float) -> np.ndarray:
+    """Poisson arrival times over [start, end) at `rate` per second: cumulative
+    sums of exponential gaps, drawn in batches until one passes `end`."""
+    expected = rate * (end - start)
+    batch = int(expected + 5 * math.sqrt(expected)) + 1
+    times = start + np.cumsum(rng.exponential(1.0 / rate, batch))
+    while times[-1] < end:
+        times = np.concatenate((times, times[-1] + np.cumsum(rng.exponential(1.0 / rate, batch))))
+    return times[: times.searchsorted(end)]
 
-    This is how PCG64 serves 32-bit draws: a word's high half waits for the
-    next one, and draws of whole words in between (`exponential`, `random`)
-    leave it waiting.
+
+def _conversations(rng, start, sizes, first_row, last_row, gap, end, client, cport, client_ttl) -> np.ndarray:
+    """The records of conversations that start at `start` and hold `sizes` packets each.
+
+    Packet j of a conversation follows template row min(first_row + j,
+    last_row) and comes an exponential gap of mean `gap` seconds after packet
+    j - 1. `first_row`, `last_row`, `client`, `cport` and `client_ttl` are one
+    value or one per conversation. Packets at or past `end` are dropped; the
+    rest stay in conversation order, and in packet order within one.
     """
-    raw = rng.bit_generator.random_raw
-    while True:
-        word = raw()
-        yield word & 0xFFFFFFFF
-        yield word >> 32
+    conv = np.repeat(np.arange(len(start)), sizes)
+    first = np.cumsum(sizes) - sizes
+    times = rng.exponential(gap, len(conv))
+    times[first] = 0.0
+    times.cumsum(out=times)
+    times += np.repeat(start - times[first], sizes)
+    index = np.flatnonzero(times < end)  # each kept packet's index in the stream
+    out = np.empty(len(index), _ROW)
+    out["t"] = times[index]
+    del times  # the stream's full-length arrays go before the fields' temporaries come
+    conv = conv[index]
+
+    def each(value):
+        """A value per conversation (or one for all), per kept packet."""
+        return np.broadcast_to(value, len(start))[conv]
+
+    index -= first[conv]  # now each kept packet's position in its conversation
+    index += each(first_row)
+    np.minimum(index, each(last_row), out=index)  # now each kept packet's template row
+
+    def template(name):
+        """Field `name` of each kept packet's template row."""
+        return _CONVERSATION[name][index]
+
+    by_client = template("client_sends")
+
+    def exchange(mine, theirs, client_value, server_value):
+        """The client's value is field `mine` of what it sends and field `theirs` of the answers."""
+        client_value = each(client_value)
+        out[mine] = np.where(by_client, client_value, server_value)
+        out[theirs] = np.where(by_client, server_value, client_value)
+
+    exchange("src", "dst", client, template("server"))
+    exchange("sport", "dport", cport, template("server_port"))
+    out["ttl"] = np.where(by_client, each(client_ttl), 64)
+    for name in ("flags", "proto", "kind"):
+        out[name] = template(name)
+    out["plen"] = rng.integers(template("plen_low"), template("plen_high"))
+    return out
 
 
-def _integers(halves, low: int, high: int) -> int:
-    """What `Generator.integers(low, high)` draws, for high - low <= 2**32, taken from `_halves`.
-
-    numpy's rule is Lemire's multiply-shift with rejection on 32-bit draws,
-    and a span of 1 draws nothing.
-    """
-    span = high - low
-    if span == 1:
-        return low
-    m = next(halves) * span
-    if m & 0xFFFFFFFF < span:  # the cheap test numpy makes before the exact one
-        threshold = (2**32 - span) % span
-        while m & 0xFFFFFFFF < threshold:
-            m = next(halves) * span
-    return low + (m >> 32)
-
-
-def gen_benign(rate: float, end: float, rng: np.random.Generator, rows: array) -> None:
-    """Record background conversations' packets over [0, end) as rows appended to `rows`."""
+def gen_benign(rate: float, end: float, rng: np.random.Generator) -> np.ndarray:
+    """The records of background conversations' packets over [0, end)."""
     if rate <= 0:
-        return
-    victim, vport = VICTIM_IP, VICTIM_PORT
-    put = rows.extend
-    halves = _halves(rng)
-
-    for t in _arrivals(rng, 0.0, end, rate / _MEAN_EVENT_PKTS):
-        kind = _BENIGN_MIX[_MIX_CDF.searchsorted(rng.random(), side="right")][0]
-        client_idx = _integers(halves, 0, len(_CLIENTS))
-        client = _CLIENTS[client_idx]
-        ttl = 64 if client_idx % 2 == 0 else 128
-        cport = _integers(halves, 1024, 65536)
-        when = t
-
-        def push(*fields) -> None:
-            nonlocal when
-            if when < end:
-                put((when, *fields))
-            when += rng.exponential(0.001)
-
-        if kind in ("handshake", "http"):
-            push(client, victim, cport, vport, FLAG_SYN, PROTO_TCP, ttl, ZEROS, 0)
-            push(victim, client, vport, cport, FLAG_SYN | FLAG_ACK, PROTO_TCP, 64, ZEROS, 0)
-            push(client, victim, cport, vport, FLAG_ACK, PROTO_TCP, ttl, ZEROS, 0)
-            if kind == "http":
-                push(client, victim, cport, vport, FLAG_PSH | FLAG_ACK, PROTO_TCP, ttl, GET, len(HTTP_GET))
-                body_len = len(HTTP_RESPONSE) + _integers(halves, 100, 900)
-                push(victim, client, vport, cport, FLAG_PSH | FLAG_ACK, PROTO_TCP, 64, RESPONSE, body_len)
-        elif kind == "dns":
-            query_len = 4 + _integers(halves, 12, 40)
-            push(client, _DNS_SERVER, cport, 53, 0, PROTO_UDP, ttl, DNS_QUERY, query_len)
-            answer_len = 4 + _integers(halves, 20, 80)
-            push(_DNS_SERVER, client, 53, cport, 0, PROTO_UDP, 64, DNS_ANSWER, answer_len)
-        else:  # bulk data from the server
-            body_len = _integers(halves, 400, 1400)
-            push(victim, client, vport, cport, FLAG_PSH | FLAG_ACK, PROTO_TCP, 64, BULK, body_len)
+        return np.empty(0, _ROW)
+    start = _arrivals(rng, 0.0, end, rate / _MEAN_EVENT_PKTS)
+    kind = rng.choice(len(_BENIGN_WEIGHTS), len(start), p=_BENIGN_WEIGHTS)
+    client_idx = rng.integers(0, len(_CLIENTS), len(start))
+    cport = rng.integers(1024, 65536, len(start))
+    first_row, sizes = _BENIGN_FIRST_ROW[kind], _BENIGN_PACKETS[kind]
+    return _conversations(rng, start, sizes, first_row, first_row + sizes - 1, 0.001, end,
+                          _CLIENTS[client_idx], cport, np.where(client_idx % 2, 128, 64))
 
 
-def gen_attack(ep: Episode, rng: np.random.Generator, rows: array) -> None:
-    """Record one episode's packets over [start, end) as rows appended to `rows`."""
-    victim, vport = VICTIM_IP, VICTIM_PORT
+def gen_attack(ep: Episode, rng: np.random.Generator) -> np.ndarray:
+    """The records of one episode's packets over [start, end)."""
     first_attacker = ip_to_int(ATTACKER_NET) + 1  # attacker i is first_attacker + i
-    put = rows.extend
-    halves = _halves(rng)
+    if ep.attack is TrafficClass.HTTP_FLOOD:
+        start = _arrivals(rng, ep.start, ep.end, ep.rate / _HTTP_SESSION_MEAN_PKTS)
+        src = first_attacker + rng.integers(0, ep.attackers, len(start))
+        sport = rng.integers(1024, 65536, len(start))
+        sizes = 3 + rng.integers(_HTTP_SESSION_MIN_GETS, _HTTP_SESSION_MAX_GETS + 1, len(start))
+        return _conversations(rng, start, sizes, 0, _HTTP_GET_ROW, 0.002, ep.end, src, sport, 64)
 
+    t = _arrivals(rng, ep.start, ep.end, ep.rate)
+    n = len(t)
+    # Every field is one array, drawn in the order written.
     if ep.attack is TrafficClass.SYN_FLOOD:
-        spoof_base = ip_to_int(SPOOF_NET)
-        for t in _arrivals(rng, ep.start, ep.end, ep.rate):
-            src = spoof_base + _integers(halves, 1, 65535)
-            sport = _integers(halves, 1024, 65536)
-            ttl = _integers(halves, 32, 256)
-            put((t, src, victim, sport, vport, FLAG_SYN, PROTO_TCP, ttl, ZEROS, 0))
-
+        fields = dict(src=ip_to_int(SPOOF_NET) + rng.integers(1, 65535, n), sport=rng.integers(1024, 65536, n),
+                      ttl=rng.integers(32, 256, n), dport=VICTIM_PORT, flags=FLAG_SYN, proto=PROTO_TCP, plen=0)
     elif ep.attack is TrafficClass.ACK_FLOOD:
-        for t in _arrivals(rng, ep.start, ep.end, ep.rate):
-            src = first_attacker + _integers(halves, 0, ep.attackers)
-            sport = _integers(halves, 1024, 65536)
-            put((t, src, victim, sport, vport, FLAG_ACK, PROTO_TCP, 64, ZEROS, 0))
-
-    elif ep.attack is TrafficClass.HTTP_FLOOD:
-        for t in _arrivals(rng, ep.start, ep.end, ep.rate / _HTTP_SESSION_MEAN_PKTS):
-            src = first_attacker + _integers(halves, 0, ep.attackers)
-            sport = _integers(halves, 1024, 65536)
-            when = t
-            packets = [
-                (src, victim, sport, vport, FLAG_SYN, PROTO_TCP, 64, ZEROS, 0),
-                (victim, src, vport, sport, FLAG_SYN | FLAG_ACK, PROTO_TCP, 64, ZEROS, 0),
-                (src, victim, sport, vport, FLAG_ACK, PROTO_TCP, 64, ZEROS, 0),
-            ]
-            gets = _integers(halves, _HTTP_SESSION_MIN_GETS, _HTTP_SESSION_MAX_GETS + 1)
-            packets += [(src, victim, sport, vport, FLAG_PSH | FLAG_ACK, PROTO_TCP, 64, GET, len(HTTP_GET))] * gets
-            for fields in packets:
-                if when < ep.end:
-                    put((when, *fields))
-                when += rng.exponential(0.002)
-
+        fields = dict(src=first_attacker + rng.integers(0, ep.attackers, n), sport=rng.integers(1024, 65536, n),
+                      ttl=64, dport=VICTIM_PORT, flags=FLAG_ACK, proto=PROTO_TCP, plen=0)
     elif ep.attack is TrafficClass.UDP_FLOOD:
-        for t in _arrivals(rng, ep.start, ep.end, ep.rate):
-            src = first_attacker + _integers(halves, 0, ep.attackers)
-            payload_len = _integers(halves, 8, 65)
-            sport = _integers(halves, 1024, 65536)
-            dport = _integers(halves, 1, 65536)
-            put((t, src, victim, sport, dport, 0, PROTO_UDP, 64, ZEROS, payload_len))
-
+        fields = dict(src=first_attacker + rng.integers(0, ep.attackers, n), sport=rng.integers(1024, 65536, n),
+                      dport=rng.integers(1, 65536, n), plen=rng.integers(8, 65, n), ttl=64, flags=0, proto=PROTO_UDP)
     else:  # pragma: no cover - ScenarioConfig validation rejects this
         raise ValueError(f"unsupported episode kind {ep.attack}")
+    out = np.empty(n, _ROW)
+    for name, value in dict(fields, t=t, dst=VICTIM_IP, kind=ZEROS).items():
+        out[name] = value
+    return out
 
 
 def run_scenario(cfg: ScenarioConfig, out_pcap_path, out_truth_path) -> int:
@@ -454,16 +452,14 @@ def run_scenario(cfg: ScenarioConfig, out_pcap_path, out_truth_path) -> int:
     Records are written in timestamp order; packets with equal timestamps keep
     the order in which they were drawn.
     """
-    rec = array("d")
-    gen_benign(cfg.benign_rate, cfg.duration, np.random.default_rng((cfg.seed, 0)), rec)
-    for index, ep in enumerate(cfg.episodes):
-        gen_attack(ep, np.random.default_rng((cfg.seed, index + 1)), rec)
-
-    rows = np.frombuffer(rec, dtype=np.float64).reshape(-1, N_FIELDS)
-    order = np.argsort(_pcap_us(rows[:, 0]), kind="stable")
+    streams = [gen_benign(cfg.benign_rate, cfg.duration, np.random.default_rng((cfg.seed, 0)))]
+    streams += [gen_attack(ep, np.random.default_rng((cfg.seed, i + 1))) for i, ep in enumerate(cfg.episodes)]
+    rows = np.concatenate(streams)
+    del streams  # the streams' copies go before the sort's key and index come
+    order = np.argsort(_pcap_us(rows["t"]), kind="stable")
     write_records(
         out_pcap_path,
-        (encode_records(rows[order[i : i + CHUNK_ROWS]]) for i in range(0, len(order), CHUNK_ROWS)),
+        (encode_records(_float_rows(rows[order[i : i + CHUNK_ROWS]])) for i in range(0, len(order), CHUNK_ROWS)),
     )
     with removed_on_failure(out_pcap_path):
         write_truth(out_truth_path, [(ep.start, ep.end, ep.attack) for ep in cfg.episodes])

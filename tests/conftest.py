@@ -76,12 +76,12 @@ def write_records(path, records, endian="<"):
 
 
 def read_records(path):
-    """(ts_sec, ts_usec, orig_len, data) of each record of a little-endian pcap, read with struct."""
+    """(ts_sec, ts_usec, orig_len, data) of each record of a pcap of either byte order, read with struct."""
     out = []
     with open(path, "rb") as fh:
-        fh.read(24)
+        endian = "<" if fh.read(24)[:4] == struct.pack("<I", 0xA1B2C3D4) else ">"
         while head := fh.read(16):
-            ts_sec, ts_usec, incl_len, orig_len = struct.unpack("<IIII", head)
+            ts_sec, ts_usec, incl_len, orig_len = struct.unpack(endian + "IIII", head)
             out.append((ts_sec, ts_usec, orig_len, fh.read(incl_len)))
     return out
 

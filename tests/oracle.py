@@ -16,9 +16,8 @@ they stay sequential: from Python 3.12 on, `sum()` of floats is compensated.
 `timestamp` gives a record's float seconds, from its integer microseconds
 `ts_us`, only to check which window holds it and in what order.
 
-`gen_benign` and `gen_attack` are synth's draw loops as they were when every
-bounded integer was one `rng.integers` call; synth, which takes the same
-integers from raw PCG64 words, must record the same rows bit for bit.
+synth's streams have no reference here: they are declared by their draws,
+and `test_synth.py` checks their counts, ranges and gaps by distribution.
 
 `train` is the training loop with one Adam pass per array, `(w1, b1, w2,
 b2)` each with its own moment arrays, and `backward` the backward pass that
@@ -32,14 +31,9 @@ import struct
 import numpy as np
 
 from floodgate import mlp
-from floodgate.dataset import TrafficClass, fit_normalization
+from floodgate.dataset import fit_normalization
 from floodgate.features import HTTP_METHODS, HTTP_PORTS, SMALL_UDP_MAX_PAYLOAD
 from floodgate.pcapio import PacketMeta, Transport
-from floodgate.synth import (
-    _BENIGN_MIX, _CLIENTS, _DNS_SERVER, _HTTP_SESSION_MAX_GETS, _HTTP_SESSION_MEAN_PKTS, _HTTP_SESSION_MIN_GETS,
-    _MEAN_EVENT_PKTS, _MIX_CDF, ATTACKER_NET, BULK, DNS_ANSWER, DNS_QUERY, GET, HTTP_GET, HTTP_RESPONSE, RESPONSE,
-    SPOOF_NET, VICTIM_IP, VICTIM_PORT, ZEROS, _arrivals, ip_to_int,
-)
 
 # TCP flag bits and header constants, written out here rather than taken from the package.
 FIN, SYN, RST, PSH, ACK = 0x01, 0x02, 0x04, 0x08, 0x10
@@ -268,91 +262,6 @@ def features(metas, window_len):
     """The feature matrix of every non-empty window, as the reference computes it."""
     rows = [window_features(pkts) for _, _, pkts in windows(metas, window_len)]
     return np.array(rows, dtype=np.float64).reshape(len(rows), 24)
-
-
-def gen_benign(rate, end, rng, rows):
-    """synth's benign stream, drawing each bounded integer with `rng.integers`."""
-    if rate <= 0:
-        return
-    victim, vport = VICTIM_IP, VICTIM_PORT
-    put = rows.extend
-
-    for t in _arrivals(rng, 0.0, end, rate / _MEAN_EVENT_PKTS):
-        kind = _BENIGN_MIX[_MIX_CDF.searchsorted(rng.random(), side="right")][0]
-        client_idx = int(rng.integers(len(_CLIENTS)))
-        client = _CLIENTS[client_idx]
-        ttl = 64 if client_idx % 2 == 0 else 128
-        cport = int(rng.integers(1024, 65536))
-        when = t
-
-        def push(*fields):
-            nonlocal when
-            if when < end:
-                put((when, *fields))
-            when += rng.exponential(0.001)
-
-        if kind in ("handshake", "http"):
-            push(client, victim, cport, vport, SYN, PROTO_TCP, ttl, ZEROS, 0)
-            push(victim, client, vport, cport, SYN | ACK, PROTO_TCP, 64, ZEROS, 0)
-            push(client, victim, cport, vport, ACK, PROTO_TCP, ttl, ZEROS, 0)
-            if kind == "http":
-                push(client, victim, cport, vport, PSH | ACK, PROTO_TCP, ttl, GET, len(HTTP_GET))
-                body_len = len(HTTP_RESPONSE) + int(rng.integers(100, 900))
-                push(victim, client, vport, cport, PSH | ACK, PROTO_TCP, 64, RESPONSE, body_len)
-        elif kind == "dns":
-            query_len = 4 + int(rng.integers(12, 40))
-            push(client, _DNS_SERVER, cport, 53, 0, PROTO_UDP, ttl, DNS_QUERY, query_len)
-            answer_len = 4 + int(rng.integers(20, 80))
-            push(_DNS_SERVER, client, 53, cport, 0, PROTO_UDP, 64, DNS_ANSWER, answer_len)
-        else:
-            body_len = int(rng.integers(400, 1400))
-            push(victim, client, vport, cport, PSH | ACK, PROTO_TCP, 64, BULK, body_len)
-
-
-def gen_attack(ep, rng, rows):
-    """synth's stream of one episode, drawing each bounded integer with `rng.integers`."""
-    victim, vport = VICTIM_IP, VICTIM_PORT
-    first_attacker = ip_to_int(ATTACKER_NET) + 1
-    put = rows.extend
-
-    if ep.attack is TrafficClass.SYN_FLOOD:
-        spoof_base = ip_to_int(SPOOF_NET)
-        for t in _arrivals(rng, ep.start, ep.end, ep.rate):
-            src = spoof_base + int(rng.integers(1, 65535))
-            sport = int(rng.integers(1024, 65536))
-            ttl = int(rng.integers(32, 256))
-            put((t, src, victim, sport, vport, SYN, PROTO_TCP, ttl, ZEROS, 0))
-
-    elif ep.attack is TrafficClass.ACK_FLOOD:
-        for t in _arrivals(rng, ep.start, ep.end, ep.rate):
-            src = first_attacker + int(rng.integers(ep.attackers))
-            sport = int(rng.integers(1024, 65536))
-            put((t, src, victim, sport, vport, ACK, PROTO_TCP, 64, ZEROS, 0))
-
-    elif ep.attack is TrafficClass.HTTP_FLOOD:
-        for t in _arrivals(rng, ep.start, ep.end, ep.rate / _HTTP_SESSION_MEAN_PKTS):
-            src = first_attacker + int(rng.integers(ep.attackers))
-            sport = int(rng.integers(1024, 65536))
-            when = t
-            packets = [
-                (src, victim, sport, vport, SYN, PROTO_TCP, 64, ZEROS, 0),
-                (victim, src, vport, sport, SYN | ACK, PROTO_TCP, 64, ZEROS, 0),
-                (src, victim, sport, vport, ACK, PROTO_TCP, 64, ZEROS, 0),
-            ]
-            gets = int(rng.integers(_HTTP_SESSION_MIN_GETS, _HTTP_SESSION_MAX_GETS + 1))
-            packets += [(src, victim, sport, vport, PSH | ACK, PROTO_TCP, 64, GET, len(HTTP_GET))] * gets
-            for fields in packets:
-                if when < ep.end:
-                    put((when, *fields))
-                when += rng.exponential(0.002)
-
-    else:
-        for t in _arrivals(rng, ep.start, ep.end, ep.rate):
-            src = first_attacker + int(rng.integers(ep.attackers))
-            payload_len = int(rng.integers(8, 65))
-            sport = int(rng.integers(1024, 65536))
-            dport = int(rng.integers(1, 65536))
-            put((t, src, victim, sport, dport, 0, PROTO_UDP, 64, ZEROS, payload_len))
 
 
 def backward(w2, x_rows, y, h, p):

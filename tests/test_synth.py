@@ -1,19 +1,20 @@
 """The scenario grammar, the packets each episode kind sends, seeded
-reproducibility, the record encoder against the struct reference, and the
-draw loops and `_integers` against numpy's `Generator.integers`.
+reproducibility, the record encoder against the struct reference, synth's
+memory, and each stream's draws by distribution.
 
 Packet shapes are read back through `read_pcap`, the decoder the pipeline
-uses, from captures holding one episode and no benign traffic.
+uses, from captures holding one stream. A stream's draws are declared by
+synth, not copied from a reference: at fixed seeds, each stream's packet
+count lies within a Poisson bound and its gaps pass a Kolmogorov-Smirnov
+check against the exponential.
 """
 
-import ast
 import hashlib
+import math
 import re
 import struct
 import tracemalloc
-from array import array
 from dataclasses import fields
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from floodgate.dataset import TrafficClass
 from floodgate.errors import FloodgateError
 from floodgate.features import read_truth, write_truth
 from floodgate.pcapio import TCP, UDP, read_pcap
-from floodgate.synth import ATTACKER_NET, HTTP_GET, SPOOF_NET, ip_to_int, parse_scenario, run_scenario
+from floodgate.synth import ATTACKER_NET, HTTP_GET, SPOOF_NET, Episode, ip_to_int, parse_scenario, run_scenario
 
 import oracle
 from conftest import read_records, write_records
@@ -127,7 +128,9 @@ class TestEpisodeShapes:
         assert (p.transport == TCP).all()
         assert (p.tcp_flags == SYN).all()
         assert in_net(p.src_ip, SPOOF_NET).all()
+        assert ((p.src_ip & 0xFFFF >= 1) & (p.src_ip & 0xFFFF <= 65534)).all()
         assert len(np.unique(p.src_ip)) > ATTACKERS
+        assert ((p.ttl >= 32) & (p.ttl <= 255)).all() and len(np.unique(p.ttl)) > 150
         assert (p.dst_ip == synth.VICTIM_IP).all() and (p.dst_port == synth.VICTIM_PORT).all()
         assert (p.payload_len == 0).all()
 
@@ -140,31 +143,27 @@ class TestEpisodeShapes:
         assert (p.dst_ip == synth.VICTIM_IP).all() and (p.dst_port == synth.VICTIM_PORT).all()
 
     def test_http_flood_sends_gets_to_port_80(self, tmp_path):
-        p = one_episode(tmp_path, "http_flood")
+        p = one_episode(tmp_path, "http_flood", rate=1000)
         assert (p.transport == TCP).all()
         to_victim = p.dst_ip == synth.VICTIM_IP
         # Handshake replies come back from the victim; everything else goes to it, on its port.
         assert (np.where(to_victim, p.dst_port, p.src_port) == synth.VICTIM_PORT).all()
-        assert (p.tcp_flags[~to_victim] == SYN | ACK).all()
-        assert from_pool(p.src_ip[to_victim]).all()
-        gets = p.tcp_flags == PSH | ACK
-        assert (p.payload_len[gets] == len(HTTP_GET)).all()
-        assert {bytes(row) for row in p.payload_prefix[gets]} == {HTTP_GET[:4]}
-        assert (p.payload_len[~gets] == 0).all()
-
-    def test_http_flood_sessions_are_a_handshake_then_5_to_14_gets(self, tmp_path):
-        p = one_episode(tmp_path, "http_flood", rate=1000)
-        to_victim = p.dst_ip == synth.VICTIM_IP
         attacker, sport = np.where(to_victim, p.src_ip, p.dst_ip), np.where(to_victim, p.src_port, p.dst_port)
-        symbol = dict(zip([SYN, SYN | ACK, ACK, PSH | ACK], "SsAG"))
-        gets = []
-        for first_us, shape in conversations(p.ts_us, zip(attacker, sport), [symbol[f] for f in p.tcp_flags]):
+        assert from_pool(attacker).all()
+        gets = p.tcp_flags == PSH | ACK
+        assert (p.payload_len == np.where(gets, len(HTTP_GET), 0)).all()
+        assert {bytes(row) for row in p.payload_prefix[gets]} == {HTTP_GET[:4]}
+        # Each session, in time order: SYN, SYN-ACK, ACK, then 5 to 14 GETs.
+        symbol = {(True, SYN): "S", (False, SYN | ACK): "s", (True, ACK): "A", (True, PSH | ACK): "G"}
+        symbols = [symbol.get(key, "?") for key in zip(to_victim.tolist(), p.tcp_flags.tolist())]
+        get_counts = []
+        for first_us, shape in conversations(p.ts_us, zip(attacker.tolist(), sport.tolist()), symbols):
             if not re.fullmatch("SsAG{5,14}", shape):
                 # Only a session that starts near the episode's end may lose its last packets to the cut.
                 assert first_us > 2_300_000 and re.fullmatch("S(s(AG{0,13})?)?", shape), shape
             else:
-                gets.append(len(shape) - 3)
-        assert min(gets) == 5 and max(gets) == 14
+                get_counts.append(len(shape) - 3)
+        assert min(get_counts) == 5 and max(get_counts) == 14
 
     def test_udp_flood_sends_8_to_64_byte_payloads(self, tmp_path):
         p = one_episode(tmp_path, "udp_flood")
@@ -187,7 +186,6 @@ def conversations(ts_us, keys, symbols):
 class TestBenignShape:
     CLIENTS = [ip_to_int(f"192.168.1.{10 + i}") for i in range(12)]
     DNS = ip_to_int("192.168.1.2")
-
     BODY = len(synth.HTTP_RESPONSE)
     # Each packet kind of a benign conversation: sent by the client, TCP flags,
     # transport, payload length range and payload prefix.
@@ -216,9 +214,9 @@ class TestBenignShape:
         assert set(zip(server.tolist(), sport.tolist())) == {(synth.VICTIM_IP, synth.VICTIM_PORT), (self.DNS, 53)}
         # Even clients send with TTL 64, odd ones with 128; the servers with 64.
         assert (p.ttl == np.where(from_client & ((client - self.CLIENTS[0]) % 2 == 1), 128, 64)).all()
-        symbols = [self.symbol(*row) for row in zip(from_client.tolist(), p.tcp_flags.tolist(), p.transport.tolist(),
-                                                     p.payload_len.tolist(),
-                                                     [bytes(b[:n]) for b, n in zip(p.payload_prefix, p.prefix_len)])]
+        prefixes = [bytes(b[:n]) for b, n in zip(p.payload_prefix, p.prefix_len)]
+        columns = (from_client, p.tcp_flags, p.transport, p.payload_len)
+        symbols = [self.symbol(*row) for row in zip(*(c.tolist() for c in columns), prefixes)]
         shapes = conversations(p.ts_us, zip(client.tolist(), cport.tolist(), server.tolist()), symbols)
         for first_us, shape in shapes:
             if not re.fullmatch("SsA(Gr)?|Qa|b", shape):
@@ -277,15 +275,15 @@ episode ack_flood 3 4.2 2000 20
 episode http_flood 5 6.5 2000 20
 episode udp_flood 6.5 7.5 2000 20
 """
-PINNED_PACKETS = 12259
-PINNED_PCAP_SHA256 = "9d3c8a92faeecfe5404ed9182edffb5c94f19e11457c63cf02e8743392074762"
+PINNED_PACKETS = 11697
+PINNED_PCAP_SHA256 = "939d4cc9a8b77020aa814a826c45cf5c03b820e3b6ab3f45dffe68c97a883a1d"
 PINNED_TRUTH_SHA256 = "0a53c00a6a7b318765f043fae0e77f4bcd10fa2522140dcac95e7999280b9568"
 # `floodgate extract --window 0.1 --truth` of PINNED; no feature goes through BLAS.
-PINNED_FEATURES_SHA256 = "83c5038c0f920b8f13b4bb9cc44dcb986ffb7b075b8a072684488ee9034dd4a7"
+PINNED_FEATURES_SHA256 = "ce5ac46778507b0802b244d5d2ab0316e7ddb1323eda1df3827c69b0f9158806"
 
 
 def test_pinned_scenario_bytes(tmp_path):
-    """The capture and truth bytes of a fixed scenario, as the struct-per-packet synth wrote them."""
+    """The capture and truth bytes of a fixed scenario, which its seed and synth's draws fix."""
     pcap, truth = tmp_path / "p.pcap", tmp_path / "p.truth"
     assert run_scenario(parse_scenario(PINNED), pcap, truth) == PINNED_PACKETS
     assert hashlib.sha256(pcap.read_bytes()).hexdigest() == PINNED_PCAP_SHA256
@@ -334,17 +332,29 @@ def test_pinned_scenario_written_big_endian_extracts_the_same_bytes(tmp_path):
 STRUCT_SYNTH_PEAK_BYTES_PER_PACKET = 394
 
 
-def test_pinned_scenario_peak_memory(tmp_path):
-    """Chunked encoding keeps synth's peak below the struct-per-packet synth's."""
-    pcap, truth = tmp_path / "p.pcap", tmp_path / "p.truth"
-    run_scenario(parse_scenario(PINNED), pcap, truth)  # first-call allocations stay out of the peak
+def synth_peak_per_packet(tmp_path, text):
+    """tracemalloc peak of a second `run_scenario` of a scenario, in bytes per packet."""
+    cfg, pcap, truth = parse_scenario(text), tmp_path / "s.pcap", tmp_path / "s.truth"
+    run_scenario(cfg, pcap, truth)  # first-call allocations stay out of the peak
     tracemalloc.start()
     try:
-        run_scenario(parse_scenario(PINNED), pcap, truth)
+        count = run_scenario(cfg, pcap, truth)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak / PINNED_PACKETS <= STRUCT_SYNTH_PEAK_BYTES_PER_PACKET
+    return peak / count
+
+
+def test_pinned_scenario_peak_memory(tmp_path):
+    """Chunked encoding keeps synth's peak below the struct-per-packet synth's."""
+    assert synth_peak_per_packet(tmp_path, PINNED) <= STRUCT_SYNTH_PEAK_BYTES_PER_PACKET
+
+
+def test_peak_memory_is_within_the_budget(tmp_path):
+    """About 0.25M packets of benign conversations, the stream with the most
+    temporaries per packet, stay within the bytes per packet that
+    MAX_EXPECTED_PACKETS is computed from."""
+    assert synth_peak_per_packet(tmp_path, "duration 50\nseed 1\nbenign_rate 5000\n") <= synth.SYNTH_PEAK_BYTES_PER_PACKET
 
 
 def pinned_read_peak_per_packet(tmp_path, read):
@@ -490,94 +500,54 @@ def test_frame_builders_equal_struct_reference():
     )
 
 
-# --- the draw loops against oracle.py's `rng.integers` loops --------------------
+# --- each stream's draws, by distribution at fixed seeds -----------------------
 
-SEED = st.integers(0, 2**64 - 1)
-# 1 attacker draws nothing, 65534 is MAX_ATTACKERS.
-ATTACKER_COUNTS = st.one_of(st.sampled_from([1, 2, synth.MAX_ATTACKERS]), st.integers(1, synth.MAX_ATTACKERS))
-ATTACKS = st.sampled_from([c for c in TrafficClass if c is not TrafficClass.NORMAL])
+RATE, SPAN = 2000, 10.0
 
 
-def assert_same_stream(seed, draw_rows, reference_rows):
-    """synth's rows of one stream equal the oracle's bit for bit, each drawn
-    from its own generator of `seed`, and both generators used the same raw words."""
-    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
-    got, want = array("d"), array("d")
-    draw_rows(ours, got)
-    reference_rows(theirs, want)
-    assert got.tobytes() == want.tobytes()
-    assert ours.bit_generator.state["state"] == theirs.bit_generator.state["state"]
+def episode(kind):
+    return lambda rng: synth.gen_attack(Episode(kind, 0, SPAN, RATE, ATTACKERS), rng)
 
 
-@settings(max_examples=40, deadline=None)
-@given(seed=SEED, end=st.floats(0.1, 2.0), rate=st.floats(50.0, 1000.0))
-def test_benign_rows_equal_the_integers_loop(seed, end, rate):
-    assert_same_stream(
-        seed,
-        lambda rng, rows: synth.gen_benign(rate, end, rng, rows),
-        lambda rng, rows: oracle.gen_benign(rate, end, rng, rows),
-    )
+# Each stream over [0, SPAN) at RATE packets/s: how it is drawn, its (weight,
+# packets) per event, which of its rows start an event (every row of a flood),
+# and the mean gap within one.
+STREAMS = {
+    "benign": (lambda rng: synth.gen_benign(RATE, SPAN, rng), [(0.25, 3), (0.35, 5), (0.20, 2), (0.20, 1)],
+               lambda r: (r["flags"] == SYN) | np.isin(r["kind"], [synth.DNS_QUERY, synth.BULK]), 0.001),
+    "http_flood": (episode(TrafficClass.HTTP_FLOOD), [(0.1, 3 + gets) for gets in range(5, 15)],
+                   lambda r: r["flags"] == SYN, 0.002),
+    "syn_flood": (episode(TrafficClass.SYN_FLOOD), [(1.0, 1)], None, None),
+    "ack_flood": (episode(TrafficClass.ACK_FLOOD), [(1.0, 1)], None, None),
+    "udp_flood": (episode(TrafficClass.UDP_FLOOD), [(1.0, 1)], None, None),
+}
 
 
-@settings(max_examples=60, deadline=None)
-@given(seed=SEED, attack=ATTACKS, start=st.floats(0.0, 1.0), length=st.floats(0.1, 1.0),
-       rate=st.floats(100.0, 2000.0), attackers=ATTACKER_COUNTS)
-@example(seed=5, attack=TrafficClass.HTTP_FLOOD, start=0.0, length=1.0, rate=2000.0, attackers=1)
-@example(seed=5, attack=TrafficClass.UDP_FLOOD, start=0.0, length=1.0, rate=2000.0, attackers=synth.MAX_ATTACKERS)
-def test_attack_rows_equal_the_integers_loop(seed, attack, start, length, rate, attackers):
-    ep = synth.Episode(attack, start, start + length, rate, attackers)
-    assert_same_stream(
-        seed,
-        lambda rng, rows: synth.gen_attack(ep, rng, rows),
-        lambda rng, rows: oracle.gen_attack(ep, rng, rows),
-    )
+def ks_distance(gaps, mean):
+    """The Kolmogorov-Smirnov distance between the gaps' empirical CDF and the exponential CDF of `mean`."""
+    x = np.sort(gaps)
+    cdf = -np.expm1(-x / mean)
+    below = np.arange(len(x)) / len(x)
+    return max((below + 1 / len(x) - cdf).max(), (cdf - below).max())
 
 
-# --- `_integers` against `Generator.integers` ----------------------------------
-
-# 2**31 + 1 rejects about half of its 32-bit draws; 2**32 is the widest span.
-SPAN = st.one_of(st.sampled_from([1, 2, 12, 2**31 + 1, 2**32]), st.integers(1, 2**32))
-DRAW = st.one_of(
-    st.tuples(st.just("integers"), st.integers(-(2**40), 2**40), SPAN),
-    st.tuples(st.sampled_from(["exponential", "random"])),
-)
-
-
-@settings(max_examples=300, deadline=None)
-@given(seed=SEED, draws=st.lists(DRAW, max_size=60))
-@example(seed=0, draws=[("integers", 0, 2**31 + 1)] * 30 + [("exponential",)])
-@example(seed=1, draws=[("integers", 7, 1), ("integers", 0, 12), ("random",), ("integers", 0, 2**32)])
-def test_integers_equals_the_generator(seed, draws):
-    """Interleaved with whole-word draws on a twin generator, `_integers`
-    draws what `Generator.integers` draws, and both generators end alike."""
-    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
-    halves = synth._halves(ours)
-    for name, *args in draws:
-        if name == "integers":
-            low, span = args
-            assert synth._integers(halves, low, low + span) == theirs.integers(low, low + span)
-        else:
-            assert getattr(ours, name)() == getattr(theirs, name)()
-    assert ours.exponential() == theirs.exponential()
-
-
-# --- no draw bypasses `_halves` --------------------------------------------------
-
-
-def integers_calls(tree):
-    """The line of each call of an attribute named `integers` (`x.integers(...)`)."""
-    return [
-        node.lineno for node in ast.walk(tree)
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "integers"
-    ]
-
-
-def test_synth_makes_no_integers_call():
-    """A `Generator.integers` call in a stream that also reads `_halves` would
-    take PCG64's buffered half-word from under it and change the capture."""
-    assert integers_calls(ast.parse(Path(synth.__file__).read_text(encoding="utf-8"))) == []
-
-
-def test_an_integers_call_is_found():
-    tree = ast.parse("a = rng.integers(3)\nb = _integers(h, 0, 3)\nc = np.random.default_rng(1).integers(2, 9)\n")
-    assert integers_calls(tree) == [1, 3]
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("stream", sorted(STREAMS))
+def test_stream_count_and_gaps_follow_their_distributions(stream, seed):
+    """Events arrive at RATE / E[K] per second and carry K packets each, so
+    the count has mean RATE * SPAN and variance RATE * SPAN * E[K**2] / E[K]
+    (compound Poisson); it lies within 5 standard deviations, which a normal
+    count leaves with probability below 6e-7. The gaps between events, and
+    between the packets within one, pass a Kolmogorov-Smirnov check against
+    the exponential at level 0.001, which tells a mean 25% off."""
+    draw, mix, starts, gap_within = STREAMS[stream]
+    rows = draw(np.random.default_rng(seed))
+    mean_k, mean_k2 = sum(w * k for w, k in mix), sum(w * k * k for w, k in mix)
+    assert abs(len(rows) - RATE * SPAN) <= 5 * math.sqrt(RATE * SPAN * mean_k2 / mean_k)
+    first = starts(rows) if starts else np.ones(len(rows), bool)
+    checks = [(np.diff(rows["t"][first], prepend=0.0), mean_k / RATE)]
+    checks += [(np.diff(rows["t"])[~first[1:]], gap_within)] if gap_within else []
+    for gaps, mean in checks:
+        limit = math.sqrt(-math.log(0.001 / 2) / 2 / len(gaps))  # Smirnov's asymptotic critical value
+        assert ks_distance(gaps, mean) < limit
+        assert ks_distance(gaps, 1.25 * mean) > limit
