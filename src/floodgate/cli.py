@@ -117,9 +117,17 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
+def _read_windows(path, window_len: float):
+    """The packets of the capture at `path` and their windows; an error names the capture."""
+    packets = read_pcap(path)
+    try:
+        return packets, window_packets(packets, window_len)
+    except FloodgateError as exc:
+        raise FloodgateError(f"{path}: {exc}") from None
+
+
 def cmd_extract(args) -> int:
-    packets = read_pcap(args.pcap)
-    windows = window_packets(packets, args.window)
+    packets, windows = _read_windows(args.pcap, args.window)
     truth = read_truth(args.truth) if args.truth else []
     ds = Dataset(extract_features(packets, windows), label_windows(windows, truth))
     write_csv(ds, args.out)
@@ -168,8 +176,7 @@ def cmd_eval(args) -> int:
 
 def cmd_classify(args) -> int:
     model = load_model(args.model)
-    packets = read_pcap(args.pcap)
-    windows = window_packets(packets, args.window)
+    packets, windows = _read_windows(args.pcap, args.window)
     probs = forward(model, extract_features(packets, windows))
     labels = probs.argmax(axis=1).tolist()
     lines = [CLASSIFY_HEADER]

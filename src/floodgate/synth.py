@@ -27,11 +27,11 @@ packets within each conversation, and the payload lengths of the packets
 that fall before the end. Changing that order, or any draw in it, changes
 the capture.
 
-`encode_records` turns rows into pcap records, headers, checksums and
-payloads of many rows at once; it holds the one frame layout, which
-`build_tcp_frame` and `build_udp_frame` use for one frame. A scenario may
-expect at most MAX_EXPECTED_PACKETS packets, so that synth stays within
-SYNTH_MEMORY_BUDGET.
+`encode_records` turns packet records (`_ROW`) into pcap records, headers,
+checksums and payloads of many packets at once; it holds the one frame
+layout, which `build_tcp_frame` and `build_udp_frame` use for one frame. A
+scenario may expect at most MAX_EXPECTED_PACKETS packets, so that synth
+stays within SYNTH_MEMORY_BUDGET.
 """
 
 from __future__ import annotations
@@ -61,8 +61,6 @@ MAX_ATTACKERS = 65534  # the host addresses of ATTACKER_NET's /16
 
 # A stream records each packet as one `_ROW`: its time in seconds and nine
 # integer fields, each in the narrowest type that holds it (26 bytes).
-# `encode_records` takes the same ten fields as the columns of float64 rows,
-# which hold every one of them exactly.
 _ROW = np.dtype([("t", "f8"), ("src", "u4"), ("dst", "u4"), ("sport", "u2"), ("dport", "u2"),
                  ("flags", "u1"), ("proto", "u1"), ("ttl", "u1"), ("kind", "u1"), ("plen", "u2")])
 
@@ -107,7 +105,7 @@ CHUNK_ROWS = 2048
 # draws, or a sort key and index per packet while it sorts. Benign traffic,
 # the stream with the most temporaries, peaks (tracemalloc) at 96.8-96.9
 # B/packet alone at 0.25M and 1M packets; flood_mix's training capture at
-# 61.5. The budget keeps 128 B/packet, so 1 GiB allows 8,388,608 packets
+# 58.0. The budget keeps 128 B/packet, so 1 GiB allows 8,388,608 packets
 # (a pcap of about 0.8 GB).
 SYNTH_MEMORY_BUDGET = 1 << 30
 SYNTH_PEAK_BYTES_PER_PACKET = 128
@@ -120,11 +118,6 @@ def ip_to_int(dotted: str) -> int:
     return int(ipaddress.IPv4Address(dotted))
 
 
-def _float_rows(records: np.ndarray) -> np.ndarray:
-    """`_ROW` records as the (n, 10) float64 rows that `encode_records` takes."""
-    return np.stack([records[name] for name in _ROW.names], axis=1, dtype=np.float64)
-
-
 def _pcap_us(t: np.ndarray) -> np.ndarray:
     """Integer microseconds of non-negative float timestamps: `int(t)` seconds
     plus the fraction's round-half-even microseconds."""
@@ -132,15 +125,19 @@ def _pcap_us(t: np.ndarray) -> np.ndarray:
     return sec * 1_000_000 + np.rint((t - sec) * 1e6).astype(np.int64)
 
 
-def encode_records(rows: np.ndarray) -> np.ndarray:
-    """The pcap records of packet rows, in row order, back to back as one uint8 buffer.
+def _lead_mask(lead_len: np.ndarray, run_len: np.ndarray | int) -> np.ndarray:
+    """A mask over back-to-back runs of `run_len` bytes: True on the first `lead_len` of each."""
+    runs = np.column_stack((lead_len, run_len - lead_len)).ravel()
+    return np.repeat(np.tile([True, False], len(lead_len)), runs)
 
-    `rows` is an (n, 10) float64 array whose columns are the `_ROW` fields;
-    each record is the 16-byte record header and the frame in the one layout
-    above.
+
+def encode_records(rows: np.ndarray) -> np.ndarray:
+    """The pcap records of `_ROW` records, in order, back to back as one uint8 buffer.
+
+    Each record is the 16-byte record header and the frame in the one layout above.
     """
-    sec, usec = np.divmod(_pcap_us(rows[:, 0]), 1_000_000)
-    src, dst, sport, dport, flags, proto, ttl, kind, plen = rows[:, 1:].T.astype(np.int64)
+    sec, usec = np.divmod(_pcap_us(rows["t"]), 1_000_000)
+    src, dst, sport, dport, flags, proto, ttl, kind, plen = (rows[name].astype(np.int64) for name in _ROW.names[1:])
     tcp = proto == PROTO_TCP
     head_len = np.where(tcp, _TCP_HEAD, _UDP_HEAD)
     frame_len = head_len + plen
@@ -174,17 +171,12 @@ def encode_records(rows: np.ndarray) -> np.ndarray:
     lead_len = _RECORD_HEAD + head_len + np.minimum(_PREFIX_LEN[kind], plen)
     record_len = _RECORD_HEAD + frame_len
     out = np.repeat(_FILL[kind], record_len)
-    start = np.cumsum(record_len) - record_len
-    # +1 where a lead starts and -1 where it ends: the running sum is 1 on lead bytes.
-    edge = np.zeros(len(out) + 1, dtype=np.int8)
-    edge[start] = 1
-    edge[start + lead_len] -= 1
-    out[np.cumsum(edge[:-1], dtype=np.int8).view(bool)] = lead[np.arange(lead.shape[1]) < lead_len[:, None]]
+    out[_lead_mask(lead_len, record_len)] = lead.ravel()[_lead_mask(lead_len, lead.shape[1])]
     return out
 
 
 def _build_frame(src_ip, dst_ip, src_port, dst_port, flags, proto, ttl, payload: bytes) -> bytes:
-    row = np.array([[0, src_ip, dst_ip, src_port, dst_port, flags, proto, ttl, ZEROS, len(payload)]], np.float64)
+    row = np.array([(0, src_ip, dst_ip, src_port, dst_port, flags, proto, ttl, ZEROS, len(payload))], _ROW)
     frame = encode_records(row)[_RECORD_HEAD:]
     return frame[: len(frame) - len(payload)].tobytes() + payload
 
@@ -459,7 +451,7 @@ def run_scenario(cfg: ScenarioConfig, out_pcap_path, out_truth_path) -> int:
     order = np.argsort(_pcap_us(rows["t"]), kind="stable")
     write_records(
         out_pcap_path,
-        (encode_records(_float_rows(rows[order[i : i + CHUNK_ROWS]])) for i in range(0, len(order), CHUNK_ROWS)),
+        (encode_records(rows[order[i : i + CHUNK_ROWS]]) for i in range(0, len(order), CHUNK_ROWS)),
     )
     with removed_on_failure(out_pcap_path):
         write_truth(out_truth_path, [(ep.start, ep.end, ep.attack) for ep in cfg.episodes])

@@ -4,9 +4,9 @@
 `int.from_bytes`, as the package did before `read_pcap`'s columnar decoder
 became its only decoder; that decoder must equal it field for field.
 `build_tcp_frame` and `build_udp_frame` pack one synth frame with `struct`,
-as synth did before `synth.encode_records` built every record at once; the
-encoder must equal them byte for byte. `window_features` is the loop over
-one window's PacketMeta records that the columnar
+as synth did before `synth.encode_records` encoded many `_ROW` records at
+once; the encoder must equal them byte for byte. `window_features` is the
+loop over one window's PacketMeta records that the columnar
 `features.extract_features` replaced, and `windows` the windowing rule
 restricted to non-empty windows. The columnar code must equal them bit for
 bit. Its means and stds take the rule `features` states: integer sizes and

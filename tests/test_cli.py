@@ -20,6 +20,8 @@ from floodgate.cli import main
 from floodgate.dataset import SPLIT, TrafficClass, read_csv, write_csv
 from floodgate.mlp import forward, load_model, predict_batch
 
+from conftest import ethernet, ipv4, tcp, write_records
+
 # Eight seconds with all four floods, one after another.
 SCENARIO = """\
 duration 8
@@ -135,6 +137,18 @@ class TestExitCodes:
         else:
             argv = ["classify", "--pcap", bad, "--model", d / "model.txt", "--out", tmp_path / "out.csv"]
         assert_fails_cleanly(tmp_path, 2, *argv)
+
+    @pytest.mark.parametrize("command", ["extract", "classify"])
+    def test_out_of_order_capture_is_named_input_error(self, scenario, tmp_path, capsys, command):
+        d, _ = scenario
+        unsorted = tmp_path / "unsorted.pcap"
+        frame = ethernet(ipv4(tcp(), 6))
+        write_records(unsorted, [(2, 0, len(frame), frame), (1, 0, len(frame), frame)])
+        model = ["--model", d / "model.txt"] if command == "classify" else []
+        assert_fails_cleanly(tmp_path, 2, command, "--pcap", unsorted, *model, "--out", tmp_path / "out.csv")
+        assert capsys.readouterr().err == (
+            f"floodgate {command}: {unsorted}: packet 1 is earlier than its predecessor\n"
+        )
 
     def test_missing_classes_are_named_input_error(self, scenario, tmp_path, capsys):
         d, _ = scenario

@@ -290,6 +290,15 @@ def test_pinned_scenario_bytes(tmp_path):
     assert hashlib.sha256(truth.read_bytes()).hexdigest() == PINNED_TRUTH_SHA256
 
 
+@pytest.mark.parametrize("chunk_rows", [1, 7, 2048])
+def test_pinned_capture_does_not_depend_on_the_chunk_size(tmp_path, monkeypatch, chunk_rows):
+    """Records encoded 1, 7 or 2048 at a time make the same capture."""
+    monkeypatch.setattr(synth, "CHUNK_ROWS", chunk_rows)
+    pcap = tmp_path / "p.pcap"
+    run_scenario(parse_scenario(PINNED), pcap, tmp_path / "p.truth")
+    assert hashlib.sha256(pcap.read_bytes()).hexdigest() == PINNED_PCAP_SHA256
+
+
 def extracted(pcap, truth):
     """The bytes `extract --window 0.1` writes for a capture and its truth."""
     out = pcap.with_suffix(".csv")
@@ -482,11 +491,26 @@ def test_double_fold_rows_fold_twice():
     assert [folds_twice(row) for row in DOUBLE_FOLDS] == [True, True, True]
 
 
+# Rows at the edges of a record's lead (record header, frame header and
+# payload prefix) and fill: no fill (the first and last rows among them), a
+# lead as wide as the encoder's widest, and a payload that ends inside its
+# prefix.
+RUN_EDGES = [
+    (4.0, 1, 2, 3, 4, 0x02, 6, 64, synth.ZEROS, 0),
+    (5.0, 1, 2, 3, 4, 0, 17, 64, synth.ZEROS, 0),
+    (6.0, 1, 2, 3, 80, 0x18, 6, 64, synth.GET, len(HTTP_GET)),
+    (7.0, 2, 1, 80, 3, 0x18, 6, 64, synth.RESPONSE, len(synth.HTTP_RESPONSE)),
+    (8.0, 2, 1, 80, 3, 0x18, 6, 64, synth.RESPONSE, len(synth.HTTP_RESPONSE) + 1),
+    (9.0, 1, 2, 3, 53, 0, 17, 64, synth.DNS_QUERY, 2),
+]
+
+
 @settings(max_examples=200, deadline=None)
 @given(rows=st.lists(packet_rows(), min_size=1, max_size=40))
 @example(rows=DOUBLE_FOLDS)
+@example(rows=RUN_EDGES)
 def test_encoder_equals_struct_reference(rows):
-    got = synth.encode_records(np.array(rows, dtype=np.float64))
+    got = synth.encode_records(np.array(rows, dtype=synth._ROW))
     assert got.tobytes() == b"".join(reference_record(row) for row in rows)
 
 
