@@ -21,6 +21,8 @@ import argparse
 import math
 import sys
 
+import numpy as np
+
 from . import __version__
 from .dataset import SPLIT, Dataset, TrafficClass, read_csv, stratified_split, write_csv
 from .errors import FloodgateError, NonFiniteLoss
@@ -28,7 +30,7 @@ from .features import extract_features, label_windows, read_truth, window_packet
 from .ioutil import atomic_write, removed_on_failure, strict_numbers
 from .metrics import build_confusion, render_report
 from .mlp import forward, load_model, predict_batch, save_model, train
-from .pcapio import read_pcap
+from .pcapio import NON_IP, OTHER_IP, TCP, UDP, read_pcap
 from .synth import load_scenario, run_scenario
 
 EXIT_OK = 0
@@ -118,12 +120,22 @@ def cmd_synth(args) -> int:
 
 
 def _read_windows(path, window_len: float):
-    """The packets of the capture at `path` and their windows; an error names the capture."""
+    """The packets of the capture at `path` and their windows; an error names the capture.
+
+    Prints what the frames decoded to: the count per transport, and of frames
+    captured shorter than their length. A capture of floods over IPv6, say,
+    decodes as all non-IP and so has no TCP or UDP features.
+    """
     packets = read_pcap(path)
     try:
-        return packets, window_packets(packets, window_len)
+        windows = window_packets(packets, window_len)
     except FloodgateError as exc:
         raise FloodgateError(f"{path}: {exc}") from None
+    count = np.bincount(packets.transport, minlength=4)
+    short = np.count_nonzero(packets.captured_len < packets.original_len)
+    print(f"decoded {len(packets)} frames: tcp {count[TCP]}, udp {count[UDP]}, other IP {count[OTHER_IP]}, "
+          f"non-IP {count[NON_IP]}; captured short {short}")
+    return packets, windows
 
 
 def cmd_extract(args) -> int:

@@ -27,11 +27,12 @@ packets within each conversation, and the payload lengths of the packets
 that fall before the end. Changing that order, or any draw in it, changes
 the capture.
 
-`encode_records` turns packet records (`_ROW`) into pcap records, headers,
-checksums and payloads of many packets at once; it holds the one frame
-layout, which `build_tcp_frame` and `build_udp_frame` use for one frame. A
-scenario may expect at most MAX_EXPECTED_PACKETS packets, so that synth
-stays within SYNTH_MEMORY_BUDGET.
+`encode_records` turns packet records (`_ROW`) into pcap records, many
+packets at once: it fills each record with its payload's fill byte, then
+copies the record's leading bytes (headers and payload prefix) over it as
+one block. It holds the one frame layout, which `build_tcp_frame` and
+`build_udp_frame` use for one frame. A scenario may expect at most
+MAX_EXPECTED_PACKETS packets, so that synth stays within SYNTH_MEMORY_BUDGET.
 """
 
 from __future__ import annotations
@@ -63,6 +64,7 @@ MAX_ATTACKERS = 65534  # the host addresses of ATTACKER_NET's /16
 # integer fields, each in the narrowest type that holds it (26 bytes).
 _ROW = np.dtype([("t", "f8"), ("src", "u4"), ("dst", "u4"), ("sport", "u2"), ("dport", "u2"),
                  ("flags", "u1"), ("proto", "u1"), ("ttl", "u1"), ("kind", "u1"), ("plen", "u2")])
+_RAW = np.dtype((np.void, _ROW.itemsize))
 
 # Payload kinds: a payload is its kind's prefix, cut or filled out to the
 # row's payload length with its kind's fill byte.
@@ -94,7 +96,6 @@ _FRAME_HEAD = np.dtype({
     "itemsize": 54,
 })
 _TCP_HEAD, _UDP_HEAD = 54, 42
-_IP_HEAD = slice(14, 34)
 _RECORD_HEAD = 16  # the pcap record header before each frame
 
 # Rows encoded at a time: the encoder's working set stays small however long the capture.
@@ -125,16 +126,13 @@ def _pcap_us(t: np.ndarray) -> np.ndarray:
     return sec * 1_000_000 + np.rint((t - sec) * 1e6).astype(np.int64)
 
 
-def _lead_mask(lead_len: np.ndarray, run_len: np.ndarray | int) -> np.ndarray:
-    """A mask over back-to-back runs of `run_len` bytes: True on the first `lead_len` of each."""
-    runs = np.column_stack((lead_len, run_len - lead_len)).ravel()
-    return np.repeat(np.tile([True, False], len(lead_len)), runs)
-
-
 def encode_records(rows: np.ndarray) -> np.ndarray:
     """The pcap records of `_ROW` records, in order, back to back as one uint8 buffer.
 
-    Each record is the 16-byte record header and the frame in the one layout above.
+    Each record is the 16-byte record header and the frame in the one layout
+    above. Its lead (both headers, then as much of the payload prefix as the
+    payload holds) is a row of `lead`, and the rest is the kind's fill byte. The
+    leads of each length are copied over `out` as one `np.void` item per record.
     """
     sec, usec = np.divmod(_pcap_us(rows["t"]), 1_000_000)
     src, dst, sport, dport, flags, proto, ttl, kind, plen = (rows[name].astype(np.int64) for name in _ROW.names[1:])
@@ -153,25 +151,25 @@ def encode_records(rows: np.ndarray) -> np.ndarray:
     head["sport"], head["dport"] = sport, dport
     head["udp_len"] = np.where(tcp, 0, frame_len - 34)
     head["data_offset"], head["tcp_flags"], head["window"] = 5 << 4, flags, 0xFFFF
-    head_bytes = head.view(np.uint8).reshape(len(rows), -1)
-    # One's-complement sum of the IPv4 header's ten words; the first fold can carry again.
-    total = head_bytes[:, _IP_HEAD].view(">u2").sum(axis=1)
+    # One's-complement sum of the IPv4 header's words (id and checksum are 0); the first fold can carry again.
+    total = sum((0x4500, frame_len - 14, 0x4000, ttl << 8 | proto, src >> 16, src & 0xFFFF, dst >> 16, dst & 0xFFFF))
     total = (total & 0xFFFF) + (total >> 16)
     total = (total & 0xFFFF) + (total >> 16)
     head["checksum"] = ~total & 0xFFFF
 
-    # Each record starts with the bytes of `lead`: record header, frame
-    # header, then as much of the payload prefix as the payload holds. The
-    # rest of the record is the kind's fill byte.
     lead = np.zeros((len(rows), _RECORD_HEAD + _TCP_HEAD + _PREFIX.shape[1]), dtype=np.uint8)
     lead[:, :_RECORD_HEAD] = record_headers(sec, usec, frame_len)
-    lead[:, _RECORD_HEAD : _RECORD_HEAD + _TCP_HEAD] = head_bytes
+    lead[:, _RECORD_HEAD : _RECORD_HEAD + _TCP_HEAD] = head.view(np.uint8).reshape(len(rows), -1)
     for rows_of, at in ((tcp, _RECORD_HEAD + _TCP_HEAD), (~tcp, _RECORD_HEAD + _UDP_HEAD)):
         lead[rows_of, at : at + _PREFIX.shape[1]] = _PREFIX[kind[rows_of]]
     lead_len = _RECORD_HEAD + head_len + np.minimum(_PREFIX_LEN[kind], plen)
     record_len = _RECORD_HEAD + frame_len
+    starts = np.cumsum(record_len) - record_len
     out = np.repeat(_FILL[kind], record_len)
-    out[_lead_mask(lead_len, record_len)] = lead.ravel()[_lead_mask(lead_len, lead.shape[1])]
+    for n in np.flatnonzero(np.bincount(lead_len)).tolist():  # a handful of lengths per chunk
+        mine = lead_len == n
+        at = np.lib.stride_tricks.sliding_window_view(out, n, writeable=True).view((np.void, n))
+        at[starts[mine], 0] = lead[mine, :n].view((np.void, n))[:, 0]
     return out
 
 
@@ -446,12 +444,13 @@ def run_scenario(cfg: ScenarioConfig, out_pcap_path, out_truth_path) -> int:
     """
     streams = [gen_benign(cfg.benign_rate, cfg.duration, np.random.default_rng((cfg.seed, 0)))]
     streams += [gen_attack(ep, np.random.default_rng((cfg.seed, i + 1))) for i, ep in enumerate(cfg.episodes)]
-    rows = np.concatenate(streams)
+    # numpy copies a packed structured dtype field by field; raw `_RAW` items move as whole blocks.
+    rows = np.concatenate([stream.view(_RAW) for stream in streams])
     del streams  # the streams' copies go before the sort's key and index come
-    order = np.argsort(_pcap_us(rows["t"]), kind="stable")
+    order = np.argsort(_pcap_us(rows.view(_ROW)["t"]), kind="stable")
     write_records(
         out_pcap_path,
-        (encode_records(rows[order[i : i + CHUNK_ROWS]]) for i in range(0, len(order), CHUNK_ROWS)),
+        (encode_records(rows[order[i : i + CHUNK_ROWS]].view(_ROW)) for i in range(0, len(order), CHUNK_ROWS)),
     )
     with removed_on_failure(out_pcap_path):
         write_truth(out_truth_path, [(ep.start, ep.end, ep.attack) for ep in cfg.episodes])

@@ -4,7 +4,8 @@ Covers the exit codes the `cli.py` docstring promises (0 success, 1 usage,
 2 input/format, 3 runtime), that a failed command leaves no output file,
 where the seed comes from, that `train` says why it stopped, that its model
 bytes do not depend on the number of BLAS threads, that `train` splits as the
-benchmark expects, and that `classify` and `eval` share one inference path.
+benchmark expects, that `extract` and `classify` say what the frames decoded
+to, and that `classify` and `eval` share one inference path.
 """
 
 import os
@@ -20,7 +21,7 @@ from floodgate.cli import main
 from floodgate.dataset import SPLIT, TrafficClass, read_csv, write_csv
 from floodgate.mlp import forward, load_model, predict_batch
 
-from conftest import ethernet, ipv4, tcp, write_records
+from conftest import ethernet, ipv4, tcp, udp, write_records
 
 # Eight seconds with all four floods, one after another.
 SCENARIO = """\
@@ -242,6 +243,23 @@ def test_train_says_why_it_stopped(scenario, tmp_path, capsys):
         "stopped at epoch 2: reached the --epochs cap",
         f"saved model to {tmp_path / 'm.txt'}",
     ]
+
+
+@pytest.mark.parametrize("command", ["extract", "classify"])
+def test_extract_and_classify_say_what_they_decoded(scenario, tmp_path, capsys, command):
+    """One frame of each transport and one UDP frame captured short of its length."""
+    d, _ = scenario
+    frames = [ethernet(ipv4(tcp(), 6)), ethernet(ipv4(udp(b"abcd"), 17)), ethernet(ipv4(bytes(8), 1)),
+              ethernet(bytes(28), 0x0806)]
+    snapped = ethernet(ipv4(udp(bytes(100)), 17))
+    pcap = tmp_path / "kinds.pcap"
+    write_records(pcap, [(i, 0, len(f), f) for i, f in enumerate(frames)] + [(4, 0, len(snapped), snapped[:50])])
+    model = ["--model", d / "model.txt"] if command == "classify" else []
+    capsys.readouterr()
+    assert run(command, "--pcap", pcap, *model, "--out", tmp_path / "out.csv") == 0
+    assert capsys.readouterr().out.splitlines()[0] == (
+        "decoded 5 frames: tcp 1, udp 2, other IP 1, non-IP 1; captured short 1"
+    )
 
 
 def test_blas_threads_do_not_change_model_bytes(scenario, tmp_path):

@@ -504,11 +504,28 @@ RUN_EDGES = [
     (9.0, 1, 2, 3, 53, 0, 17, 64, synth.DNS_QUERY, 2),
 ]
 
+# Every lead length (58, 60, 62, 70, 102 and 108 bytes) three or more times,
+# never next to itself, so that each length's records sit among others'.
+INTERLEAVED_LEADS = [
+    (10.0 + i, 1, 2, 3, port, flags, proto, 64, kind, plen)
+    for i, (port, flags, proto, kind, plen) in enumerate([
+        (53, 0, 17, synth.ZEROS, 8),
+        (53, 0, 17, synth.DNS_QUERY, 20),
+        (80, 0x18, 6, synth.BULK, 400),
+        (80, 0x18, 6, synth.GET, len(HTTP_GET)),
+        (80, 0x18, 6, synth.RESPONSE, len(synth.HTTP_RESPONSE) + 100),
+        (53, 0, 17, synth.DNS_QUERY, 2),
+        (80, 0x10, 6, synth.ZEROS, 0),
+        (53, 0, 17, synth.DNS_ANSWER, 30),
+    ] * 3)
+]
+
 
 @settings(max_examples=200, deadline=None)
 @given(rows=st.lists(packet_rows(), min_size=1, max_size=40))
 @example(rows=DOUBLE_FOLDS)
 @example(rows=RUN_EDGES)
+@example(rows=INTERLEAVED_LEADS)
 def test_encoder_equals_struct_reference(rows):
     got = synth.encode_records(np.array(rows, dtype=synth._ROW))
     assert got.tobytes() == b"".join(reference_record(row) for row in rows)
