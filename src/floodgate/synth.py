@@ -168,8 +168,8 @@ def encode_records(rows: np.ndarray) -> np.ndarray:
     out = np.repeat(_FILL[kind], record_len)
     for n in np.flatnonzero(np.bincount(lead_len)).tolist():  # a handful of lengths per chunk
         mine = lead_len == n
-        at = np.lib.stride_tricks.sliding_window_view(out, n, writeable=True).view((np.void, n))
-        at[starts[mine], 0] = lead[mine, :n].view((np.void, n))[:, 0]
+        items = np.ndarray((len(out) - n + 1,), (np.void, n), out, strides=(1,))  # the n bytes at each offset
+        items[starts[mine]] = lead[mine, :n].view((np.void, n))[:, 0]
     return out
 
 
