@@ -166,7 +166,7 @@ def encode_records(rows: np.ndarray) -> np.ndarray:
     record_len = _RECORD_HEAD + frame_len
     starts = np.cumsum(record_len) - record_len
     out = np.repeat(_FILL[kind], record_len)
-    for n in np.flatnonzero(np.bincount(lead_len)).tolist():  # a handful of lengths per chunk
+    for n in np.flatnonzero(np.bincount(lead_len)).tolist():  # a handful; np.unique would import numpy.ma
         mine = lead_len == n
         items = np.ndarray((len(out) - n + 1,), (np.void, n), out, strides=(1,))  # the n bytes at each offset
         items[starts[mine]] = lead[mine, :n].view((np.void, n))[:, 0]
