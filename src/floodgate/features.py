@@ -142,14 +142,18 @@ def _distinct_and_entropy(owner: np.ndarray, key: np.ndarray, n_windows: int) ->
 
     `owner` is each keyed packet's window (non-decreasing) and `key` its
     32-bit key. The entropy's terms are summed in order of each key's first
-    appearance with `math.log2`, which is how the float result is defined
-    (np.log2 differs from it in the last bit for some ratios).
+    appearance, with `math.log2` taken once per distinct ratio: that is how
+    the float result is defined (np.log2 differs from it in the last bit for
+    some ratios), and one float always has the same log2.
     """
-    _, first, counts = np.unique(owner << 32 | key, return_index=True, return_counts=True)
-    order = np.argsort(first)
-    term_owner = owner[first[order]]
-    p = counts[order] / np.bincount(owner, minlength=n_windows)[term_owner]
-    terms = p * np.array([math.log2(x) for x in p.tolist()], dtype=np.float64)
+    _, inverse, counts = np.unique(owner << 32 | key, return_inverse=True, return_counts=True)
+    first = np.full(len(counts), len(key))
+    np.minimum.at(first, inverse, np.arange(len(key)))
+    firsts = np.sort(first)
+    term_owner = owner[firsts]
+    p = counts[inverse[firsts]] / np.bincount(owner, minlength=n_windows)[term_owner]
+    ratios, ratio_of = np.unique(p, return_inverse=True)
+    terms = p * np.array([math.log2(x) for x in ratios.tolist()], dtype=np.float64)[ratio_of]
     # bincount adds each window's terms one by one in the order given, and
     # 0.0 - t1 - t2 ... equals -(t1 + t2 ...) exactly; + 0.0 turns -0.0 into 0.0.
     entropy = -np.bincount(term_owner, weights=terms, minlength=n_windows) + 0.0
@@ -204,16 +208,20 @@ def extract_features(packets: Packets, windows: Windows) -> np.ndarray:
     ttl_sum = np.bincount(ip_owner, weights=packets.ttl[ipv4], minlength=n_windows)
     unique_src, src_entropy = _distinct_and_entropy(ip_owner, packets.src_ip[ipv4], n_windows)
     unique_ports, port_entropy = _distinct_and_entropy(owner[ported], packets.dst_port[ported], n_windows)
-    # Distinct flows per window: sort the (window, address pair, ports and
-    # transport) keys and count the runs that start in each window.
-    flow_owner = owner[ported]
-    pair = packets.src_ip[ported] << 32 | packets.dst_ip[ported]  # wraps, but stays one key per pair
-    ports = packets.src_port[ported] << 17 | packets.dst_port[ported] << 1 | udp[ported]
-    order = np.lexsort((ports, pair, flow_owner))
-    flow_owner, pair, ports = flow_owner[order], pair[order], ports[order]
-    new_flow = np.ones(len(order), dtype=bool)
-    new_flow[1:] = (flow_owner[1:] != flow_owner[:-1]) | (pair[1:] != pair[:-1]) | (ports[1:] != ports[:-1])
-    five_tuples = np.bincount(flow_owner[new_flow], minlength=n_windows)
+    # Distinct flows per window. A flow id is the dense rank of (address pair
+    # rank, ports and transport); ranks and windows stay below the packet
+    # count, so below 2**30 packets both pair rank << 33 | ports (33 bits) and
+    # window << 32 | flow are exact in int64. One sort of the latter puts each
+    # window's flows in runs, and the runs are counted. The pair key wraps, but
+    # stays one key per pair; each temporary goes before the next is made.
+    flow = np.unique(packets.src_ip[ported] << 32 | packets.dst_ip[ported], return_inverse=True)[1] << 33
+    flow |= packets.src_port[ported] << 17 | packets.dst_port[ported] << 1 | udp[ported]
+    flow = np.unique(flow, return_inverse=True)[1]
+    window_flow = owner[ported] << 32 | flow
+    window_flow.sort()
+    new_flow = np.ones(len(window_flow), dtype=bool)
+    new_flow[1:] = window_flow[1:] != window_flow[:-1]
+    five_tuples = np.bincount(window_flow[new_flow] >> 32, minlength=n_windows)
 
     # Gaps between consecutive packets of a window, in integer microseconds. A
     # window of one packet has none: its sums are +0.0, divided by 1.

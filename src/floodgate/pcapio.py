@@ -8,7 +8,9 @@ specific layer that was reached.
 
 There is one decoder, `_decode`, which fills `Packets` columns for all
 records at once: each header field is read for every record with one array
-gather, masked by the tests that record's captured bytes pass. `read_pcap`
+gather, masked by the tests that record's captured bytes pass. A gather
+indexes a stride-1 view of the file's bytes whose item i is the field's
+value at byte offset i, so it copies only the fields it reads. `read_pcap`
 walks a file's records and decodes them all; `decode_frame` is its one-row
 call, and its `PacketMeta` is one row of `Packets`, field for field. A
 decoded packet's time is one integer, `ts_us`: its record header's
@@ -25,7 +27,6 @@ from enum import Enum
 from typing import Iterable, Iterator
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import FloodgateError
 from .ioutil import atomic_write
@@ -188,21 +189,33 @@ def _walk(path) -> tuple[bytes, str, array]:
     return data, endian, starts
 
 
+def _items(buf: np.ndarray, dtype) -> np.ndarray:
+    """A view of `buf` whose item i is the `dtype` value at byte offset i (stride 1)."""
+    dtype = np.dtype(dtype)
+    return np.ndarray((len(buf) - dtype.itemsize + 1,), dtype, buf, strides=(1,))
+
+
 def _field(buf: np.ndarray, at: np.ndarray, dtype: str) -> np.ndarray:
-    """The field of `dtype` at each byte offset in `at`, as int64.
+    """The field of `dtype` at each byte offset in `at`, as int64, gathered
+    through a stride-1 view of `buf`.
 
     Callers pass only offsets whose field lies inside its record's captured bytes.
     """
-    dtype = np.dtype(dtype)
-    return sliding_window_view(buf, dtype.itemsize)[at].view(dtype)[:, 0].astype(np.int64)
+    return _items(buf, dtype)[at].astype(np.int64)
 
 
 def _set_prefix(out: Packets, buf: np.ndarray, rows: np.ndarray, at: np.ndarray, count: np.ndarray) -> None:
-    """Copy `count` (at most PAYLOAD_PREFIX_LEN) bytes at `at` into each row's prefix."""
+    """Copy `count` (at most PAYLOAD_PREFIX_LEN) bytes at `at` into each row's prefix.
+
+    The count bytes at `at` lie inside the record, so the 4 bytes that end
+    where they end do too: one gather reads those, and a shift moves the
+    count bytes to the front and zeroes the rest.
+    """
     out.prefix_len[rows] = count
-    for j in range(PAYLOAD_PREFIX_LEN):
-        has = count > j
-        out.payload_prefix[rows[has], j] = buf[at[has] + j]
+    has = np.flatnonzero(count)
+    rows, count = rows[has], count[has]
+    word = _field(buf, at[has] + count - PAYLOAD_PREFIX_LEN, ">u4")
+    out.payload_prefix.view(">u4")[rows, 0] = word << (32 - 8 * count) & 0xFFFFFFFF
 
 
 def read_pcap(path) -> Packets:
@@ -210,7 +223,7 @@ def read_pcap(path) -> Packets:
     data, endian, offsets = _walk(path)
     offsets = np.frombuffer(offsets, dtype=np.int64)
     buf = np.frombuffer(data, dtype=np.uint8)
-    header = sliding_window_view(buf, 16)[offsets - 16].view(endian + "u4")
+    header = _items(buf, (np.void, 16))[offsets - 16].view(endian + "u4").reshape(-1, 4)
     out = Packets.empty(len(offsets))
     sec, usec, out.captured_len[:], out.original_len[:] = header.T
     stamps = out.ts_us
@@ -227,7 +240,7 @@ def decode_frame(data: bytes, ts_us: int = 0, original_len: int | None = None) -
     out = Packets.empty(1)
     out.ts_us[0], out.captured_len[0] = ts_us, len(data)
     out.original_len[0] = len(data) if original_len is None else original_len
-    # Four zero bytes give every field gather a window to view; the captured length bounds the reads.
+    # Four zero bytes give every stride-1 view an item even for an empty frame; the captured length bounds the reads.
     _decode(np.frombuffer(data + bytes(4), dtype=np.uint8), np.zeros(1, dtype=np.int64), out)
     (meta,) = out
     return meta

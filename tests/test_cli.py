@@ -5,7 +5,8 @@ Covers the exit codes the `cli.py` docstring promises (0 success, 1 usage,
 where the seed comes from, that `train` says why it stopped, that its model
 bytes do not depend on the number of BLAS threads, that `train` splits as the
 benchmark expects, that `extract` and `classify` say what the frames decoded
-to, and that `classify` and `eval` share one inference path.
+to and load no lazily imported numpy module, and that `classify` and `eval`
+share one inference path.
 """
 
 import os
@@ -272,6 +273,24 @@ def test_blas_threads_do_not_change_model_bytes(scenario, tmp_path):
         subprocess.run([sys.executable, "-m", "floodgate.cli", *map(str, argv)], env=env, check=True,
                        stdout=subprocess.DEVNULL, timeout=120)
     assert (tmp_path / "1.txt").read_bytes() == (tmp_path / "2.txt").read_bytes()
+
+
+def test_extract_and_classify_load_no_lazy_numpy_module(scenario, tmp_path):
+    """A plain `np.unique(x)` imports numpy.ma on its first call, 10-17 ms and
+    about 1.1 MB in every stage that makes it; a fresh interpreter shows it."""
+    d, _ = scenario
+    src = str(Path(mlp.__file__).resolve().parents[1])
+    extract = ["extract", "--pcap", str(d / "test.pcap"), "--window", WINDOW, "--out", str(tmp_path / "f.csv")]
+    classify = ["classify", "--pcap", str(d / "test.pcap"), "--model", str(d / "model.txt"), "--window", WINDOW,
+                "--out", str(tmp_path / "p.csv")]
+    code = (
+        "import sys\nfrom floodgate import cli\n"
+        f"codes = [cli.main({extract!r}), cli.main({classify!r})]\n"
+        "print(codes, 'numpy.ma' in sys.modules)\n"
+    )
+    child = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                           text=True, check=True, timeout=120)
+    assert child.stdout.splitlines()[-1] == "[0, 0] False"
 
 
 def test_train_split_is_the_benchmarks():

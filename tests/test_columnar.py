@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from floodgate.dataset import TrafficClass
@@ -36,6 +36,7 @@ from conftest import ethernet, ipv4, make_meta, packets_from_metas, read_records
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 U32 = st.integers(0, 2**32 - 1)
+PORT = st.integers(0, 65535)
 
 
 def assert_bitwise_equal(got, want):
@@ -121,7 +122,8 @@ PORTED = (Transport.TCP, Transport.UDP)
 
 @st.composite
 def packet_streams(draw):
-    """Time-ordered PacketMeta lists shaped like decoded frames, with repeated keys."""
+    """Time-ordered PacketMeta lists shaped like decoded frames, with repeated
+    keys and, mixed in, addresses and ports from their whole range."""
     n = draw(st.integers(1, 60))
     clock = draw(st.integers(0, 2_000_000_000)) * 1_000_000
     metas = []
@@ -137,10 +139,10 @@ def packet_streams(draw):
                 captured_len=min(size, 96),
                 original_len=size,
                 transport=transport,
-                src_ip=draw(st.sampled_from([1, 2, 0xC0A8010A, 2**32 - 1])) if ip else 0,
-                dst_ip=draw(st.sampled_from([3, 0x0A00000A])) if ip else 0,
-                src_port=draw(st.sampled_from([0, 1024, 40000, 65535])) if ported else 0,
-                dst_port=draw(st.sampled_from([53, 80, 8080, 65535])) if ported else 0,
+                src_ip=draw(st.one_of(st.sampled_from([1, 2, 0xC0A8010A, 2**32 - 1]), U32)) if ip else 0,
+                dst_ip=draw(st.one_of(st.sampled_from([3, 0x0A00000A]), U32)) if ip else 0,
+                src_port=draw(st.one_of(st.sampled_from([0, 1024, 40000, 65535]), PORT)) if ported else 0,
+                dst_port=draw(st.one_of(st.sampled_from([53, 80, 8080, 65535]), PORT)) if ported else 0,
                 tcp_flags=draw(st.integers(0, 63)),
                 ttl=draw(st.sampled_from([1, 64, 128, 255])) if ip else 0,
                 payload_len=draw(st.sampled_from([0, 1, 64, 65, 1400])),
@@ -154,8 +156,17 @@ def packet_streams(draw):
 WINDOW_LENS = [1e-6, 2.5e-6, 0.0137, 0.1, 0.25, 1.0, 3600.0, 1e13]
 
 
+def flow_pair(**second):
+    """Two packets of one 0.1 s window, the second changed only by `second`."""
+    first = make_meta(transport=Transport.TCP, src_ip=2**32 - 1, dst_ip=2**31, src_port=0x0400, dst_port=0x8000)
+    return [replace(first, ts_us=1_000_000), replace(first, ts_us=1_000_001, **second)]
+
+
 @settings(max_examples=300, deadline=None)
 @given(metas=packet_streams(), window_len=st.sampled_from(WINDOW_LENS))
+@example(metas=flow_pair(src_port=0x8400), window_len=0.1)  # the ports differ in their high bit only
+@example(metas=flow_pair(transport=Transport.UDP), window_len=0.1)
+@example(metas=flow_pair(src_port=0x0401, dst_port=0), window_len=0.1)  # dst_port's top bit moves to src_port's low bit
 def test_features_equal_the_per_packet_loop(metas, window_len):
     packets = packets_from_metas(metas)
     windows = window_packets(packets, window_len)

@@ -89,8 +89,8 @@ def small_capture(tmp_path_factory):
     return (work / "c.pcap").read_bytes()
 
 
-# `extract` peaks (tracemalloc) at about 4.5 times the size of the capture
-# above, and at 9.6-10.7 times that of a capture of zero-length records, the
+# `extract` peaks (tracemalloc) at about 4.4 times the size of the capture
+# above, and at 9.4-10.0 times that of a capture of zero-length records, the
 # smallest records there are. Some runs add up to about 1 MiB that the
 # interpreter allocates on a path's first call or keeps for a while.
 EXTRACT_PEAK_PER_FILE_BYTE = 16
