@@ -184,7 +184,7 @@ def extract_features(packets: Packets, windows: Windows) -> np.ndarray:
     owner = np.repeat(np.arange(n_windows), n)
 
     def count(mask):
-        return np.bincount(owner[mask], minlength=n_windows)
+        return np.add.reduceat(mask, first, dtype=np.int64)  # windows are runs of rows
 
     transport = packets.transport
     tcp, udp = transport == TCP, transport == UDP
@@ -194,9 +194,9 @@ def extract_features(packets: Packets, windows: Windows) -> np.ndarray:
     method = packets.payload_prefix.view(">u4")[:, 0]
     http = (
         tcp
-        & np.isin(packets.dst_port, HTTP_PORTS)
+        & np.isin(packets.dst_port, HTTP_PORTS, kind="sort")
         & (packets.prefix_len >= 4)
-        & np.isin(method, _HTTP_METHOD_CODES)
+        & np.isin(method, _HTTP_METHOD_CODES, kind="sort")
     )
 
     size = packets.original_len
@@ -204,7 +204,7 @@ def extract_features(packets: Packets, windows: Windows) -> np.ndarray:
     mean_size, std_size = _mean_and_std(owner, size, n)
 
     ip_owner = owner[ipv4]
-    ip_count = np.bincount(ip_owner, minlength=n_windows)
+    ip_count = count(ipv4)
     ttl_sum = np.bincount(ip_owner, weights=packets.ttl[ipv4], minlength=n_windows)
     unique_src, src_entropy = _distinct_and_entropy(ip_owner, packets.src_ip[ipv4], n_windows)
     unique_ports, port_entropy = _distinct_and_entropy(owner[ported], packets.dst_port[ported], n_windows)

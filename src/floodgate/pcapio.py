@@ -45,6 +45,21 @@ PROTO_TCP = 6
 PROTO_UDP = 17
 
 _GLOBAL_LE = struct.Struct("<IHHiIII")
+# The header fields `_decode` reads, at their byte offsets: Ethernet and the
+# fixed IPv4 header from the frame's start, TCP and UDP from the IP body's.
+_ETHERNET_IPV4 = np.dtype({
+    "names": ["ethertype", "version_ihl", "total_len", "fragment", "ttl", "proto", "src_ip", "dst_ip"],
+    "formats": [">u2", "u1", ">u2", ">u2", "u1", "u1", ">u4", ">u4"],
+    "offsets": [12, 14, 16, 20, 22, 23, 26, 30],
+    "itemsize": 14 + 20,
+})
+_TCP = np.dtype({
+    "names": ["src_port", "dst_port", "data_offset", "flags"],
+    "formats": [">u2", ">u2", "u1", "u1"],
+    "offsets": [0, 2, 12, 13],
+    "itemsize": 14,
+})
+_UDP = np.dtype([("src_port", ">u2"), ("dst_port", ">u2"), ("length", ">u2"), ("checksum", ">u2")])
 _RECORD_LE = np.dtype([("ts_sec", "<u4"), ("ts_usec", "<u4"), ("incl_len", "<u4"), ("orig_len", "<u4")])
 
 
@@ -192,29 +207,34 @@ def _walk(path) -> tuple[bytes, str, array]:
 def _items(buf: np.ndarray, dtype) -> np.ndarray:
     """A view of `buf` whose item i is the `dtype` value at byte offset i (stride 1)."""
     dtype = np.dtype(dtype)
-    return np.ndarray((len(buf) - dtype.itemsize + 1,), dtype, buf, strides=(1,))
+    return np.ndarray((max(len(buf) - dtype.itemsize + 1, 0),), dtype, buf, strides=(1,))
 
 
-def _field(buf: np.ndarray, at: np.ndarray, dtype: str) -> np.ndarray:
-    """The field of `dtype` at each byte offset in `at`, as int64, gathered
-    through a stride-1 view of `buf`.
+def _headers(buf: np.ndarray, at: np.ndarray, dtype: np.dtype) -> np.ndarray:
+    """The `dtype` header at each byte offset in `at`: one gather of whole
+    items through a stride-1 view of `buf`, read by field.
 
-    Callers pass only offsets whose field lies inside its record's captured bytes.
+    Callers pass only offsets whose header lies inside its record's captured bytes.
     """
-    return _items(buf, dtype)[at].astype(np.int64)
+    return _items(buf, (np.void, dtype.itemsize))[at].view(dtype)
+
+
+def _kept(headers: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """The `headers` where `keep` is set, copied as whole items, not field by field."""
+    return headers.view((np.void, headers.itemsize))[keep].view(headers.dtype)
 
 
 def _set_prefix(out: Packets, buf: np.ndarray, rows: np.ndarray, at: np.ndarray, count: np.ndarray) -> None:
     """Copy `count` (at most PAYLOAD_PREFIX_LEN) bytes at `at` into each row's prefix.
 
-    The count bytes at `at` lie inside the record, so the 4 bytes that end
-    where they end do too: one gather reads those, and a shift moves the
-    count bytes to the front and zeroes the rest.
+    The count bytes end inside the record and follow its IP header, so the
+    4 bytes that end where they end lie inside it too: one gather reads
+    those, and a shift moves the count bytes to the front and zeroes the rest.
     """
     out.prefix_len[rows] = count
     has = np.flatnonzero(count)
     rows, count = rows[has], count[has]
-    word = _field(buf, at[has] + count - PAYLOAD_PREFIX_LEN, ">u4")
+    word = _items(buf, ">u4")[at[has] + count - PAYLOAD_PREFIX_LEN].astype(np.int64)
     out.payload_prefix.view(">u4")[rows, 0] = word << (32 - 8 * count) & 0xFFFFFFFF
 
 
@@ -240,8 +260,7 @@ def decode_frame(data: bytes, ts_us: int = 0, original_len: int | None = None) -
     out = Packets.empty(1)
     out.ts_us[0], out.captured_len[0] = ts_us, len(data)
     out.original_len[0] = len(data) if original_len is None else original_len
-    # Four zero bytes give every stride-1 view an item even for an empty frame; the captured length bounds the reads.
-    _decode(np.frombuffer(data + bytes(4), dtype=np.uint8), np.zeros(1, dtype=np.int64), out)
+    _decode(np.frombuffer(data, dtype=np.uint8), np.zeros(1, dtype=np.int64), out)
     (meta,) = out
     return meta
 
@@ -255,44 +274,48 @@ def _decode(buf: np.ndarray, offsets: np.ndarray, out: Packets) -> None:
     cap = out.captured_len
 
     # Ethernet carrying IPv4, version 4, 20 <= IHL <= captured IP bytes.
-    rows = np.flatnonzero(cap >= 14 + 20)
-    rows = rows[_field(buf, offsets[rows] + 12, ">u2") == ETHERTYPE_IPV4]
-    ip = offsets[rows] + 14
-    ihl = (buf[ip] & 0x0F).astype(np.int64) * 4
-    ok = (buf[ip] >> 4 == 4) & (ihl >= 20) & (cap[rows] - 14 >= ihl)
-    rows, ip, ihl = rows[ok], ip[ok], ihl[ok]
-    total_len = _field(buf, ip + 2, ">u2")
+    rows = np.flatnonzero(cap >= _ETHERNET_IPV4.itemsize)
+    head = _headers(buf, offsets[rows], _ETHERNET_IPV4)
+    ihl = (head["version_ihl"] & 0x0F).astype(np.int64) * 4
+    ok = (head["ethertype"] == ETHERTYPE_IPV4) & (head["version_ihl"] >> 4 == 4) & (ihl >= 20)
+    ok &= cap[rows] - 14 >= ihl
+    rows, head, ihl = rows[ok], _kept(head, ok), ihl[ok]
+    total_len = head["total_len"].astype(np.int64)
     out.transport[rows] = OTHER_IP
-    out.ttl[rows] = buf[ip + 8]
-    out.src_ip[rows] = _field(buf, ip + 12, ">u4")
-    out.dst_ip[rows] = _field(buf, ip + 16, ">u4")
+    out.ttl[rows] = head["ttl"]
+    out.src_ip[rows] = head["src_ip"]
+    out.dst_ip[rows] = head["dst_ip"]
     out.payload_len[rows] = np.maximum(total_len - ihl, 0)
 
     # Transport headers, in first fragments only, within a body clipped to
-    # min(captured, max(IHL, total length)).
-    first = (_field(buf, ip + 6, ">u2") & 0x1FFF) == 0
-    proto = buf[ip + 9]
-    body = ip + ihl
+    # min(captured, max(IHL, total length)). Each header copy goes once read.
+    first = (head["fragment"] & 0x1FFF) == 0
+    tcp, udp = first & (head["proto"] == PROTO_TCP), first & (head["proto"] == PROTO_UDP)
+    del head
+    body = offsets[rows] + 14 + ihl
     body_len = np.minimum(cap[rows] - 14, np.maximum(ihl, total_len)) - ihl
 
-    tcp = first & (proto == PROTO_TCP) & (body_len >= 14)
-    t_rows, t_body, t_len, t_rest = rows[tcp], body[tcp], body_len[tcp], (total_len - ihl)[tcp]
-    data_off = (buf[t_body + 12] >> 4).astype(np.int64) * 4
+    tcp &= body_len >= _TCP.itemsize
+    t_head = _headers(buf, body[tcp], _TCP)
+    data_off = (t_head["data_offset"] >> 4).astype(np.int64) * 4
     ok = data_off >= 20
-    t_rows, t_body, t_len, t_rest, data_off = t_rows[ok], t_body[ok], t_len[ok], t_rest[ok], data_off[ok]
+    tcp[tcp] = ok  # TCP rows with a valid data offset
+    t_head, data_off = _kept(t_head, ok), data_off[ok]
+    t_rows, t_body = rows[tcp], body[tcp]
     out.transport[t_rows] = TCP
-    out.src_port[t_rows] = _field(buf, t_body, ">u2")
-    out.dst_port[t_rows] = _field(buf, t_body + 2, ">u2")
-    out.tcp_flags[t_rows] = buf[t_body + 13] & 0x3F
-    out.payload_len[t_rows] = np.maximum(t_rest - data_off, 0)
-    _set_prefix(out, buf, t_rows, t_body + data_off, np.clip(t_len - data_off, 0, PAYLOAD_PREFIX_LEN))
+    out.src_port[t_rows] = t_head["src_port"]
+    out.dst_port[t_rows] = t_head["dst_port"]
+    out.tcp_flags[t_rows] = t_head["flags"] & 0x3F
+    out.payload_len[t_rows] = np.maximum((total_len - ihl)[tcp] - data_off, 0)
+    _set_prefix(out, buf, t_rows, t_body + data_off, np.clip(body_len[tcp] - data_off, 0, PAYLOAD_PREFIX_LEN))
 
-    udp = first & (proto == PROTO_UDP) & (body_len >= 8)
+    udp &= body_len >= _UDP.itemsize
     u_rows, u_body, u_len = rows[udp], body[udp], body_len[udp]
+    u_head = _headers(buf, u_body, _UDP)
     out.transport[u_rows] = UDP
-    out.src_port[u_rows] = _field(buf, u_body, ">u2")
-    out.dst_port[u_rows] = _field(buf, u_body + 2, ">u2")
-    u_payload = np.maximum(_field(buf, u_body + 4, ">u2") - 8, 0)
+    out.src_port[u_rows] = u_head["src_port"]
+    out.dst_port[u_rows] = u_head["dst_port"]
+    u_payload = np.maximum(u_head["length"].astype(np.int64) - 8, 0)
     out.payload_len[u_rows] = u_payload
     _set_prefix(out, buf, u_rows, u_body + 8, np.minimum(np.minimum(u_len - 8, u_payload), PAYLOAD_PREFIX_LEN))
 
