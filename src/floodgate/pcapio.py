@@ -7,15 +7,17 @@ instead of failing: whatever cannot be parsed is reported at the most
 specific layer that was reached.
 
 There is one decoder, `_decode`, which fills `Packets` columns for all
-records at once: each header field is read for every record with one array
-gather, masked by the tests that record's captured bytes pass. A gather
-indexes a stride-1 view of the file's bytes whose item i is the field's
-value at byte offset i, so it copies only the fields it reads. `read_pcap`
-walks a file's records and decodes them all; `decode_frame` is its one-row
-call, and its `PacketMeta` is one row of `Packets`, field for field. A
-decoded packet's time is one integer, `ts_us`: its record header's
+records at once: each header (Ethernet with the fixed IPv4 header, then TCP
+or UDP) is read for every record with one array gather, masked by the tests
+that record's captured bytes pass. A gather indexes a stride-1 view of the
+file's bytes whose item i is the header's bytes at offset i, so it copies
+only the headers it reads; a structured dtype names their fields.
+`read_pcap` walks a file's records and decodes them all; `decode_frame` is
+its one-row call, and its `PacketMeta` is one row of `Packets`, field for
+field. A decoded packet's time is one integer, `ts_us`: its record header's
 ts_sec * 10**6 + ts_usec as read, even a ts_usec of 10**6 or more. Of the
-payload it keeps at most the first 4 bytes, which the HTTP-method test reads.
+payload it keeps at most the first 4 bytes, which the HTTP-method test
+reads.
 """
 
 from __future__ import annotations
@@ -288,7 +290,8 @@ def _decode(buf: np.ndarray, offsets: np.ndarray, out: Packets) -> None:
     out.payload_len[rows] = np.maximum(total_len - ihl, 0)
 
     # Transport headers, in first fragments only, within a body clipped to
-    # min(captured, max(IHL, total length)). Each header copy goes once read.
+    # min(captured, max(IHL, total length)). Each header copy goes once read:
+    # these steps set read_pcap's peak memory.
     first = (head["fragment"] & 0x1FFF) == 0
     tcp, udp = first & (head["proto"] == PROTO_TCP), first & (head["proto"] == PROTO_UDP)
     del head
