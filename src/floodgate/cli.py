@@ -139,8 +139,8 @@ def _read_windows(path, window_len: float):
 
 
 def cmd_extract(args) -> int:
-    packets, windows = _read_windows(args.pcap, args.window)
     truth = read_truth(args.truth) if args.truth else []
+    packets, windows = _read_windows(args.pcap, args.window)
     ds = Dataset(extract_features(packets, windows), label_windows(windows, truth))
     write_csv(ds, args.out)
     counts = ds.class_counts()

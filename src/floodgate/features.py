@@ -32,10 +32,12 @@ Windows are half-open [k*len, (k+1)*len) slices computed in integer
 microseconds, so a packet exactly on a boundary belongs to the later window.
 Only windows that hold packets exist.
 
-The features of all windows are computed at once from the packet columns
-of `pcapio.Packets`. Every float is reduced per window in packet order, with
-the same operations as a loop over that window's packets, so each row is
-bit-for-bit what such a loop gives; the tests keep that loop as the oracle.
+The features of all windows are computed at once from the packet columns of
+`pcapio.Packets`, by three per-window reductions: integer counts and sums by
+`np.add.reduceat` over the window's rows, float sums by `np.bincount`, which
+adds in packet order, and distinct keys by `np.unique` of `window << 32 | key`.
+Floats take the same operations as a loop over the window's packets, so each
+row is bit-for-bit what that loop gives; the tests keep that loop as the oracle.
 Means and stds (f03, f04, f18, f19) take integers: frame lengths in bytes, and
 gaps between consecutive stamps `Packets.ts_us` in microseconds.
 A mean is their sum, exact below 2**53, over f01 (sizes) or f01 - 1 (gaps);
@@ -201,28 +203,21 @@ def extract_features(packets: Packets, windows: Windows) -> np.ndarray:
     )
 
     size = packets.original_len
-    byte_count = np.add.reduceat(size, first)
     mean_size, std_size = _mean_and_std(owner, size, n)
 
-    ip_owner = owner[ipv4]
     ip_count = count(ipv4)
-    ttl_sum = np.bincount(ip_owner, weights=packets.ttl[ipv4], minlength=n_windows)
-    unique_src, src_entropy = _distinct_and_entropy(ip_owner, packets.src_ip[ipv4], n_windows)
+    unique_src, src_entropy = _distinct_and_entropy(owner[ipv4], packets.src_ip[ipv4], n_windows)
     unique_ports, port_entropy = _distinct_and_entropy(owner[ported], packets.dst_port[ported], n_windows)
     # Distinct flows per window. A flow id is the dense rank of (address pair
     # rank, ports and transport); ranks and windows stay below the packet
     # count, so below 2**30 packets both pair rank << 33 | ports (33 bits) and
-    # window << 32 | flow are exact in int64. One sort of the latter puts each
-    # window's flows in runs, and the runs are counted. The pair key wraps, but
-    # stays one key per pair; each temporary goes before the next is made.
+    # window << 32 | flow are exact in int64. The pair key wraps, but stays one
+    # key per pair; each temporary goes before the next is made.
     flow = np.unique(packets.src_ip[ported] << 32 | packets.dst_ip[ported], return_inverse=True)[1] << 33
     flow |= packets.src_port[ported] << 17 | packets.dst_port[ported] << 1 | udp[ported]
     flow = np.unique(flow, return_inverse=True)[1]
-    window_flow = owner[ported] << 32 | flow
-    window_flow.sort()
-    new_flow = np.ones(len(window_flow), dtype=bool)
-    new_flow[1:] = window_flow[1:] != window_flow[:-1]
-    five_tuples = np.bincount(window_flow[new_flow] >> 32, minlength=n_windows)
+    # return_counts=True, unused, because a plain np.unique(x) imports numpy.ma.
+    five_tuples = np.bincount(np.unique(owner[ported] << 32 | flow, return_counts=True)[0] >> 32, minlength=n_windows)
 
     # Gaps between consecutive packets of a window, in integer microseconds. A
     # window of one packet has none: its sums are +0.0, divided by 1.
@@ -236,7 +231,7 @@ def extract_features(packets: Packets, windows: Windows) -> np.ndarray:
     tcp_count, udp_count = count(tcp), count(udp)
     columns = (
         n,
-        byte_count,
+        count(size),
         mean_size,
         std_size,
         tcp_count / n,
@@ -257,7 +252,7 @@ def extract_features(packets: Packets, windows: Windows) -> np.ndarray:
         http_count,
         http_count / n,
         count(udp & (packets.payload_len <= SMALL_UDP_MAX_PAYLOAD)) / n,
-        ttl_sum / np.maximum(ip_count, 1),
+        count(packets.ttl * ipv4) / np.maximum(ip_count, 1),
         five_tuples,
     )
     return np.column_stack(columns)
@@ -271,16 +266,11 @@ def label_windows(windows: Windows, truth: Sequence[TruthInterval]) -> np.ndarra
 
     A window gets the class of the truth interval covering its midpoint;
     uncovered windows default to normal traffic. The intervals must not
-    overlap, so no midpoint falls in two of them.
+    overlap (`read_truth` checks that), so no midpoint falls in two of them.
     """
-    intervals = sorted(truth, key=lambda iv: (iv[0], iv[1]))
-    for (s1, e1, _), (s2, _, _) in zip(intervals, intervals[1:]):
-        if s2 < e1:
-            raise FloodgateError(f"interval starting at {s2} overlaps one ending at {e1}")
-
     mid = (windows.start_ts + windows.end_ts) / 2.0
     labels = np.full(len(mid), int(TrafficClass.NORMAL), dtype=np.int64)
-    for start, end, cls in intervals:
+    for start, end, cls in truth:
         labels[(start <= mid) & (mid < end)] = int(cls)
     return labels
 
@@ -291,9 +281,13 @@ def write_truth(path, intervals: Sequence[TruthInterval]) -> None:
 
 
 def read_truth(path) -> list[TruthInterval]:
-    """Read a ground-truth CSV written by write_truth (or shaped like it)."""
+    """Read a ground-truth CSV written by write_truth (or shaped like it); no two intervals may overlap."""
     bounds, labels, lines = read_rows(path, TRUTH_HEADER)
     for (start, end), line in zip(bounds.tolist(), lines):
         if end <= start:
             raise FloodgateError(f"{path}:{line}: interval [{start!r}, {end!r}] does not end after it starts")
+    ordered = sorted(zip(bounds.tolist(), lines))
+    for ((s1, e1), _), ((s2, e2), line) in zip(ordered, ordered[1:]):
+        if s2 < e1:
+            raise FloodgateError(f"{path}:{line}: interval [{s2!r}, {e2!r}) overlaps [{s1!r}, {e1!r})")
     return [(start, end, TrafficClass(c)) for (start, end), c in zip(bounds.tolist(), labels.tolist())]

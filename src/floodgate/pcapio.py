@@ -12,6 +12,8 @@ or UDP) is read for every record with one array gather, masked by the tests
 that record's captured bytes pass. A gather indexes a stride-1 view of the
 file's bytes whose item i is the header's bytes at offset i, so it copies
 only the headers it reads; a structured dtype names their fields.
+`byte_items` makes that view, for synth's encoder too, and `_RECORD` is the
+one record header dtype, read by `read_pcap` and written by `record_headers`.
 `read_pcap` walks a file's records and decodes them all; `decode_frame` is
 its one-row call, and its `PacketMeta` is one row of `Packets`, field for
 field. A decoded packet's time is one integer, `ts_us`: its record header's
@@ -39,14 +41,13 @@ MAGIC_USEC_SWAPPED = 0xD4C3B2A1
 _OTHER_FORMATS = {0x0A0D0D0A: "pcapng", 0xA1B23C4D: "nanosecond pcap", 0x4D3CB2A1: "nanosecond pcap"}
 SNAPLEN = 65535
 LINKTYPE_ETHERNET = 1
-MAX_FRAME_LEN = 65535
 PAYLOAD_PREFIX_LEN = 4
 
 ETHERTYPE_IPV4 = 0x0800
 PROTO_TCP = 6
 PROTO_UDP = 17
 
-_GLOBAL_LE = struct.Struct("<IHHiIII")
+_GLOBAL = "IHHiIII"  # the global header, read and written: magic, major, minor, zone, sigfigs, snaplen, linktype
 # The header fields `_decode` reads, at their byte offsets: Ethernet and the
 # fixed IPv4 header from the frame's start, TCP and UDP from the IP body's.
 _ETHERNET_IPV4 = np.dtype({
@@ -62,7 +63,7 @@ _TCP = np.dtype({
     "itemsize": 14,
 })
 _UDP = np.dtype([("src_port", ">u2"), ("dst_port", ">u2"), ("length", ">u2"), ("checksum", ">u2")])
-_RECORD_LE = np.dtype([("ts_sec", "<u4"), ("ts_usec", "<u4"), ("incl_len", "<u4"), ("orig_len", "<u4")])
+_RECORD = np.dtype([("ts_sec", "<u4"), ("ts_usec", "<u4"), ("incl_len", "<u4"), ("orig_len", "<u4")])
 
 
 class Transport(Enum):
@@ -186,7 +187,7 @@ def _walk(path) -> tuple[bytes, str, array]:
         raise FloodgateError(f"{path}: unknown magic 0x{magic:08x}")
     if len(data) < 24:
         raise FloodgateError(f"{path}: incomplete global header")
-    linktype = struct.unpack_from(endian + "IHHiIII", data)[6]
+    linktype = struct.unpack_from(endian + _GLOBAL, data)[6]
     if linktype != LINKTYPE_ETHERNET:
         raise FloodgateError(f"{path}: linktype {linktype} (only Ethernet is supported)")
 
@@ -206,7 +207,7 @@ def _walk(path) -> tuple[bytes, str, array]:
     return data, endian, starts
 
 
-def _items(buf: np.ndarray, dtype) -> np.ndarray:
+def byte_items(buf: np.ndarray, dtype) -> np.ndarray:
     """A view of `buf` whose item i is the `dtype` value at byte offset i (stride 1)."""
     dtype = np.dtype(dtype)
     return np.ndarray((max(len(buf) - dtype.itemsize + 1, 0),), dtype, buf, strides=(1,))
@@ -218,7 +219,7 @@ def _headers(buf: np.ndarray, at: np.ndarray, dtype: np.dtype) -> np.ndarray:
 
     Callers pass only offsets whose header lies inside its record's captured bytes.
     """
-    return _items(buf, (np.void, dtype.itemsize))[at].view(dtype)
+    return byte_items(buf, (np.void, dtype.itemsize))[at].view(dtype)
 
 
 def _kept(headers: np.ndarray, keep: np.ndarray) -> np.ndarray:
@@ -236,7 +237,7 @@ def _set_prefix(out: Packets, buf: np.ndarray, rows: np.ndarray, at: np.ndarray,
     out.prefix_len[rows] = count
     has = np.flatnonzero(count)
     rows, count = rows[has], count[has]
-    word = _items(buf, ">u4")[at[has] + count - PAYLOAD_PREFIX_LEN].astype(np.int64)
+    word = byte_items(buf, ">u4")[at[has] + count - PAYLOAD_PREFIX_LEN].astype(np.int64)
     out.payload_prefix.view(">u4")[rows, 0] = word << (32 - 8 * count) & 0xFFFFFFFF
 
 
@@ -245,14 +246,14 @@ def read_pcap(path) -> Packets:
     data, endian, offsets = _walk(path)
     offsets = np.frombuffer(offsets, dtype=np.int64)
     buf = np.frombuffer(data, dtype=np.uint8)
-    header = _items(buf, (np.void, 16))[offsets - 16].view(endian + "u4").reshape(-1, 4)
+    header = _headers(buf, offsets - _RECORD.itemsize, _RECORD.newbyteorder(endian))
     out = Packets.empty(len(offsets))
-    sec, usec, out.captured_len[:], out.original_len[:] = header.T
+    out.captured_len[:], out.original_len[:] = header["incl_len"], header["orig_len"]
     stamps = out.ts_us
-    stamps[:] = sec
+    stamps[:] = header["ts_sec"]
     stamps *= 1_000_000
-    stamps += usec
-    del header, sec, usec  # the headers' copy goes before the decoder's temporaries come
+    stamps += header["ts_usec"]
+    del header  # the headers' copy goes before the decoder's temporaries come
     _decode(buf, offsets, out)
     return out
 
@@ -338,16 +339,16 @@ def read_frames(path) -> list[Frame]:
 def record_headers(ts_sec, ts_usec, frame_len) -> np.ndarray:
     """The 16-byte little-endian record header of each frame, as an (n, 16) uint8 array.
 
-    Raises ValueError for a frame longer than MAX_FRAME_LEN or a timestamp
+    Raises ValueError for a frame longer than SNAPLEN or a timestamp
     outside the format's unsigned 32 bits.
     """
     ts_sec, ts_usec, frame_len = (np.asarray(a, dtype=np.int64) for a in (ts_sec, ts_usec, frame_len))
-    if len(frame_len) and frame_len.max() > MAX_FRAME_LEN:
-        raise ValueError(f"frame of {frame_len.max()} bytes exceeds {MAX_FRAME_LEN}")
+    if len(frame_len) and frame_len.max() > SNAPLEN:
+        raise ValueError(f"frame of {frame_len.max()} bytes exceeds {SNAPLEN}")
     for stamp in (ts_sec, ts_usec):
         if len(stamp) and not 0 <= stamp.min() <= stamp.max() <= 0xFFFFFFFF:
             raise ValueError("timestamp outside the 32-bit range of a pcap record")
-    out = np.empty(len(frame_len), _RECORD_LE)
+    out = np.empty(len(frame_len), _RECORD)
     out["ts_sec"], out["ts_usec"], out["incl_len"], out["orig_len"] = ts_sec, ts_usec, frame_len, frame_len
     return out.view(np.uint8).reshape(-1, 16)
 
@@ -356,7 +357,7 @@ def write_records(path, chunks: Iterable) -> None:
     """Write a little-endian microsecond pcap file: the global header, then
     each chunk of records (`record_headers` rows, each followed by its frame)."""
     with atomic_write(path, "wb") as fh:
-        fh.write(_GLOBAL_LE.pack(MAGIC_USEC, 2, 4, 0, 0, SNAPLEN, LINKTYPE_ETHERNET))
+        fh.write(struct.pack("<" + _GLOBAL, MAGIC_USEC, 2, 4, 0, 0, SNAPLEN, LINKTYPE_ETHERNET))
         for chunk in chunks:
             fh.write(chunk)
 

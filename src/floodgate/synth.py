@@ -47,7 +47,8 @@ from .dataset import TrafficClass, encode_label
 from .errors import FloodgateError
 from .features import write_truth
 from .ioutil import open_text, removed_on_failure, strict_numbers
-from .pcapio import ETHERTYPE_IPV4, FLAG_ACK, FLAG_PSH, FLAG_SYN, PROTO_TCP, PROTO_UDP, record_headers, write_records
+from .pcapio import (ETHERTYPE_IPV4, FLAG_ACK, FLAG_PSH, FLAG_SYN, PROTO_TCP, PROTO_UDP,
+                     byte_items, record_headers, write_records)
 
 _HTTP_SESSION_MIN_GETS = 5
 _HTTP_SESSION_MAX_GETS = 14
@@ -168,8 +169,7 @@ def encode_records(rows: np.ndarray) -> np.ndarray:
     out = np.repeat(_FILL[kind], record_len)
     for n in np.flatnonzero(np.bincount(lead_len)).tolist():  # a handful; np.unique would import numpy.ma
         mine = lead_len == n
-        items = np.ndarray((len(out) - n + 1,), (np.void, n), out, strides=(1,))  # the n bytes at each offset
-        items[starts[mine]] = lead[mine, :n].view((np.void, n))[:, 0]
+        byte_items(out, (np.void, n))[starts[mine]] = lead[mine, :n].view((np.void, n))[:, 0]
     return out
 
 

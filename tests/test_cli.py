@@ -152,6 +152,17 @@ class TestExitCodes:
             f"floodgate {command}: {unsorted}: packet 1 is earlier than its predecessor\n"
         )
 
+    def test_overlapping_truth_is_named_before_the_capture_is_decoded(self, scenario, tmp_path, capsys):
+        d, _ = scenario
+        truth = tmp_path / "T.csv"
+        truth.write_text("start_ts,end_ts,label\n1.0,5.0,syn\n4.0,6.0,ack\n")
+        capsys.readouterr()
+        assert_fails_cleanly(tmp_path, 2, "extract", "--pcap", d / "test.pcap", "--truth", truth,
+                             "--out", tmp_path / "out.csv")
+        out, err = capsys.readouterr()
+        assert err == f"floodgate extract: {truth}:3: interval [4.0, 6.0) overlaps [1.0, 5.0)\n"
+        assert "decoded" not in out
+
     def test_missing_classes_are_named_input_error(self, scenario, tmp_path, capsys):
         d, _ = scenario
         ds = read_csv(d / "train.csv")

@@ -120,6 +120,21 @@ def test_from_metas_rejects_records_decode_frame_cannot_make():
 PORTED = (Transport.TCP, Transport.UDP)
 
 
+# Each field's strategy for `packet_streams`, built once: building them for
+# every packet drawn took most of the feature tests' time.
+GAP = st.one_of(st.sampled_from([0, 1, 99_999, 100_000]), st.integers(0, 400_000))
+TRANSPORT = st.sampled_from(list(Transport))
+SIZE = st.one_of(st.integers(0, 1600), st.sampled_from([65535, 2**31, 2**32 - 1]))
+SRC_IP = st.one_of(st.sampled_from([1, 2, 0xC0A8010A, 2**32 - 1]), U32)
+DST_IP = st.one_of(st.sampled_from([3, 0x0A00000A]), U32)
+SRC_PORT = st.one_of(st.sampled_from([0, 1024, 40000, 65535]), PORT)
+DST_PORT = st.one_of(st.sampled_from([53, 80, 8080, 65535]), PORT)
+FLAGS = st.integers(0, 63)
+TTL = st.sampled_from([1, 64, 128, 255])
+PAYLOAD_LEN = st.sampled_from([0, 1, 64, 65, 1400])
+PREFIX = st.sampled_from([b"", b"GET", b"GET ", b"POST", b"HEAD", b"PUT ", b"HTTP"])
+
+
 @st.composite
 def packet_streams(draw):
     """Time-ordered PacketMeta lists shaped like decoded frames, with repeated
@@ -128,25 +143,25 @@ def packet_streams(draw):
     clock = draw(st.integers(0, 2_000_000_000)) * 1_000_000
     metas = []
     for _ in range(n):
-        clock += draw(st.one_of(st.sampled_from([0, 1, 99_999, 100_000]), st.integers(0, 400_000)))
-        transport = draw(st.sampled_from(list(Transport)))
+        clock += draw(GAP)
+        transport = draw(TRANSPORT)
         ip = transport is not Transport.NON_IP
         ported = transport in PORTED
-        size = draw(st.one_of(st.integers(0, 1600), st.sampled_from([65535, 2**31, 2**32 - 1])))
+        size = draw(SIZE)
         metas.append(
             PacketMeta(
                 ts_us=clock,
                 captured_len=min(size, 96),
                 original_len=size,
                 transport=transport,
-                src_ip=draw(st.one_of(st.sampled_from([1, 2, 0xC0A8010A, 2**32 - 1]), U32)) if ip else 0,
-                dst_ip=draw(st.one_of(st.sampled_from([3, 0x0A00000A]), U32)) if ip else 0,
-                src_port=draw(st.one_of(st.sampled_from([0, 1024, 40000, 65535]), PORT)) if ported else 0,
-                dst_port=draw(st.one_of(st.sampled_from([53, 80, 8080, 65535]), PORT)) if ported else 0,
-                tcp_flags=draw(st.integers(0, 63)),
-                ttl=draw(st.sampled_from([1, 64, 128, 255])) if ip else 0,
-                payload_len=draw(st.sampled_from([0, 1, 64, 65, 1400])),
-                payload_prefix=draw(st.sampled_from([b"", b"GET", b"GET ", b"POST", b"HEAD", b"PUT ", b"HTTP"])),
+                src_ip=draw(SRC_IP) if ip else 0,
+                dst_ip=draw(DST_IP) if ip else 0,
+                src_port=draw(SRC_PORT) if ported else 0,
+                dst_port=draw(DST_PORT) if ported else 0,
+                tcp_flags=draw(FLAGS),
+                ttl=draw(TTL) if ip else 0,
+                payload_len=draw(PAYLOAD_LEN),
+                payload_prefix=draw(PREFIX),
             )
         )
     return metas
