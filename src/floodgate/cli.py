@@ -120,17 +120,14 @@ def cmd_synth(args) -> int:
 
 
 def _read_windows(path, window_len: float):
-    """The packets of the capture at `path` and their windows; an error names the capture.
+    """The packets of the capture at `path` and their windows; `read_pcap`'s errors name the capture.
 
     Prints what the frames decoded to: the count per transport, and of frames
     captured shorter than their length. A capture of floods over IPv6, say,
     decodes as all non-IP and so has no TCP or UDP features.
     """
     packets = read_pcap(path)
-    try:
-        windows = window_packets(packets, window_len)
-    except FloodgateError as exc:
-        raise FloodgateError(f"{path}: {exc}") from None
+    windows = window_packets(packets, window_len)
     count = np.bincount(packets.transport, minlength=4)
     short = np.count_nonzero(packets.captured_len < packets.original_len)
     print(f"decoded {len(packets)} frames: tcp {count[TCP]}, udp {count[UDP]}, other IP {count[OTHER_IP]}, "

@@ -116,26 +116,17 @@ def window_packets(packets: Packets, window_len: float) -> Windows:
 
     Only windows that hold packets exist, so a gap in the capture (or a
     bogus early timestamp) costs nothing; every packet lands in exactly one
-    window.
+    window. `read_pcap` returns packets in time order, so this raises no FloodgateError.
     """
-    if window_len <= 0:
-        raise ValueError("window_len must be positive")
     len_us = round(window_len * 1e6)
     if len_us <= 0:
         raise ValueError("window_len must be at least one microsecond")
-
-    if len(packets) == 0:
-        return Windows(np.empty(0), np.empty(0), np.zeros(1, dtype=np.int64))
-    stamps = packets.ts_us
-    unsorted = np.flatnonzero(stamps[1:] < stamps[:-1])
-    if unsorted.size:
-        raise FloodgateError(f"packet {unsorted[0] + 1} is earlier than its predecessor")
     # Stamps stay below 2**53, so any longer window puts them all in window 0 as well.
-    slot = stamps // min(len_us, 1 << 62)
-    bounds = np.concatenate(([0], np.flatnonzero(np.diff(slot)) + 1, [len(slot)]))
+    slot = packets.ts_us // min(len_us, 1 << 62)
+    first = np.flatnonzero(np.diff(slot, prepend=slot[:1] - 1))
     # k and len_us are exact in float64, so each bound is one rounding of the exact product.
-    k = slot[bounds[:-1]]
-    return Windows(start_ts=k * float(len_us) / 1e6, end_ts=(k + 1) * float(len_us) / 1e6, bounds=bounds)
+    k = slot[first]
+    return Windows(k * float(len_us) / 1e6, (k + 1) * float(len_us) / 1e6, np.append(first, len(slot)))
 
 
 def _distinct_and_entropy(owner: np.ndarray, key: np.ndarray, n_windows: int) -> tuple[np.ndarray, np.ndarray]:
@@ -148,12 +139,10 @@ def _distinct_and_entropy(owner: np.ndarray, key: np.ndarray, n_windows: int) ->
     the float result is defined (np.log2 differs from it in the last bit for
     some ratios), and one float always has the same log2.
     """
-    _, inverse, counts = np.unique(owner << 32 | key, return_inverse=True, return_counts=True)
-    first = np.full(len(counts), len(key))
-    np.minimum.at(first, inverse, np.arange(len(key)))
-    firsts = np.sort(first)
-    term_owner = owner[firsts]
-    p = counts[inverse[firsts]] / np.bincount(owner, minlength=n_windows)[term_owner]
+    _, first, counts = np.unique(owner << 32 | key, return_index=True, return_counts=True)
+    order = np.argsort(first)
+    term_owner = owner[first[order]]
+    p = counts[order] / np.bincount(owner, minlength=n_windows)[term_owner]
     ratios, ratio_of = np.unique(p, return_inverse=True)
     terms = p * np.array([math.log2(x) for x in ratios.tolist()], dtype=np.float64)[ratio_of]
     # bincount adds each window's terms one by one in the order given, and

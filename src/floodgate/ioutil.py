@@ -8,7 +8,7 @@ from .errors import FloodgateError
 
 
 @contextmanager
-def atomic_write(path, mode="w", **kwargs):
+def atomic_write(path, mode, **kwargs):
     """Open a temp file next to `path`; rename over `path` only on success.
 
     Guarantees no partial output file is left behind if the body raises.

@@ -17,9 +17,10 @@ one record header dtype, read by `read_pcap` and written by `record_headers`.
 `read_pcap` walks a file's records and decodes them all; `decode_frame` is
 its one-row call, and its `PacketMeta` is one row of `Packets`, field for
 field. A decoded packet's time is one integer, `ts_us`: its record header's
-ts_sec * 10**6 + ts_usec as read, even a ts_usec of 10**6 or more. Of the
-payload it keeps at most the first 4 bytes, which the HTTP-method test
-reads.
+ts_sec * 10**6 + ts_usec as read, even a ts_usec of 10**6 or more; a capture
+whose stamps go backwards is rejected, with the file and the packet named.
+Of the payload it keeps at most the first 4 bytes, which the HTTP-method
+test reads.
 """
 
 from __future__ import annotations
@@ -242,7 +243,8 @@ def _set_prefix(out: Packets, buf: np.ndarray, rows: np.ndarray, at: np.ndarray,
 
 
 def read_pcap(path) -> Packets:
-    """Decode every record of a pcap file into packet metadata columns, in file order."""
+    """Decode every record of a pcap file into packet metadata columns, in file order;
+    a record earlier than its predecessor raises FloodgateError, naming the file and the packet."""
     data, endian, offsets = _walk(path)
     offsets = np.frombuffer(offsets, dtype=np.int64)
     buf = np.frombuffer(data, dtype=np.uint8)
@@ -254,15 +256,18 @@ def read_pcap(path) -> Packets:
     stamps *= 1_000_000
     stamps += header["ts_usec"]
     del header  # the headers' copy goes before the decoder's temporaries come
+    backwards = np.flatnonzero(stamps[1:] < stamps[:-1])
+    if backwards.size:
+        raise FloodgateError(f"{path}: packet {backwards[0] + 1} is earlier than its predecessor")
     _decode(buf, offsets, out)
     return out
 
 
-def decode_frame(data: bytes, ts_us: int = 0, original_len: int | None = None) -> PacketMeta:
-    """Decode one Ethernet frame as `read_pcap` decodes a record; never raises."""
+def decode_frame(data: bytes) -> PacketMeta:
+    """Decode one Ethernet frame as `read_pcap` decodes a record captured whole
+    at time 0: `ts_us` is 0 and both lengths are len(data). Never raises."""
     out = Packets.empty(1)
-    out.ts_us[0], out.captured_len[0] = ts_us, len(data)
-    out.original_len[0] = len(data) if original_len is None else original_len
+    out.captured_len[0] = out.original_len[0] = len(data)
     _decode(np.frombuffer(data, dtype=np.uint8), np.zeros(1, dtype=np.int64), out)
     (meta,) = out
     return meta

@@ -423,11 +423,9 @@ def gen_attack(ep: Episode, rng: np.random.Generator) -> np.ndarray:
     elif ep.attack is TrafficClass.ACK_FLOOD:
         fields = dict(src=first_attacker + rng.integers(0, ep.attackers, n), sport=rng.integers(1024, 65536, n),
                       ttl=64, dport=VICTIM_PORT, flags=FLAG_ACK, proto=PROTO_TCP, plen=0)
-    elif ep.attack is TrafficClass.UDP_FLOOD:
+    else:  # UDP_FLOOD, the one kind left that ScenarioConfig accepts
         fields = dict(src=first_attacker + rng.integers(0, ep.attackers, n), sport=rng.integers(1024, 65536, n),
                       dport=rng.integers(1, 65536, n), plen=rng.integers(8, 65, n), ttl=64, flags=0, proto=PROTO_UDP)
-    else:  # pragma: no cover - ScenarioConfig validation rejects this
-        raise ValueError(f"unsupported episode kind {ep.attack}")
     out = np.empty(n, _ROW)
     for name, value in dict(fields, t=t, dst=VICTIM_IP, kind=ZEROS).items():
         out[name] = value

@@ -79,11 +79,6 @@ class TestWindowing:
         assert windows.end_ts.tolist() == [1.0, 4.0]
         assert counts(windows) == [1, 1]
 
-    def test_unsorted_input(self):
-        pkts = [make_meta(ts=t) for t in (1.0, 2.0, 2.0, 1.5, 1.0)]
-        with pytest.raises(FloodgateError, match="^packet 3 is earlier than its predecessor$"):
-            windowed(pkts, 1.0)
-
     def test_sub_second_windows(self):
         # 0.3 s lies exactly on a 0.1 s boundary; integer-microsecond
         # arithmetic must put it in [0.3, 0.4).

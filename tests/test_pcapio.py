@@ -17,7 +17,7 @@ from floodgate.pcapio import (
 )
 
 import oracle
-from conftest import ethernet, ipv4, tcp, udp
+from conftest import ethernet, ipv4, tcp, udp, write_records
 
 
 def random_frames(rng, count, max_len=400):
@@ -117,6 +117,15 @@ class TestFileErrors:
         with pytest.raises(FloodgateError, match="t.pcap: record claims 100 bytes, only 10 remain$"):
             read_frames(path)
 
+    def test_out_of_order_capture_named(self, tmp_path):
+        """Equal stamps are in order; the first record earlier than its predecessor is named."""
+        path = tmp_path / "t.pcap"
+        frame = ethernet(ipv4(tcp(), 6))
+        stamps = [(1, 0), (2, 0), (2, 0), (1, 500_000), (1, 0)]
+        write_records(path, [(s, u, len(frame), frame) for s, u in stamps])
+        with pytest.raises(FloodgateError, match="t.pcap: packet 3 is earlier than its predecessor$"):
+            read_pcap(path)
+
     def test_unsupported_linktype(self, tmp_path):
         path = tmp_path / "t.pcap"
         path.write_bytes(struct.pack("<IHHiIII", 0xA1B2C3D4, 2, 4, 0, 0, 65535, 101))
@@ -129,13 +138,12 @@ class TestDecode:
 
     def test_minimal_tcp_syn(self):
         frame = ethernet(ipv4(tcp(flags=0x02, sport=40000, dport=80), proto=6, ttl=64))
-        meta = decode_frame(frame, 5_123_456)
+        meta = decode_frame(frame)
         assert meta.transport is Transport.TCP
         assert meta.tcp_flags == 0x02
         assert meta.payload_len == 0
         assert meta.src_port == 40000 and meta.dst_port == 80
         assert meta.ttl == 64
-        assert meta.ts_us == 5_123_456
 
     def test_syn_ack_flag_bits(self):
         meta = decode_frame(ethernet(ipv4(tcp(flags=0x12), proto=6)))

@@ -380,20 +380,11 @@ def pinned_read_peak_per_packet(tmp_path, read):
     return peak / PINNED_PACKETS
 
 
-# tracemalloc peak of a second `read_pcap` of PINNED when `Packets` held the
-# record header's seconds and microseconds as two int64 columns and 8 payload
-# bytes per packet: 4,273,890 B, 348.6 B/packet, in each of three runs.
-TWO_CLOCK_COLUMNS_READ_PEAK_BYTES_PER_PACKET = 348.6
-# The same peak when `_walk` collected the record offsets in a Python list and
-# `read_pcap` kept its copy of the record headers through the decode:
-# 4,126,863-4,127,103 B, 336.6-336.7 B/packet, over three runs.
+# tracemalloc peak of a second `read_pcap` of PINNED when `_walk` collected
+# the record offsets in a Python list and `read_pcap` kept its copy of the
+# record headers through the decode: 4,126,863-4,127,103 B, 336.6-336.7
+# B/packet, over three runs.
 LIST_WALK_READ_PEAK_BYTES_PER_PACKET = 336.6
-
-
-def test_pinned_capture_read_peak_memory(tmp_path):
-    """One microsecond column and a 4-byte prefix keep `read_pcap`'s peak below
-    what two timestamp columns and an 8-byte prefix took."""
-    assert pinned_read_peak_per_packet(tmp_path, read_pcap) < TWO_CLOCK_COLUMNS_READ_PEAK_BYTES_PER_PACKET
 
 
 def test_pinned_capture_read_peak_memory_below_the_list_walk(tmp_path):
