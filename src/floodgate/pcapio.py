@@ -11,9 +11,9 @@ records at once: each header (Ethernet with the fixed IPv4 header, then TCP
 or UDP) is read for every record with one array gather, masked by the tests
 that record's captured bytes pass. A gather indexes a stride-1 view of the
 file's bytes whose item i is the header's bytes at offset i, so it copies
-only the headers it reads; a structured dtype names their fields.
-`byte_items` makes that view, for synth's encoder too, and `_RECORD` is the
-one record header dtype, read by `read_pcap` and written by `record_headers`.
+only the headers it reads; a structured dtype names their fields, and synth
+writes frames through the same dtypes and view (`byte_items`). `_RECORD` is
+the record header dtype, read by `read_pcap` and written by `record_headers`.
 `read_pcap` walks a file's records and decodes them all; `decode_frame` is
 its one-row call, and its `PacketMeta` is one row of `Packets`, field for
 field. A decoded packet's time is one integer, `ts_us`: its record header's
@@ -49,21 +49,23 @@ PROTO_TCP = 6
 PROTO_UDP = 17
 
 _GLOBAL = "IHHiIII"  # the global header, read and written: magic, major, minor, zone, sigfigs, snaplen, linktype
-# The header fields `_decode` reads, at their byte offsets: Ethernet and the
-# fixed IPv4 header from the frame's start, TCP and UDP from the IP body's.
-_ETHERNET_IPV4 = np.dtype({
-    "names": ["ethertype", "version_ihl", "total_len", "fragment", "ttl", "proto", "src_ip", "dst_ip"],
-    "formats": [">u2", "u1", ">u2", ">u2", "u1", "u1", ">u4", ">u4"],
-    "offsets": [12, 14, 16, 20, 22, 23, 26, 30],
+# The one frame header layout, read by `_decode` and written by synth, at byte
+# offsets from the frame's start (Ethernet, fixed IPv4) or the IP body's (TCP,
+# UDP). TCP_HEADER stops before the window: its size is the decoder's TCP bound.
+ETHERNET_IPV4 = np.dtype({
+    "names": ["dst_mac", "src_mac", "ethertype", "version_ihl", "total_len", "fragment", "ttl", "proto", "checksum",
+              "src_ip", "dst_ip"],
+    "formats": [("u1", 6), ("u1", 6), ">u2", "u1", ">u2", ">u2", "u1", "u1", ">u2", ">u4", ">u4"],
+    "offsets": [0, 6, 12, 14, 16, 20, 22, 23, 24, 26, 30],
     "itemsize": 14 + 20,
 })
-_TCP = np.dtype({
+TCP_HEADER = np.dtype({
     "names": ["src_port", "dst_port", "data_offset", "flags"],
     "formats": [">u2", ">u2", "u1", "u1"],
     "offsets": [0, 2, 12, 13],
     "itemsize": 14,
 })
-_UDP = np.dtype([("src_port", ">u2"), ("dst_port", ">u2"), ("length", ">u2"), ("checksum", ">u2")])
+UDP_HEADER = np.dtype([("src_port", ">u2"), ("dst_port", ">u2"), ("length", ">u2"), ("checksum", ">u2")])
 _RECORD = np.dtype([("ts_sec", "<u4"), ("ts_usec", "<u4"), ("incl_len", "<u4"), ("orig_len", "<u4")])
 
 
@@ -282,8 +284,8 @@ def _decode(buf: np.ndarray, offsets: np.ndarray, out: Packets) -> None:
     cap = out.captured_len
 
     # Ethernet carrying IPv4, version 4, 20 <= IHL <= captured IP bytes.
-    rows = np.flatnonzero(cap >= _ETHERNET_IPV4.itemsize)
-    head = _headers(buf, offsets[rows], _ETHERNET_IPV4)
+    rows = np.flatnonzero(cap >= ETHERNET_IPV4.itemsize)
+    head = _headers(buf, offsets[rows], ETHERNET_IPV4)
     ihl = (head["version_ihl"] & 0x0F).astype(np.int64) * 4
     ok = (head["ethertype"] == ETHERTYPE_IPV4) & (head["version_ihl"] >> 4 == 4) & (ihl >= 20)
     ok &= cap[rows] - 14 >= ihl
@@ -304,8 +306,8 @@ def _decode(buf: np.ndarray, offsets: np.ndarray, out: Packets) -> None:
     body = offsets[rows] + 14 + ihl
     body_len = np.minimum(cap[rows] - 14, np.maximum(ihl, total_len)) - ihl
 
-    tcp &= body_len >= _TCP.itemsize
-    t_head = _headers(buf, body[tcp], _TCP)
+    tcp &= body_len >= TCP_HEADER.itemsize
+    t_head = _headers(buf, body[tcp], TCP_HEADER)
     data_off = (t_head["data_offset"] >> 4).astype(np.int64) * 4
     ok = data_off >= 20
     tcp[tcp] = ok  # TCP rows with a valid data offset
@@ -318,9 +320,9 @@ def _decode(buf: np.ndarray, offsets: np.ndarray, out: Packets) -> None:
     out.payload_len[t_rows] = np.maximum((total_len - ihl)[tcp] - data_off, 0)
     _set_prefix(out, buf, t_rows, t_body + data_off, np.clip(body_len[tcp] - data_off, 0, PAYLOAD_PREFIX_LEN))
 
-    udp &= body_len >= _UDP.itemsize
+    udp &= body_len >= UDP_HEADER.itemsize
     u_rows, u_body, u_len = rows[udp], body[udp], body_len[udp]
-    u_head = _headers(buf, u_body, _UDP)
+    u_head = _headers(buf, u_body, UDP_HEADER)
     out.transport[u_rows] = UDP
     out.src_port[u_rows] = u_head["src_port"]
     out.dst_port[u_rows] = u_head["dst_port"]

@@ -27,12 +27,12 @@ packets within each conversation, and the payload lengths of the packets
 that fall before the end. Changing that order, or any draw in it, changes
 the capture.
 
-`encode_records` turns packet records (`_ROW`) into pcap records, many
-packets at once: it fills each record with its payload's fill byte, then
-copies the record's leading bytes (headers and payload prefix) over it as
-one block. It holds the one frame layout, which `build_tcp_frame` and
-`build_udp_frame` use for one frame. A scenario may expect at most
-MAX_EXPECTED_PACKETS packets, so that synth stays within SYNTH_MEMORY_BUDGET.
+`encode_records` turns packet records (`_ROW`) into pcap records, many at
+once: it writes their headers through pcapio's header dtypes, fills each
+record with its payload's fill byte and copies its lead (headers and payload
+prefix) over it as one block; `build_tcp_frame` and `build_udp_frame` use it
+for one frame. A scenario may expect at most MAX_EXPECTED_PACKETS packets,
+so that synth stays within SYNTH_MEMORY_BUDGET.
 """
 
 from __future__ import annotations
@@ -47,8 +47,8 @@ from .dataset import TrafficClass, encode_label
 from .errors import FloodgateError
 from .features import write_truth
 from .ioutil import open_text, removed_on_failure, strict_numbers
-from .pcapio import (ETHERTYPE_IPV4, FLAG_ACK, FLAG_PSH, FLAG_SYN, PROTO_TCP, PROTO_UDP,
-                     byte_items, record_headers, write_records)
+from .pcapio import (ETHERNET_IPV4, ETHERTYPE_IPV4, FLAG_ACK, FLAG_PSH, FLAG_SYN, PROTO_TCP, PROTO_UDP, TCP_HEADER,
+                     UDP_HEADER, byte_items, record_headers, write_records)
 
 _HTTP_SESSION_MIN_GETS = 5
 _HTTP_SESSION_MAX_GETS = 14
@@ -61,9 +61,9 @@ SPOOF_NET = "198.18.0.0"  # benchmark-reserved range used for spoofed SYN source
 ATTACKER_NET = "198.19.0.0"  # deterministic per-episode attacker hosts
 MAX_ATTACKERS = 65534  # the host addresses of ATTACKER_NET's /16
 
-# A stream records each packet as one `_ROW`: its time in seconds and nine
-# integer fields, each in the narrowest type that holds it (26 bytes).
-_ROW = np.dtype([("t", "f8"), ("src", "u4"), ("dst", "u4"), ("sport", "u2"), ("dport", "u2"),
+# A stream records each packet as one `_ROW`: its pcap time in integer
+# microseconds and nine fields, each in the narrowest type that holds it (26 bytes).
+_ROW = np.dtype([("ts_us", "i8"), ("src", "u4"), ("dst", "u4"), ("sport", "u2"), ("dport", "u2"),
                  ("flags", "u1"), ("proto", "u1"), ("ttl", "u1"), ("kind", "u1"), ("plen", "u2")])
 _RAW = np.dtype((np.void, _ROW.itemsize))
 
@@ -82,20 +82,9 @@ _PREFIX_LEN = np.array([len(prefix) for prefix, _ in _PAYLOADS])
 _PREFIX = np.array([list(prefix.ljust(_PREFIX_LEN.max(), b"\0")) for prefix, _ in _PAYLOADS], dtype=np.uint8)
 _FILL = np.array([fill for _, fill in _PAYLOADS], dtype=np.uint8)
 
-# The one frame layout: Ethernet (locally administered MACs 02:00 + the IPv4
-# address), IPv4 without options (DF set, checksum filled in afterwards), and
-# TCP (data offset 5 words, window 65535) or UDP, which overlays the start of
-# the TCP header. Every field not named here is zero.
-_FRAME_HEAD = np.dtype({
-    "names": ["dst_mac", "dst_mac_ip", "src_mac", "src_mac_ip", "ethertype", "version_ihl", "ip_len",
-              "ip_flags", "ttl", "proto", "checksum", "src", "dst", "sport", "dport", "udp_len",
-              "data_offset", "tcp_flags", "window"],
-    "formats": [">u2", ">u4", ">u2", ">u4", ">u2", "u1", ">u2",
-                ">u2", "u1", "u1", ">u2", ">u4", ">u4", ">u2", ">u2", ">u2",
-                "u1", "u1", ">u2"],
-    "offsets": [0, 2, 6, 8, 12, 14, 16, 20, 22, 23, 24, 26, 30, 34, 36, 38, 46, 47, 48],
-    "itemsize": 54,
-})
+# A frame is Ethernet (locally administered MACs), IPv4 without options (DF
+# set) and TCP (data offset 5 words, window 65535) or UDP, written through
+# pcapio's header dtypes; UDP overlays the start of the TCP header.
 _TCP_HEAD, _UDP_HEAD = 54, 42
 _RECORD_HEAD = 16  # the pcap record header before each frame
 
@@ -107,7 +96,7 @@ CHUNK_ROWS = 2048
 # draws, or a sort key and index per packet while it sorts. Benign traffic,
 # the stream with the most temporaries, peaks (tracemalloc) at 96.8-96.9
 # B/packet alone at 0.25M and 1M packets; flood_mix's training capture at
-# 58.0. The budget keeps 128 B/packet, so 1 GiB allows 8,388,608 packets
+# 52.0. The budget keeps 128 B/packet, so 1 GiB allows 8,388,608 packets
 # (a pcap of about 0.8 GB).
 SYNTH_MEMORY_BUDGET = 1 << 30
 SYNTH_PEAK_BYTES_PER_PACKET = 128
@@ -124,43 +113,45 @@ def _pcap_us(t: np.ndarray) -> np.ndarray:
     """Integer microseconds of non-negative float timestamps: `int(t)` seconds
     plus the fraction's round-half-even microseconds."""
     sec = t.astype(np.int64)
-    return sec * 1_000_000 + np.rint((t - sec) * 1e6).astype(np.int64)
+    frac = (t - sec) * 1e6
+    sec *= 1_000_000  # in place, like the sum: 16 bytes of temporaries a stamp
+    return np.add(sec, np.rint(frac, out=frac), out=sec, dtype=np.int64, casting="unsafe")  # rint's floats are whole
+
+
+def _mac(ip: np.ndarray) -> np.ndarray:
+    return (0x0200 << 32 | ip).astype(">u8").view(np.uint8).reshape(-1, 8)[:, 2:]  # 02:00, then the IPv4 address
 
 
 def encode_records(rows: np.ndarray) -> np.ndarray:
     """The pcap records of `_ROW` records, in order, back to back as one uint8 buffer.
 
-    Each record is the 16-byte record header and the frame in the one layout
+    Each record is the 16-byte record header and the frame in the layout
     above. Its lead (both headers, then as much of the payload prefix as the
     payload holds) is a row of `lead`, and the rest is the kind's fill byte. The
     leads of each length are copied over `out` as one `np.void` item per record.
     """
-    sec, usec = np.divmod(_pcap_us(rows["t"]), 1_000_000)
     src, dst, sport, dport, flags, proto, ttl, kind, plen = (rows[name].astype(np.int64) for name in _ROW.names[1:])
     tcp = proto == PROTO_TCP
     head_len = np.where(tcp, _TCP_HEAD, _UDP_HEAD)
     frame_len = head_len + plen
 
-    head = np.zeros(len(rows), _FRAME_HEAD)
-    head["dst_mac"] = head["src_mac"] = 0x0200
-    head["dst_mac_ip"], head["src_mac_ip"] = dst, src
-    head["ethertype"] = ETHERTYPE_IPV4
-    head["version_ihl"] = 0x45
-    head["ip_len"] = frame_len - 14
-    head["ip_flags"] = 0x4000
-    head["ttl"], head["proto"], head["src"], head["dst"] = ttl, proto, src, dst
-    head["sport"], head["dport"] = sport, dport
-    head["udp_len"] = np.where(tcp, 0, frame_len - 34)
-    head["data_offset"], head["tcp_flags"], head["window"] = 5 << 4, flags, 0xFFFF
+    lead = np.zeros((len(rows), _RECORD_HEAD + _TCP_HEAD + _PREFIX.shape[1]), dtype=np.uint8)
+    lead[:, :_RECORD_HEAD] = record_headers(*np.divmod(rows["ts_us"], 1_000_000), frame_len)
+    body = _RECORD_HEAD + ETHERNET_IPV4.itemsize
+    ip = lead[:, _RECORD_HEAD:body].view(ETHERNET_IPV4)[:, 0]
+    ip["dst_mac"], ip["src_mac"], ip["ethertype"], ip["version_ihl"] = _mac(dst), _mac(src), ETHERTYPE_IPV4, 0x45
+    ip["total_len"], ip["fragment"], ip["ttl"], ip["proto"] = frame_len - 14, 0x4000, ttl, proto
+    ip["src_ip"], ip["dst_ip"] = src, dst
     # One's-complement sum of the IPv4 header's words (id and checksum are 0); the first fold can carry again.
     total = sum((0x4500, frame_len - 14, 0x4000, ttl << 8 | proto, src >> 16, src & 0xFFFF, dst >> 16, dst & 0xFFFF))
     total = (total & 0xFFFF) + (total >> 16)
     total = (total & 0xFFFF) + (total >> 16)
-    head["checksum"] = ~total & 0xFFFF
-
-    lead = np.zeros((len(rows), _RECORD_HEAD + _TCP_HEAD + _PREFIX.shape[1]), dtype=np.uint8)
-    lead[:, :_RECORD_HEAD] = record_headers(sec, usec, frame_len)
-    lead[:, _RECORD_HEAD : _RECORD_HEAD + _TCP_HEAD] = head.view(np.uint8).reshape(len(rows), -1)
+    ip["checksum"] = ~total & 0xFFFF
+    udp = lead[:, body : body + UDP_HEADER.itemsize].view(UDP_HEADER)[:, 0]
+    udp["src_port"], udp["dst_port"], udp["length"] = sport, dport, np.where(tcp, 0, frame_len - 34)
+    tcp_head = lead[:, body : body + TCP_HEADER.itemsize].view(TCP_HEADER)[:, 0]
+    tcp_head["data_offset"], tcp_head["flags"] = 5 << 4, flags
+    lead[:, body + 14 : body + 16] = 0xFF  # the window, 65535, just past TCP_HEADER's 14 bytes
     for rows_of, at in ((tcp, _RECORD_HEAD + _TCP_HEAD), (~tcp, _RECORD_HEAD + _UDP_HEAD)):
         lead[rows_of, at : at + _PREFIX.shape[1]] = _PREFIX[kind[rows_of]]
     lead_len = _RECORD_HEAD + head_len + np.minimum(_PREFIX_LEN[kind], plen)
@@ -358,8 +349,9 @@ def _conversations(rng, start, sizes, first_row, last_row, gap, end, client, cpo
     times += np.repeat(start - times[first], sizes)
     index = np.flatnonzero(times < end)  # each kept packet's index in the stream
     out = np.empty(len(index), _ROW)
-    out["t"] = times[index]
-    del times  # the stream's full-length arrays go before the fields' temporaries come
+    times = times[index]  # the stream's full-length times go before the stamps' temporaries come
+    out["ts_us"] = _pcap_us(times)
+    del times
     conv = conv[index]
 
     def each(value):
@@ -427,7 +419,7 @@ def gen_attack(ep: Episode, rng: np.random.Generator) -> np.ndarray:
         fields = dict(src=first_attacker + rng.integers(0, ep.attackers, n), sport=rng.integers(1024, 65536, n),
                       dport=rng.integers(1, 65536, n), plen=rng.integers(8, 65, n), ttl=64, flags=0, proto=PROTO_UDP)
     out = np.empty(n, _ROW)
-    for name, value in dict(fields, t=t, dst=VICTIM_IP, kind=ZEROS).items():
+    for name, value in dict(fields, ts_us=_pcap_us(t), dst=VICTIM_IP, kind=ZEROS).items():
         out[name] = value
     return out
 
@@ -445,7 +437,7 @@ def run_scenario(cfg: ScenarioConfig, out_pcap_path, out_truth_path) -> int:
     # numpy copies a packed structured dtype field by field; raw `_RAW` items move as whole blocks.
     rows = np.concatenate([stream.view(_RAW) for stream in streams])
     del streams  # the streams' copies go before the sort's key and index come
-    order = np.argsort(_pcap_us(rows.view(_ROW)["t"]), kind="stable")
+    order = np.argsort(rows.view(_ROW)["ts_us"], kind="stable")
     write_records(
         out_pcap_path,
         (encode_records(rows[order[i : i + CHUNK_ROWS]].view(_ROW)) for i in range(0, len(order), CHUNK_ROWS)),

@@ -310,6 +310,13 @@ class TestRecordValidation:
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError, match="features must be"):
             Dataset(np.zeros((2, NUM_FEATURES - 1)), [0, 0])
+        with pytest.raises(ValueError, match="^labels must match the number of feature rows$"):
+            Dataset(np.zeros((2, NUM_FEATURES)), [0])
+
+    @pytest.mark.parametrize("label", [5, -1])
+    def test_labels_outside_the_classes_are_rejected(self, label):
+        with pytest.raises(ValueError, match=r"^labels must be ordinals in \[0, 5\)$"):
+            Dataset(np.zeros((1, NUM_FEATURES)), [label])
 
     def test_non_finite_rejected(self):
         for value in (np.inf, -np.inf, np.nan):

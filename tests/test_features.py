@@ -113,6 +113,12 @@ class TestWindowing:
 
 
 class TestExtract:
+    def test_windows_of_other_packets_rejected(self):
+        packets = packets_from_metas([make_meta(ts=t) for t in (0.1, 0.2, 1.5)])
+        other = window_packets(packets_from_metas([make_meta(ts=0.1)]), 1.0)
+        with pytest.raises(ValueError, match="^windows were not made from these packets$"):
+            extract_features(packets, other)
+
     def test_single_tcp_syn(self):
         pkt = make_meta(ts=0.4, size=60, flags=SYN, ttl=64)
         v = features([pkt])

@@ -307,8 +307,8 @@ class TestCrossEntropy:
 
 class TestGradients:
     def test_finite_difference_small_sweep(self, rng):
-        # The full sweep over >=5 models lives in the acceptance suite; keep
-        # one pair here so module tests stay fast.
+        # One model and one batch of 6 rows: the central differences visit
+        # every one of the network's parameters, so a wider sweep would slow tier-1.
         model = random_model(11)
         x, y = random_batch(rng, 6)
         worst = finite_difference_check(model, x, y)

@@ -30,6 +30,13 @@ def random_frames(rng, count, max_len=400):
     return frames
 
 
+def assert_extract_fails(directory, pcap):
+    """`floodgate extract` of the capture exits 2 and writes nothing into `directory`."""
+    before = sorted(directory.iterdir())
+    assert main(["extract", "--pcap", str(pcap), "--out", str(directory / "f.csv")]) == 2
+    assert sorted(directory.iterdir()) == before
+
+
 class TestRoundTrip:
     def test_frames_and_timestamps_identity(self, tmp_path, rng):
         frames = random_frames(rng, 50)
@@ -102,12 +109,30 @@ class TestFileErrors:
         assert frames == [Frame(12, 34, b"abcd")]
 
     def test_truncated_record_header(self, tmp_path, rng):
+        """The file ends 5 bytes into the third record's header."""
         path = tmp_path / "t.pcap"
-        write_pcap(path, random_frames(rng, 3))
-        data = path.read_bytes()
-        path.write_bytes(data[:-3])
-        with pytest.raises(FloodgateError, match=r"t.pcap: record claims \d+ bytes, only \d+ remain$"):
+        frames = random_frames(rng, 3)
+        write_pcap(path, frames)
+        third = 24 + sum(16 + len(frame.data) for frame in frames[:2])
+        path.write_bytes(path.read_bytes()[: third + 5])
+        with pytest.raises(FloodgateError, match="t.pcap: incomplete record header$"):
             read_frames(path)
+        assert_extract_fails(tmp_path, path)
+
+    # Files shorter than a magic, and files that start with a pcap magic but
+    # end inside the 24-byte global header.
+    @pytest.mark.parametrize("data, message", [
+        (b"", "too short to be a pcap file"),
+        (b"\xd4\xc3\xb2", "too short to be a pcap file"),
+        (struct.pack("<I", 0xA1B2C3D4), "incomplete global header"),
+        (struct.pack(">I", 0xA1B2C3D4) + bytes(19), "incomplete global header"),
+    ])
+    def test_short_file(self, tmp_path, data, message):
+        path = tmp_path / "t.pcap"
+        path.write_bytes(data)
+        with pytest.raises(FloodgateError, match=f"t.pcap: {message}$"):
+            read_frames(path)
+        assert_extract_fails(tmp_path, path)
 
     def test_record_claims_more_than_remains(self, tmp_path):
         path = tmp_path / "t.pcap"

@@ -432,32 +432,29 @@ PREFIX_AND_FILL = {
 }
 
 
+# The first microsecond that a pcap record's 32-bit seconds cannot hold.
+STAMP_END = 2**32 * 10**6
+
+
 @st.composite
 def packet_rows(draw):
     kind = draw(st.sampled_from(sorted(LONGEST)))
     length = draw(st.one_of(st.sampled_from([0, LONGEST[kind]]), st.integers(0, LONGEST[kind])))
-    # Whole seconds, half microseconds (round half to even) and carries into the next second.
-    t = draw(st.one_of(
-        st.floats(0, 2e9, allow_nan=False),
-        st.builds(lambda s, u: s + u / 2e6, st.integers(0, 2**31), st.integers(0, 2 * 10**6)),
-    ))
-    return (t, draw(IP), draw(IP), draw(PORT), draw(PORT), draw(st.integers(0, 255)),
+    ts_us = draw(st.one_of(st.sampled_from([0, STAMP_END - 1]), st.integers(0, STAMP_END - 1)))
+    return (ts_us, draw(IP), draw(IP), draw(PORT), draw(PORT), draw(st.integers(0, 255)),
             draw(st.sampled_from([6, 17])), draw(st.integers(0, 255)), kind, length)
 
 
 def reference_record(row):
     """One row's pcap record, packed with struct as synth packed it before the encoder."""
-    t, src, dst, sport, dport, flags, proto, ttl, kind, length = row
+    ts_us, src, dst, sport, dport, flags, proto, ttl, kind, length = row
     prefix, fill = PREFIX_AND_FILL[kind]
     payload = (prefix + fill * length)[:length]
     if proto == 6:
         frame = oracle.build_tcp_frame(src, dst, sport, dport, flags, payload, ttl)
     else:
         frame = oracle.build_udp_frame(src, dst, sport, dport, payload, ttl)
-    sec = int(t)
-    usec = round((t - sec) * 1e6)
-    if usec >= 1_000_000:
-        sec, usec = sec + 1, usec - 1_000_000
+    sec, usec = divmod(ts_us, 1_000_000)
     return struct.pack("<IIII", sec, usec, len(frame), len(frame)) + frame
 
 
@@ -472,9 +469,9 @@ def folds_twice(row):
 # All-ones addresses with these TTLs and lengths sum to 0x4FFFE, 0x4FFFE and
 # 0x4FFFF, so the first fold carries again.
 DOUBLE_FOLDS = [
-    (1.0, 0xFFFFFFFF, 0xFFFFFFFF, 1, 2, 0x18, 6, 122, synth.BULK, 212),
-    (2.0, 0xFFFFFFFF, 0xFFFFFFFF, 1, 2, 0, 17, 122, synth.ZEROS, 213),
-    (3.0, 0xFFFFFFFF, 0xFFFFFFFF, 65535, 65535, 0xFF, 6, 122, synth.RESPONSE, 213),
+    (1_000_000, 0xFFFFFFFF, 0xFFFFFFFF, 1, 2, 0x18, 6, 122, synth.BULK, 212),
+    (2_000_000, 0xFFFFFFFF, 0xFFFFFFFF, 1, 2, 0, 17, 122, synth.ZEROS, 213),
+    (3_000_000, 0xFFFFFFFF, 0xFFFFFFFF, 65535, 65535, 0xFF, 6, 122, synth.RESPONSE, 213),
 ]
 
 
@@ -487,18 +484,18 @@ def test_double_fold_rows_fold_twice():
 # lead as wide as the encoder's widest, and a payload that ends inside its
 # prefix.
 RUN_EDGES = [
-    (4.0, 1, 2, 3, 4, 0x02, 6, 64, synth.ZEROS, 0),
-    (5.0, 1, 2, 3, 4, 0, 17, 64, synth.ZEROS, 0),
-    (6.0, 1, 2, 3, 80, 0x18, 6, 64, synth.GET, len(HTTP_GET)),
-    (7.0, 2, 1, 80, 3, 0x18, 6, 64, synth.RESPONSE, len(synth.HTTP_RESPONSE)),
-    (8.0, 2, 1, 80, 3, 0x18, 6, 64, synth.RESPONSE, len(synth.HTTP_RESPONSE) + 1),
-    (9.0, 1, 2, 3, 53, 0, 17, 64, synth.DNS_QUERY, 2),
+    (4_000_000, 1, 2, 3, 4, 0x02, 6, 64, synth.ZEROS, 0),
+    (5_000_000, 1, 2, 3, 4, 0, 17, 64, synth.ZEROS, 0),
+    (6_000_000, 1, 2, 3, 80, 0x18, 6, 64, synth.GET, len(HTTP_GET)),
+    (7_000_000, 2, 1, 80, 3, 0x18, 6, 64, synth.RESPONSE, len(synth.HTTP_RESPONSE)),
+    (8_000_000, 2, 1, 80, 3, 0x18, 6, 64, synth.RESPONSE, len(synth.HTTP_RESPONSE) + 1),
+    (9_000_000, 1, 2, 3, 53, 0, 17, 64, synth.DNS_QUERY, 2),
 ]
 
 # Every lead length (58, 60, 62, 70, 102 and 108 bytes) three or more times,
 # never next to itself, so that each length's records sit among others'.
 INTERLEAVED_LEADS = [
-    (10.0 + i, 1, 2, 3, port, flags, proto, 64, kind, plen)
+    ((10 + i) * 1_000_000, 1, 2, 3, port, flags, proto, 64, kind, plen)
     for i, (port, flags, proto, kind, plen) in enumerate([
         (53, 0, 17, synth.ZEROS, 8),
         (53, 0, 17, synth.DNS_QUERY, 20),
@@ -520,6 +517,31 @@ INTERLEAVED_LEADS = [
 def test_encoder_equals_struct_reference(rows):
     got = synth.encode_records(np.array(rows, dtype=synth._ROW))
     assert got.tobytes() == b"".join(reference_record(row) for row in rows)
+
+
+def reference_pcap_stamp(t):
+    """A float time's pcap (seconds, microseconds): the fraction's microseconds
+    rounded half to even, a rounding up to 10**6 carried into the seconds."""
+    sec = int(t)
+    usec = round((t - sec) * 1e6)
+    if usec >= 1_000_000:
+        sec, usec = sec + 1, usec - 1_000_000
+    return sec, usec
+
+
+# Whole seconds, half microseconds (round half to even) and carries into the next second.
+FLOAT_TIMES = st.one_of(
+    st.floats(0, 2e9, allow_nan=False),
+    st.builds(lambda s, u: s + u / 2e6, st.integers(0, 2**31), st.integers(0, 2 * 10**6)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(times=st.lists(FLOAT_TIMES, min_size=1, max_size=40))
+@example(times=[0.5e-6, 1.5e-6, 2.5e-6, 3 + 0.5e-6, 7 + 1999999 / 2e6, 2**31 + 1999999 / 2e6])
+def test_pcap_stamps_round_half_even_and_carry(times):
+    got = synth._pcap_us(np.array(times))
+    assert [divmod(us, 1_000_000) for us in got.tolist()] == [reference_pcap_stamp(t) for t in times]
 
 
 def test_frame_builders_equal_struct_reference():
@@ -577,9 +599,21 @@ def test_stream_count_and_gaps_follow_their_distributions(stream, seed):
     mean_k, mean_k2 = sum(w * k for w, k in mix), sum(w * k * k for w, k in mix)
     assert abs(len(rows) - RATE * SPAN) <= 5 * math.sqrt(RATE * SPAN * mean_k2 / mean_k)
     first = starts(rows) if starts else np.ones(len(rows), bool)
-    checks = [(np.diff(rows["t"][first], prepend=0.0), mean_k / RATE)]
-    checks += [(np.diff(rows["t"])[~first[1:]], gap_within)] if gap_within else []
+    t = rows["ts_us"] / 1e6
+    checks = [(np.diff(t[first], prepend=0.0), mean_k / RATE)]
+    checks += [(np.diff(t)[~first[1:]], gap_within)] if gap_within else []
     for gaps, mean in checks:
         limit = math.sqrt(-math.log(0.001 / 2) / 2 / len(gaps))  # Smirnov's asymptotic critical value
         assert ks_distance(gaps, mean) < limit
         assert ks_distance(gaps, 1.25 * mean) > limit
+
+
+def test_arrivals_draw_batches_until_one_passes_the_end():
+    """At 0.03 arrivals per second over [0, 1) a batch is one gap. At seed 34
+    the first lands before the end, so a second batch is drawn; only the
+    first arrival is kept."""
+    gaps = np.random.default_rng(34).exponential(1 / 0.03, 3)
+    rng = np.random.default_rng(34)
+    assert synth._arrivals(rng, 0.0, 1.0, 0.03).tolist() == [gaps[0]]
+    assert 0 <= gaps[0] < 1 < gaps[0] + gaps[1]
+    assert rng.exponential(1 / 0.03) == gaps[2]  # exactly two batches were drawn
