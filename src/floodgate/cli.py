@@ -24,7 +24,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .dataset import SPLIT, Dataset, TrafficClass, read_csv, stratified_split, write_csv
+from .dataset import SPLIT, Dataset, TrafficClass, format_rows, read_csv, stratified_split, write_csv
 from .errors import FloodgateError, NonFiniteLoss
 from .features import extract_features, label_windows, read_truth, window_packets
 from .ioutil import atomic_write, removed_on_failure, strict_numbers
@@ -187,13 +187,13 @@ def cmd_classify(args) -> int:
     model = load_model(args.model)
     packets, windows = _read_windows(args.pcap, args.window)
     probs = forward(model, extract_features(packets, windows))
-    labels = probs.argmax(axis=1).tolist()
-    lines = [CLASSIFY_HEADER]
-    for start, end, label, row in zip(windows.start_ts.tolist(), windows.end_ts.tolist(), labels, probs.tolist()):
-        lines.append(",".join([repr(start), repr(end), TrafficClass(label).alias] + [repr(p) for p in row]))
+    aliases = [c.alias for c in TrafficClass]
+    bounds = format_rows(np.column_stack([windows.start_ts, windows.end_ts]))
+    rows = zip(bounds, probs.argmax(axis=1).tolist(), format_rows(probs))
     with atomic_write(args.out, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    print(f"classified {len(lines) - 1} windows into {args.out}")
+        fh.write(CLASSIFY_HEADER + "\n")
+        fh.writelines(f"{bound},{aliases[label]},{p}\n" for bound, label, p in rows)
+    print(f"classified {len(windows)} windows into {args.out}")
     return EXIT_OK
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import math
 from enum import IntEnum
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -169,14 +169,26 @@ def fit_normalization(train: Dataset) -> tuple[np.ndarray, np.ndarray]:
     return mean, np.where(std < 1e-12, 1.0, std)
 
 
+def format_rows(values) -> Iterator[str]:
+    """Each row of the float matrix `values` as its `repr`s joined by ","; `repr`
+    runs once per distinct value (by bits: -0.0 is not 0.0) in each 512-row block."""
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    for block in np.split(values, range(512, len(values), 512)):
+        bits, inverse = np.unique(block.view(np.uint64), return_inverse=True)
+        text = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
+        yield from map(",".join, text[inverse.reshape(block.shape)].tolist())
+
+
 def write_rows(path, header, values, labels) -> None:
-    """Write `header`, then one row per line of `values`: its floats in full
-    precision, then the alias of its label ordinal."""
+    """Write `header`, then one line per row of `values`: its floats in full
+    precision from `format_rows`, which formats each distinct value once per block,
+    then the alias of its label ordinal (one outside [0, 5) raises ValueError).
+    Lines end in "\\r\\n", the CSV convention; no field needs quoting."""
+    codes, which = np.unique(np.asarray(labels, dtype=np.int64), return_inverse=True)
+    aliases = [TrafficClass(code).alias for code in codes.tolist()]
     with atomic_write(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row, label in zip(np.asarray(values, dtype=np.float64).tolist(), labels):
-            writer.writerow([repr(v) for v in row] + [TrafficClass(int(label)).alias])
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(f"{row},{aliases[i]}\r\n" for row, i in zip(format_rows(values), which.tolist()))
 
 
 def read_rows(path, header) -> tuple[np.ndarray, np.ndarray, list[int]]:

@@ -19,19 +19,25 @@ they stay sequential: from Python 3.12 on, `sum()` of floats is compensated.
 synth's streams have no reference here: they are declared by their draws,
 and `test_synth.py` checks their counts, ranges and gaps by distribution.
 
+`write_rows` is the `csv.writer` loop that wrote one `repr` per value before
+`dataset.write_rows` formatted each distinct value of a block once, and
+`predictions` the per-row text `floodgate classify` built from a window's
+bounds, its label and its probabilities; both must give the same bytes.
+
 `train` is the training loop with one Adam pass per array, `(w1, b1, w2,
 b2)` each with its own moment arrays, and `backward` the backward pass that
 returns new gradient arrays, as `mlp` had them before `mlp.train` kept its
 state in one flat vector; `mlp.train` must equal it bit for bit.
 """
 
+import csv
 import math
 import struct
 
 import numpy as np
 
 from floodgate import mlp
-from floodgate.dataset import fit_normalization
+from floodgate.dataset import TrafficClass, fit_normalization
 from floodgate.features import HTTP_METHODS, HTTP_PORTS, SMALL_UDP_MAX_PAYLOAD
 from floodgate.pcapio import PacketMeta, Transport
 
@@ -262,6 +268,24 @@ def features(metas, window_len):
     """The feature matrix of every non-empty window, as the reference computes it."""
     rows = [window_features(pkts) for _, _, pkts in windows(metas, window_len)]
     return np.array(rows, dtype=np.float64).reshape(len(rows), 24)
+
+
+def write_rows(path, header, values, labels) -> None:
+    """`header`, then per row the `repr` of each float and the label's alias, through `csv.writer`."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row, label in zip(np.asarray(values, dtype=np.float64).tolist(), labels):
+            writer.writerow([repr(v) for v in row] + [TrafficClass(int(label)).alias])
+
+
+def predictions(header, start_ts, end_ts, probs) -> str:
+    """The predictions file: `header`, then per window its bounds, the argmax's alias and the probabilities."""
+    lines = [header]
+    labels = probs.argmax(axis=1).tolist()
+    for start, end, label, row in zip(start_ts.tolist(), end_ts.tolist(), labels, probs.tolist()):
+        lines.append(",".join([repr(start), repr(end), TrafficClass(label).alias] + [repr(p) for p in row]))
+    return "\n".join(lines) + "\n"
 
 
 def backward(w2, x_rows, y, h, p):

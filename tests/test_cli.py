@@ -5,8 +5,10 @@ Covers the exit codes the `cli.py` docstring promises (0 success, 1 usage,
 where the seed comes from, that `train` says why it stopped, that its model
 bytes do not depend on the number of BLAS threads, that `train` splits as the
 benchmark expects, that `extract` and `classify` say what the frames decoded
-to and load no lazily imported numpy module, and that `classify` and `eval`
-share one inference path.
+to and load no lazily imported numpy module, that `classify` and `eval`
+share one inference path, that `predictions.csv` has the bytes of the per-row
+formatting in `oracle.predictions`, and that a capture of only a global header
+gives header-only outputs.
 """
 
 import os
@@ -18,10 +20,13 @@ import numpy as np
 import pytest
 
 from floodgate import mlp
-from floodgate.cli import main
-from floodgate.dataset import SPLIT, TrafficClass, read_csv, write_csv
+from floodgate.cli import CLASSIFY_HEADER, main
+from floodgate.dataset import CSV_HEADER, SPLIT, TrafficClass, read_csv, write_csv
+from floodgate.features import extract_features, window_packets
 from floodgate.mlp import forward, load_model, predict_batch
+from floodgate.pcapio import read_pcap
 
+import oracle
 from conftest import ethernet, ipv4, tcp, udp, write_records
 
 # Eight seconds with all four floods, one after another.
@@ -274,6 +279,16 @@ def test_extract_and_classify_say_what_they_decoded(scenario, tmp_path, capsys, 
     )
 
 
+def test_a_capture_of_only_a_global_header_writes_header_only_files(scenario, tmp_path):
+    d, _ = scenario
+    write_records(tmp_path / "empty.pcap", [])
+    assert run("extract", "--pcap", tmp_path / "empty.pcap", "--out", tmp_path / "f.csv") == 0
+    assert run("classify", "--pcap", tmp_path / "empty.pcap", "--model", d / "model.txt",
+               "--out", tmp_path / "p.csv") == 0
+    assert (tmp_path / "f.csv").read_bytes() == (",".join(CSV_HEADER) + "\r\n").encode()
+    assert (tmp_path / "p.csv").read_bytes() == (CLASSIFY_HEADER + "\n").encode()
+
+
 def test_blas_threads_do_not_change_model_bytes(scenario, tmp_path):
     """The benchmark trains with one OpenBLAS thread; a user's default may be several."""
     d, _ = scenario
@@ -332,3 +347,18 @@ class TestOneInferencePath:
         # capture in one `forward` call, so even the last bits agree.
         probs = np.array([[float(v) for v in row[3:]] for row in rows])
         assert np.array_equal(probs, forward(model, features))
+
+    # At 0.005 s the test capture has 1,600 windows, more than one of `format_rows`' blocks.
+    @pytest.mark.parametrize("window", [WINDOW, "0.005"])
+    def test_predictions_are_the_per_row_bytes(self, scenario, tmp_path, window):
+        """`predictions.csv` is what `classify` wrote when it built each row from its own list."""
+        d, _ = scenario
+        out = tmp_path / "p.csv"
+        assert run("classify", "--pcap", d / "test.pcap", "--model", d / "model.txt", "--window", window,
+                   "--out", out) == 0
+        packets = read_pcap(d / "test.pcap")
+        windows = window_packets(packets, float(window))
+        probs = forward(load_model(d / "model.txt"), extract_features(packets, windows))
+        assert window == WINDOW or len(windows) > 512
+        expected = oracle.predictions(CLASSIFY_HEADER, windows.start_ts, windows.end_ts, probs)
+        assert out.read_bytes() == expected.encode()

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from floodgate.dataset import (
     CSV_HEADER,
+    NUM_CLASSES,
     NUM_FEATURES,
     SPLIT,
     Dataset,
@@ -23,6 +25,8 @@ from floodgate.dataset import (
 from floodgate.errors import FloodgateError
 from floodgate.features import read_truth
 from floodgate.mlp import MlpModel, forward, init_model
+
+import oracle
 
 
 def make_dataset(class_counts, rng=None):
@@ -224,6 +228,10 @@ class TestNormalization:
         assert np.all(np.abs(normalized.std(axis=0) - 1.0) < 1e-9)
 
 
+# `repr` switches to exponent notation at 1e16 and below 1e-4; subnormals; both zeros.
+REPR_EDGES = [1e16, 9999999999999998.0, 1e-4, 9.999999999999999e-05, 5e-324, 2.2250738585072014e-308 / 3, -0.0, 0.0]
+
+
 class TestCsv:
     def test_round_trip_identity(self, tmp_path, rng):
         ds = make_dataset((2, 2, 2, 2, 2), rng)
@@ -285,6 +293,34 @@ class TestCsv:
         assert labels.tolist() == [0, 4]
         assert lines == [2, 3]
 
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), k=st.sampled_from([2, NUM_FEATURES]), as_members=st.booleans())
+    def test_rows_are_the_csv_writer_bytes(self, tmp_path_factory, data, k, as_members):
+        """Few distinct values, so that rows repeat them; -0.0 beside 0.0 in one column."""
+        pool = REPR_EDGES + data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=4))
+        n = data.draw(st.integers(0, 40))
+        values = data.draw(arrays(np.float64, (n, k), elements=st.sampled_from(pool)))
+        if n >= 2:
+            values[:2, data.draw(st.integers(0, k - 1))] = (-0.0, 0.0)
+        labels = data.draw(st.lists(st.integers(0, NUM_CLASSES - 1), min_size=n, max_size=n))
+        if as_members:
+            labels = [TrafficClass(label) for label in labels]
+        header = CSV_HEADER if k == NUM_FEATURES else ("start_ts", "end_ts", "label")
+        work = tmp_path_factory.mktemp("rows")
+        write_rows(work / "new.csv", header, values, labels)
+        oracle.write_rows(work / "old.csv", header, values, labels)
+        assert (work / "new.csv").read_bytes() == (work / "old.csv").read_bytes()
+
+    def test_rows_past_a_block_are_the_csv_writer_bytes(self, tmp_path):
+        """1,100 rows span three of `format_rows`' 512-row blocks, with values shared between blocks."""
+        rng = np.random.default_rng(5)
+        values = rng.choice(REPR_EDGES + [0.25, 3.0, 1 / 3], size=(1100, NUM_FEATURES))
+        values[::7] = rng.standard_normal((158, NUM_FEATURES))
+        labels = rng.integers(0, NUM_CLASSES, 1100)
+        write_rows(tmp_path / "new.csv", CSV_HEADER, values, labels)
+        oracle.write_rows(tmp_path / "old.csv", CSV_HEADER, values, labels)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
     def test_alias_label_accepted(self, tmp_path):
         path = tmp_path / "alias.csv"
         row = ",".join(["0.0"] * NUM_FEATURES) + ",udp_flood"
@@ -314,9 +350,13 @@ class TestRecordValidation:
             Dataset(np.zeros((2, NUM_FEATURES)), [0])
 
     @pytest.mark.parametrize("label", [5, -1])
-    def test_labels_outside_the_classes_are_rejected(self, label):
+    def test_labels_outside_the_classes_are_rejected(self, tmp_path, label):
         with pytest.raises(ValueError, match=r"^labels must be ordinals in \[0, 5\)$"):
             Dataset(np.zeros((1, NUM_FEATURES)), [label])
+        # As `TrafficClass(label)` rejects it, and before any file is made.
+        with pytest.raises(ValueError, match=f"^{label} is not a valid TrafficClass$"):
+            write_rows(tmp_path / "rows.csv", CSV_HEADER, np.zeros((2, NUM_FEATURES)), [0, label])
+        assert not list(tmp_path.iterdir())
 
     def test_non_finite_rejected(self):
         for value in (np.inf, -np.inf, np.nan):
