@@ -29,10 +29,10 @@ the capture.
 
 `encode_records` turns packet records (`_ROW`) into pcap records, many at
 once: it writes their headers through pcapio's header dtypes, fills each
-record with its payload's fill byte and copies its lead (headers and payload
-prefix) over it as one block; `build_tcp_frame` and `build_udp_frame` use it
-for one frame. A scenario may expect at most MAX_EXPECTED_PACKETS packets,
-so that synth stays within SYNTH_MEMORY_BUDGET.
+record with its payload's fill byte, copies its headers over it as one block
+and then each kind's payload prefix as one constant; `build_tcp_frame` and
+`build_udp_frame` use it for one frame. A scenario may expect at most
+MAX_EXPECTED_PACKETS packets, so that synth stays within SYNTH_MEMORY_BUDGET.
 """
 
 from __future__ import annotations
@@ -68,7 +68,8 @@ _ROW = np.dtype([("ts_us", "i8"), ("src", "u4"), ("dst", "u4"), ("sport", "u2"),
 _RAW = np.dtype((np.void, _ROW.itemsize))
 
 # Payload kinds: a payload is its kind's prefix, cut or filled out to the
-# row's payload length with its kind's fill byte.
+# row's payload length with its kind's fill byte; the encoder writes each
+# (kind, bytes kept) prefix as one constant, the same bytes in every record.
 _PAYLOADS = (
     (b"", 0),
     (HTTP_GET, 0),
@@ -79,7 +80,6 @@ _PAYLOADS = (
 )
 ZEROS, GET, RESPONSE, DNS_QUERY, DNS_ANSWER, BULK = range(len(_PAYLOADS))
 _PREFIX_LEN = np.array([len(prefix) for prefix, _ in _PAYLOADS])
-_PREFIX = np.array([list(prefix.ljust(_PREFIX_LEN.max(), b"\0")) for prefix, _ in _PAYLOADS], dtype=np.uint8)
 _FILL = np.array([fill for _, fill in _PAYLOADS], dtype=np.uint8)
 
 # A frame is Ethernet (locally administered MACs), IPv4 without options (DF
@@ -89,6 +89,8 @@ _TCP_HEAD, _UDP_HEAD = 54, 42
 _RECORD_HEAD = 16  # the pcap record header before each frame
 
 # Rows encoded at a time: the encoder's working set stays small however long the capture.
+# 8192 cut flood_mix's set-up by a tenth, but synth's tracemalloc peak rose to 89.2 B/packet
+# there (from 52.0), 196.5 on sparse_windows (78.2) and 300.2 on the pinned test scenario (119.1).
 CHUNK_ROWS = 2048
 
 # The most packets a scenario may expect. Until the capture is written, synth
@@ -118,28 +120,27 @@ def _pcap_us(t: np.ndarray) -> np.ndarray:
     return np.add(sec, np.rint(frac, out=frac), out=sec, dtype=np.int64, casting="unsafe")  # rint's floats are whole
 
 
-def _mac(ip: np.ndarray) -> np.ndarray:
-    return (0x0200 << 32 | ip).astype(">u8").view(np.uint8).reshape(-1, 8)[:, 2:]  # 02:00, then the IPv4 address
-
-
 def encode_records(rows: np.ndarray) -> np.ndarray:
     """The pcap records of `_ROW` records, in order, back to back as one uint8 buffer.
 
     Each record is the 16-byte record header and the frame in the layout
-    above. Its lead (both headers, then as much of the payload prefix as the
-    payload holds) is a row of `lead`, and the rest is the kind's fill byte. The
-    leads of each length are copied over `out` as one `np.void` item per record.
+    above, over its kind's fill byte. Its head (record and frame headers, a
+    row of `head`) is copied over `out` as one `np.void` item per record, in
+    one scatter per transport; then each (kind, bytes kept) group's cut
+    prefix as one constant item.
     """
     src, dst, sport, dport, flags, proto, ttl, kind, plen = (rows[name].astype(np.int64) for name in _ROW.names[1:])
     tcp = proto == PROTO_TCP
     head_len = np.where(tcp, _TCP_HEAD, _UDP_HEAD)
     frame_len = head_len + plen
 
-    lead = np.zeros((len(rows), _RECORD_HEAD + _TCP_HEAD + _PREFIX.shape[1]), dtype=np.uint8)
-    lead[:, :_RECORD_HEAD] = record_headers(*np.divmod(rows["ts_us"], 1_000_000), frame_len)
+    head = np.zeros((len(rows), _RECORD_HEAD + _TCP_HEAD), dtype=np.uint8)
+    head[:, :_RECORD_HEAD] = record_headers(*np.divmod(rows["ts_us"], 1_000_000), frame_len)
     body = _RECORD_HEAD + ETHERNET_IPV4.itemsize
-    ip = lead[:, _RECORD_HEAD:body].view(ETHERNET_IPV4)[:, 0]
-    ip["dst_mac"], ip["src_mac"], ip["ethertype"], ip["version_ihl"] = _mac(dst), _mac(src), ETHERTYPE_IPV4, 0x45
+    ip = head[:, _RECORD_HEAD:body].view(ETHERNET_IPV4)[:, 0]
+    for mac, addr in ((ip["dst_mac"], dst), (ip["src_mac"], src)):  # 02:00, then the IPv4 address
+        mac[:, 0], mac[:, 2:].view(">u4")[:, 0] = 2, addr
+    ip["ethertype"], ip["version_ihl"] = ETHERTYPE_IPV4, 0x45
     ip["total_len"], ip["fragment"], ip["ttl"], ip["proto"] = frame_len - 14, 0x4000, ttl, proto
     ip["src_ip"], ip["dst_ip"] = src, dst
     # One's-complement sum of the IPv4 header's words (id and checksum are 0); the first fold can carry again.
@@ -147,20 +148,23 @@ def encode_records(rows: np.ndarray) -> np.ndarray:
     total = (total & 0xFFFF) + (total >> 16)
     total = (total & 0xFFFF) + (total >> 16)
     ip["checksum"] = ~total & 0xFFFF
-    udp = lead[:, body : body + UDP_HEADER.itemsize].view(UDP_HEADER)[:, 0]
+    udp = head[:, body : body + UDP_HEADER.itemsize].view(UDP_HEADER)[:, 0]
     udp["src_port"], udp["dst_port"], udp["length"] = sport, dport, np.where(tcp, 0, frame_len - 34)
-    tcp_head = lead[:, body : body + TCP_HEADER.itemsize].view(TCP_HEADER)[:, 0]
+    tcp_head = head[:, body : body + TCP_HEADER.itemsize].view(TCP_HEADER)[:, 0]
     tcp_head["data_offset"], tcp_head["flags"] = 5 << 4, flags
-    lead[:, body + 14 : body + 16] = 0xFF  # the window, 65535, just past TCP_HEADER's 14 bytes
-    for rows_of, at in ((tcp, _RECORD_HEAD + _TCP_HEAD), (~tcp, _RECORD_HEAD + _UDP_HEAD)):
-        lead[rows_of, at : at + _PREFIX.shape[1]] = _PREFIX[kind[rows_of]]
-    lead_len = _RECORD_HEAD + head_len + np.minimum(_PREFIX_LEN[kind], plen)
+    head[:, body + 14 : body + 16] = 0xFF  # the window, 65535, just past TCP_HEADER's 14 bytes
     record_len = _RECORD_HEAD + frame_len
     starts = np.cumsum(record_len) - record_len
     out = np.repeat(_FILL[kind], record_len)
-    for n in np.flatnonzero(np.bincount(lead_len)).tolist():  # a handful; np.unique would import numpy.ma
-        mine = lead_len == n
-        byte_items(out, (np.void, n))[starts[mine]] = lead[mine, :n].view((np.void, n))[:, 0]
+    for rows_of, n in ((tcp, _RECORD_HEAD + _TCP_HEAD), (~tcp, _RECORD_HEAD + _UDP_HEAD)):
+        firsts = np.ndarray(len(rows), (np.void, n), head, strides=head.strides[:1])  # each row's first n bytes
+        byte_items(out, (np.void, n))[starts[rows_of]] = firsts[rows_of]
+    starts += _RECORD_HEAD + head_len  # now each payload's offset
+    group = np.minimum(_PREFIX_LEN[kind], plen) * len(_PAYLOADS) + kind  # (prefix bytes kept, kind)
+    for key in np.flatnonzero(np.bincount(group)).tolist():  # a handful; np.unique would import numpy.ma
+        n, k = divmod(key, len(_PAYLOADS))
+        if n:
+            byte_items(out, (np.void, n))[starts[group == key]] = np.void(_PAYLOADS[k][0][:n])
     return out
 
 

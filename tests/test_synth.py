@@ -359,6 +359,13 @@ def test_pinned_scenario_peak_memory(tmp_path):
     assert synth_peak_per_packet(tmp_path, PINNED) <= STRUCT_SYNTH_PEAK_BYTES_PER_PACKET
 
 
+def test_pinned_scenario_stays_within_the_budget(tmp_path):
+    """Every packet shape and payload kind at once stays within the bytes per
+    packet that MAX_EXPECTED_PACKETS is computed from: 119.1 B/packet at
+    CHUNK_ROWS = 2048, 300.2 at 8192."""
+    assert synth_peak_per_packet(tmp_path, PINNED) <= synth.SYNTH_PEAK_BYTES_PER_PACKET
+
+
 def test_peak_memory_is_within_the_budget(tmp_path):
     """About 0.25M packets of benign conversations, the stream with the most
     temporaries per packet, stay within the bytes per packet that
@@ -492,28 +499,57 @@ RUN_EDGES = [
     (9_000_000, 1, 2, 3, 53, 0, 17, 64, synth.DNS_QUERY, 2),
 ]
 
-# Every lead length (58, 60, 62, 70, 102 and 108 bytes) three or more times,
-# never next to itself, so that each length's records sit among others'.
-INTERLEAVED_LEADS = [
-    ((10 + i) * 1_000_000, 1, 2, 3, port, flags, proto, 64, kind, plen)
-    for i, (port, flags, proto, kind, plen) in enumerate([
-        (53, 0, 17, synth.ZEROS, 8),
-        (53, 0, 17, synth.DNS_QUERY, 20),
-        (80, 0x18, 6, synth.BULK, 400),
-        (80, 0x18, 6, synth.GET, len(HTTP_GET)),
-        (80, 0x18, 6, synth.RESPONSE, len(synth.HTTP_RESPONSE) + 100),
-        (53, 0, 17, synth.DNS_QUERY, 2),
-        (80, 0x10, 6, synth.ZEROS, 0),
-        (53, 0, 17, synth.DNS_ANSWER, 30),
+# The encoder writes each transport's heads, and each (kind, prefix bytes
+# kept) group's prefix, on its own. Every such group three times, never next
+# to itself: transports alternate, and eleven prefix groups (an odd number, so
+# each meets both transports) repeat in turn. Each prefix kind appears whole
+# and cut; ZEROS, BULK and a GET without payload keep no prefix bytes.
+INTERLEAVED_GROUPS = [
+    ((10 + i) * 1_000_000, 1 + i, 2, 1024 + i, port, *[(0x18, 6), (0, 17)][i % 2], 64, kind, plen)
+    for i, (port, kind, plen) in enumerate([
+        (53, synth.DNS_QUERY, 20),
+        (80, synth.BULK, 400),
+        (80, synth.GET, len(HTTP_GET)),
+        (80, synth.RESPONSE, len(synth.HTTP_RESPONSE) + 100),
+        (53, synth.DNS_QUERY, 2),
+        (80, synth.ZEROS, 8),
+        (53, synth.DNS_ANSWER, 30),
+        (80, synth.GET, 5),
+        (53, synth.DNS_ANSWER, 3),
+        (80, synth.RESPONSE, 17),
+        (80, synth.GET, 0),
     ] * 3)
 ]
+# The same rows of one transport only, so that the other transport's scatter is empty.
+ONLY_TCP = [row for row in INTERLEAVED_GROUPS if row[6] == 6]
+ONLY_UDP = [row for row in INTERLEAVED_GROUPS if row[6] == 17]
+
+
+def encoder_groups(row):
+    """The row's transport and its (kind, prefix bytes kept) group."""
+    kind, length = row[8], row[9]
+    return row[6], (kind, min(len(PREFIX_AND_FILL[kind][0]), length))
+
+
+def test_interleaved_rows_interleave_every_group():
+    transports, prefixes = zip(*map(encoder_groups, INTERLEAVED_GROUPS))
+    for groups in (transports, prefixes):
+        assert min(groups.count(group) for group in set(groups)) >= 3
+        assert all(a != b for a, b in zip(groups, groups[1:]))
+    assert set(transports) == {6, 17}
+    whole = {kind for kind, kept in prefixes if kept == len(PREFIX_AND_FILL[kind][0]) > 0}
+    cut = {kind for kind, kept in prefixes if 0 < kept < len(PREFIX_AND_FILL[kind][0])}
+    assert whole == cut == {synth.GET, synth.RESPONSE, synth.DNS_QUERY, synth.DNS_ANSWER}
+    assert {kind for kind, kept in prefixes if kept == 0} == {synth.ZEROS, synth.BULK, synth.GET}
 
 
 @settings(max_examples=200, deadline=None)
 @given(rows=st.lists(packet_rows(), min_size=1, max_size=40))
 @example(rows=DOUBLE_FOLDS)
 @example(rows=RUN_EDGES)
-@example(rows=INTERLEAVED_LEADS)
+@example(rows=INTERLEAVED_GROUPS)
+@example(rows=ONLY_TCP)
+@example(rows=ONLY_UDP)
 def test_encoder_equals_struct_reference(rows):
     got = synth.encode_records(np.array(rows, dtype=synth._ROW))
     assert got.tobytes() == b"".join(reference_record(row) for row in rows)
