@@ -21,7 +21,8 @@ Schema v1, in input-layer order:
     f17  src_ip_entropy          Shannon entropy (base 2) of packets per source
     f18  mean_interarrival       seconds between consecutive packets (0 if <2)
     f19  std_interarrival        population std of the gaps (0 if <2)
-    f20  http_request_count      TCP to port 80/8080 whose payload starts with
+    f20  http_request_count      TCP to port 80/8080 whose payload word (its
+                                 first 4 bytes, 0 if fewer were captured) is
                                  "GET ", "POST", "HEAD" or "PUT "
     f21  http_request_ratio      f20 / f01
     f22  small_udp_ratio         UDP with payload <= 64 bytes, over f01
@@ -182,13 +183,11 @@ def extract_features(packets: Packets, windows: Windows) -> np.ndarray:
     ported, ipv4 = tcp | udp, transport != NON_IP
     flags = packets.tcp_flags
     syn, ack = (flags & FLAG_SYN) != 0, (flags & FLAG_ACK) != 0
-    method = packets.payload_prefix.view(">u4")[:, 0]
     # kind="sort": isin's default for integers fills a table over the values' range, about 15 times slower here.
     http = (
         tcp
         & np.isin(packets.dst_port, HTTP_PORTS, kind="sort")
-        & (packets.prefix_len >= 4)
-        & np.isin(method, _HTTP_METHOD_CODES, kind="sort")
+        & np.isin(packets.payload_prefix, _HTTP_METHOD_CODES, kind="sort")
     )
 
     size = packets.original_len

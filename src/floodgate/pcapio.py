@@ -19,8 +19,9 @@ its one-row call, and its `PacketMeta` is one row of `Packets`, field for
 field. A decoded packet's time is one integer, `ts_us`: its record header's
 ts_sec * 10**6 + ts_usec as read, even a ts_usec of 10**6 or more; a capture
 whose stamps go backwards is rejected, with the file and the packet named.
-Of the payload it keeps at most the first 4 bytes, which the HTTP-method
-test reads.
+Of the payload it keeps one word, `payload_prefix`, which the HTTP-method
+test reads: the first 4 bytes as one big-endian integer, or 0 where fewer
+were captured.
 """
 
 from __future__ import annotations
@@ -100,9 +101,11 @@ class PacketMeta:
     The IPv4 fields (`src_ip`, `dst_ip`, `ttl`) are 0 where `transport` is
     NON_IP, and the ports are 0 where it is not TCP or UDP. `ts_us` is the
     record header's ts_sec * 10**6 + ts_usec as read, even where ts_usec is
-    10**6 or more. `tcp_flags` holds
-    the low six bits of the TCP flags octet (FIN SYN RST PSH ACK URG), and
-    `payload_prefix` at most PAYLOAD_PREFIX_LEN (4) leading payload bytes.
+    10**6 or more. `tcp_flags` holds the low six bits of the TCP flags octet
+    (FIN SYN RST PSH ACK URG). `payload_prefix` is the first
+    PAYLOAD_PREFIX_LEN (4) payload bytes as one big-endian integer where all
+    4 were captured inside the IP length (and, for UDP, the UDP length), and
+    0 otherwise.
     """
 
     ts_us: int
@@ -116,18 +119,19 @@ class PacketMeta:
     tcp_flags: int = 0
     ttl: int = 0
     payload_len: int = 0
-    payload_prefix: bytes = b""
+    payload_prefix: int = 0
 
 
 @dataclass(frozen=True, eq=False)
 class Packets:
     """Decoded packet metadata of a whole capture as columns, one row per record.
 
-    Row i holds the decoded fields of record i, encoded as in PacketMeta:
-    `ts_us` the header's ts_sec * 10**6 + ts_usec as read, `transport` the
-    codes NON_IP, OTHER_IP, TCP and UDP, and `payload_prefix` the prefix bytes
-    zero-padded to PAYLOAD_PREFIX_LEN (4), with their count in `prefix_len`.
-    Iteration yields the rows as PacketMeta records.
+    Every column is one int64 per record. Row i holds the decoded fields of
+    record i, encoded as in PacketMeta: `ts_us` the header's
+    ts_sec * 10**6 + ts_usec as read, `transport` the codes NON_IP, OTHER_IP,
+    TCP and UDP, and `payload_prefix` the first 4 payload bytes as one
+    big-endian word where all 4 were captured, else 0. Iteration yields the
+    rows as PacketMeta records.
     """
 
     ts_us: np.ndarray
@@ -141,31 +145,19 @@ class Packets:
     tcp_flags: np.ndarray
     ttl: np.ndarray
     payload_len: np.ndarray
-    prefix_len: np.ndarray
-    payload_prefix: np.ndarray  # (n, PAYLOAD_PREFIX_LEN) uint8; every other column is int64
+    payload_prefix: np.ndarray
 
     @classmethod
     def empty(cls, n: int) -> "Packets":
         """`n` rows of non-IP packets with every field zero."""
-        return cls(
-            *(np.zeros(n, dtype=np.int64) for _ in _INT_COLUMNS),
-            np.zeros((n, PAYLOAD_PREFIX_LEN), dtype=np.uint8),
-        )
+        return cls(*(np.zeros(n, dtype=np.int64) for _ in cls.__dataclass_fields__))
 
     def __len__(self) -> int:
         return len(self.ts_us)
 
     def __iter__(self) -> Iterator[PacketMeta]:
-        columns = [getattr(self, name).tolist() for name in _INT_COLUMNS]
-        return (_meta(*row) for row in zip(*columns, map(bytes, self.payload_prefix)))
-
-
-_INT_COLUMNS = tuple(Packets.__dataclass_fields__)[:-1]
-
-
-def _meta(ts_us, cap, orig, code, src, dst, sport, dport, flags, ttl, plen, prefix_len, prefix):
-    """One row of Packets, its values in column order, as a PacketMeta."""
-    return PacketMeta(ts_us, cap, orig, _TRANSPORTS[code], src, dst, sport, dport, flags, ttl, plen, prefix[:prefix_len])
+        columns = [getattr(self, name).tolist() for name in self.__dataclass_fields__]
+        return (PacketMeta(*row[:3], _TRANSPORTS[row[3]], *row[4:]) for row in zip(*columns))
 
 
 def _walk(path) -> tuple[bytes, str, array]:
@@ -231,17 +223,10 @@ def _kept(headers: np.ndarray, keep: np.ndarray) -> np.ndarray:
 
 
 def _set_prefix(out: Packets, buf: np.ndarray, rows: np.ndarray, at: np.ndarray, count: np.ndarray) -> None:
-    """Copy `count` (at most PAYLOAD_PREFIX_LEN) bytes at `at` into each row's prefix.
-
-    The count bytes end inside the record and follow its IP header, so the
-    4 bytes that end where they end lie inside it too: one gather reads
-    those, and a shift moves the count bytes to the front and zeroes the rest.
-    """
-    out.prefix_len[rows] = count
-    has = np.flatnonzero(count)
-    rows, count = rows[has], count[has]
-    word = byte_items(buf, ">u4")[at[has] + count - PAYLOAD_PREFIX_LEN].astype(np.int64)
-    out.payload_prefix.view(">u4")[rows, 0] = word << (32 - 8 * count) & 0xFFFFFFFF
+    """Set each row's prefix to the big-endian word at `at` where `count`, its payload
+    bytes captured inside the IP (and UDP) length, is at least PAYLOAD_PREFIX_LEN."""
+    whole = count >= PAYLOAD_PREFIX_LEN
+    out.payload_prefix[rows[whole]] = byte_items(buf, ">u4")[at[whole]]
 
 
 def read_pcap(path) -> Packets:
@@ -318,7 +303,7 @@ def _decode(buf: np.ndarray, offsets: np.ndarray, out: Packets) -> None:
     out.dst_port[t_rows] = t_head["dst_port"]
     out.tcp_flags[t_rows] = t_head["flags"] & 0x3F
     out.payload_len[t_rows] = np.maximum((total_len - ihl)[tcp] - data_off, 0)
-    _set_prefix(out, buf, t_rows, t_body + data_off, np.clip(body_len[tcp] - data_off, 0, PAYLOAD_PREFIX_LEN))
+    _set_prefix(out, buf, t_rows, t_body + data_off, body_len[tcp] - data_off)
 
     udp &= body_len >= UDP_HEADER.itemsize
     u_rows, u_body, u_len = rows[udp], body[udp], body_len[udp]
@@ -328,7 +313,7 @@ def _decode(buf: np.ndarray, offsets: np.ndarray, out: Packets) -> None:
     out.dst_port[u_rows] = u_head["dst_port"]
     u_payload = np.maximum(u_head["length"].astype(np.int64) - 8, 0)
     out.payload_len[u_rows] = u_payload
-    _set_prefix(out, buf, u_rows, u_body + 8, np.minimum(np.minimum(u_len - 8, u_payload), PAYLOAD_PREFIX_LEN))
+    _set_prefix(out, buf, u_rows, u_body + 8, np.minimum(u_len - 8, u_payload))
 
 
 def read_frames(path) -> list[Frame]:

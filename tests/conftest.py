@@ -10,7 +10,7 @@ import struct
 import numpy as np
 import pytest
 
-from floodgate.pcapio import PAYLOAD_PREFIX_LEN, PacketMeta, Packets, Transport
+from floodgate.pcapio import PacketMeta, Packets, Transport
 
 
 def ethernet(payload: bytes, ethertype: int = 0x0800) -> bytes:
@@ -97,7 +97,7 @@ def make_meta(
     flags: int = 0,
     ttl: int = 64,
     payload_len: int = 0,
-    payload_prefix: bytes = b"",
+    payload_prefix: int = 0,
 ) -> PacketMeta:
     sec = int(ts)
     return PacketMeta(
@@ -120,16 +120,11 @@ def packets_from_metas(metas) -> Packets:
     """Columns from PacketMeta records; the inverse of iterating `Packets`."""
     out = Packets.empty(len(metas))
     for i, m in enumerate(metas):
-        prefix = m.payload_prefix
-        if len(prefix) > PAYLOAD_PREFIX_LEN:
-            raise ValueError(f"packet {i}: payload prefix of {len(prefix)} bytes exceeds {PAYLOAD_PREFIX_LEN}")
-        row = (
-            m.ts_us, m.captured_len, m.original_len, list(Transport).index(m.transport),
-            m.src_ip, m.dst_ip, m.src_port, m.dst_port, m.tcp_flags, m.ttl, m.payload_len, len(prefix),
-        )
-        for name, value in zip(Packets.__dataclass_fields__, row):  # every column but payload_prefix
-            getattr(out, name)[i] = value
-        out.payload_prefix[i, : len(prefix)] = np.frombuffer(prefix, np.uint8)
+        if not 0 <= m.payload_prefix < 2**32:
+            raise ValueError(f"packet {i}: payload prefix {m.payload_prefix} is not a 32-bit word")
+        for name in Packets.__dataclass_fields__:
+            value = getattr(m, name)
+            getattr(out, name)[i] = list(Transport).index(value) if name == "transport" else value
     return out
 
 

@@ -59,6 +59,14 @@ def timestamp(p: PacketMeta) -> float:
     return p.ts_us / 1e6
 
 
+def payload_word(payload: bytes) -> int:
+    """The first PAYLOAD_PREFIX_LEN bytes of a captured payload as one big-endian
+    integer, or 0 where fewer were captured."""
+    if len(payload) < PAYLOAD_PREFIX_LEN:
+        return 0
+    return int.from_bytes(payload[:PAYLOAD_PREFIX_LEN], "big")
+
+
 def decode_frame(data: bytes, ts_us: int = 0, original_len: int | None = None) -> PacketMeta:
     """Decode one Ethernet frame; never raises, degrades to the layer reached."""
     meta = PacketMeta(
@@ -103,7 +111,7 @@ def decode_frame(data: bytes, ts_us: int = 0, original_len: int | None = None) -
         meta.dst_port = int.from_bytes(body[2:4], "big")
         meta.tcp_flags = body[13] & 0x3F
         meta.payload_len = max(0, total_len - ihl - data_off)
-        meta.payload_prefix = bytes(body[data_off : data_off + PAYLOAD_PREFIX_LEN])
+        meta.payload_prefix = payload_word(body[data_off:])
     elif proto == PROTO_UDP:
         if len(body) < 8:
             return meta
@@ -112,8 +120,7 @@ def decode_frame(data: bytes, ts_us: int = 0, original_len: int | None = None) -
         meta.dst_port = int.from_bytes(body[2:4], "big")
         udp_len = int.from_bytes(body[4:6], "big")
         meta.payload_len = max(0, udp_len - 8)
-        end = min(len(body), 8 + meta.payload_len, 8 + PAYLOAD_PREFIX_LEN)
-        meta.payload_prefix = bytes(body[8:end])
+        meta.payload_prefix = payload_word(body[8 : 8 + meta.payload_len])
     return meta
 
 
@@ -214,7 +221,7 @@ def window_features(pkts):
                 pure_ack += 1
             if f & (FIN | RST):
                 finrst += 1
-            if p.dst_port in HTTP_PORTS and p.payload_prefix in HTTP_METHODS:
+            if p.dst_port in HTTP_PORTS and p.payload_prefix.to_bytes(4, "big") in HTTP_METHODS:
                 http_req += 1
         elif p.transport is Transport.UDP:
             udp += 1

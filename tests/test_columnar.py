@@ -90,8 +90,13 @@ records = st.lists(
 ).map(lambda rs: sorted(rs, key=lambda r: r[0] * 1_000_000 + r[1]))
 
 
+# Payloads of 3 bytes: the 4 bytes at their start run into the next record's header.
+SHORT_PAYLOADS = [ethernet(ipv4(tcp(b"GET"), proto=6)), ethernet(ipv4(udp(b"GET"), proto=17)), b"\xff" * 16]
+
+
 @settings(max_examples=300, deadline=None)
 @given(records=records, endian=st.sampled_from("<>"))
+@example(records=[(1, 0, len(frame), frame) for frame in SHORT_PAYLOADS], endian="<")
 def test_read_pcap_decodes_every_record_like_decode_frame(records, endian):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "t.pcap"
@@ -111,10 +116,13 @@ def test_read_pcap_decodes_every_record_like_decode_frame(records, endian):
 
 
 def test_from_metas_rejects_records_decode_frame_cannot_make():
-    good = decode_frame(ethernet(ipv4(udp(b"x"), proto=17)))
-    assert list(packets_from_metas([good])) == [good]
-    with pytest.raises(ValueError, match="packet 1: payload prefix of 5 bytes exceeds 4"):
-        packets_from_metas([good, PacketMeta(0, 60, 60, payload_prefix=b"12345")])
+    good = decode_frame(ethernet(ipv4(udp(b"GET /"), proto=17)))
+    assert good.payload_prefix == oracle.payload_word(b"GET ")
+    highest = replace(good, payload_prefix=2**32 - 1)
+    assert list(packets_from_metas([good, highest])) == [good, highest]
+    for word in (-1, 2**32):
+        with pytest.raises(ValueError, match=f"packet 1: payload prefix {word} is not a 32-bit word"):
+            packets_from_metas([good, PacketMeta(0, 60, 60, payload_prefix=word)])
 
 
 # --- features -----------------------------------------------------------------
@@ -134,7 +142,11 @@ DST_PORT = st.one_of(st.sampled_from([53, 80, 8080, 65535]), PORT)
 FLAGS = st.integers(0, 63)
 TTL = st.sampled_from([1, 64, 128, 255])
 PAYLOAD_LEN = st.sampled_from([0, 1, 64, 65, 1400])
-PREFIX = st.sampled_from([b"", b"GET", b"GET ", b"POST", b"HEAD", b"PUT ", b"HTTP"])
+# Payload words: none captured, the methods, "HTTP", "\0GET" (a 3-byte "GET" shifted right) and any other.
+PREFIX = st.one_of(
+    st.sampled_from([0, *(oracle.payload_word(m) for m in (b"GET ", b"POST", b"HEAD", b"PUT ", b"HTTP", b"\0GET"))]),
+    U32,
+)
 
 
 @st.composite

@@ -176,12 +176,13 @@ class TestExtract:
         assert v[F["finrst_ratio"]] == pytest.approx(0.5)
 
     def test_http_request_detection(self):
+        get, post, http = (oracle.payload_word(m) for m in (b"GET ", b"POST", b"HTTP"))
         pkts = [
-            make_meta(ts=0.1, flags=ACK, dst_port=80, payload_len=20, payload_prefix=b"GET "),
-            make_meta(ts=0.2, flags=ACK, dst_port=8080, payload_len=20, payload_prefix=b"POST"),
-            make_meta(ts=0.3, flags=ACK, dst_port=443, payload_len=20, payload_prefix=b"GET "),
-            make_meta(ts=0.4, flags=ACK, dst_port=80, payload_len=20, payload_prefix=b"HTTP"),
-            make_meta(ts=0.5, transport=Transport.UDP, dst_port=80, payload_prefix=b"GET "),
+            make_meta(ts=0.1, flags=ACK, dst_port=80, payload_len=20, payload_prefix=get),
+            make_meta(ts=0.2, flags=ACK, dst_port=8080, payload_len=20, payload_prefix=post),
+            make_meta(ts=0.3, flags=ACK, dst_port=443, payload_len=20, payload_prefix=get),
+            make_meta(ts=0.4, flags=ACK, dst_port=80, payload_len=20, payload_prefix=http),
+            make_meta(ts=0.5, transport=Transport.UDP, dst_port=80, payload_prefix=get),
         ]
         v = features(pkts)
         # Only TCP packets to 80/8080 whose payload starts with a method count.

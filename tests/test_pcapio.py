@@ -1,4 +1,5 @@
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from floodgate.cli import main
 from floodgate.errors import FloodgateError
+from floodgate.features import FEATURE_NAMES, extract_features, window_packets
 from floodgate.pcapio import (
     Frame,
     Transport,
@@ -198,10 +200,23 @@ class TestDecode:
                     assert meta.payload_len == expected
                     assert meta.transport is Transport.TCP
 
-    def test_payload_prefix_capped_at_four_bytes(self):
-        frame = ethernet(ipv4(tcp(payload=b"GET /index.html HTTP/1.1", flags=0x18), proto=6))
-        meta = decode_frame(frame)
-        assert meta.payload_prefix == b"GET "
+    def test_payload_prefix_capped_at_four_bytes(self, tmp_path):
+        # The prefix is the first 4 payload bytes as one big-endian word, and 0
+        # where fewer lie inside the capture and the IP and UDP lengths.
+        get = ethernet(ipv4(tcp(payload=b"GET /index.html HTTP/1.1", flags=0x18), proto=6))
+        headers = 14 + 20 + 20
+        short_udp = ethernet(ipv4(udp(payload=b"GET /", length=8 + 3), proto=17))
+        frames = [get, get[: headers + 4], get[: headers + 3], short_udp]
+        metas = [decode_frame(frame) for frame in frames]
+        word = int.from_bytes(b"GET ", "big")
+        assert [m.payload_prefix for m in metas] == [word, word, 0, 0]
+        assert [m.payload_len for m in metas] == [24, 24, 24, 3]
+        # Of the cut GETs to port 80, only the one with 4 payload bytes is an HTTP request.
+        write_records(tmp_path / "t.pcap", [(1, 0, len(frame), frame) for frame in frames[1:]])
+        packets = read_pcap(tmp_path / "t.pcap")
+        assert list(packets) == [replace(m, ts_us=1_000_000) for m in metas[1:]]
+        row = extract_features(packets, window_packets(packets, 1.0))
+        assert row[:, FEATURE_NAMES.index("http_request_count")].tolist() == [1.0]
 
     def test_arp_is_non_ip(self):
         meta = decode_frame(ethernet(b"\x00" * 28, ethertype=0x0806))
@@ -243,6 +258,6 @@ class TestDecode:
     def test_decode_never_raises(self, data):
         meta = decode_frame(data)
         assert meta.captured_len == len(data)
-        assert len(meta.payload_prefix) <= 4
+        assert 0 <= meta.payload_prefix < 2**32
         if meta.transport is not Transport.TCP:
             assert meta.tcp_flags == 0

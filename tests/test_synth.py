@@ -152,7 +152,7 @@ class TestEpisodeShapes:
         assert from_pool(attacker).all()
         gets = p.tcp_flags == PSH | ACK
         assert (p.payload_len == np.where(gets, len(HTTP_GET), 0)).all()
-        assert {bytes(row) for row in p.payload_prefix[gets]} == {HTTP_GET[:4]}
+        assert gets.any() and (p.payload_prefix[gets] == int.from_bytes(HTTP_GET[:4], "big")).all()
         # Each session, in time order: SYN, SYN-ACK, ACK, then 5 to 14 GETs.
         symbol = {(True, SYN): "S", (False, SYN | ACK): "s", (True, ACK): "A", (True, PSH | ACK): "G"}
         symbols = [symbol.get(key, "?") for key in zip(to_victim.tolist(), p.tcp_flags.tolist())]
@@ -214,7 +214,7 @@ class TestBenignShape:
         assert set(zip(server.tolist(), sport.tolist())) == {(synth.VICTIM_IP, synth.VICTIM_PORT), (self.DNS, 53)}
         # Even clients send with TTL 64, odd ones with 128; the servers with 64.
         assert (p.ttl == np.where(from_client & ((client - self.CLIENTS[0]) % 2 == 1), 128, 64)).all()
-        prefixes = [bytes(b[:n]) for b, n in zip(p.payload_prefix, p.prefix_len)]
+        prefixes = [word.to_bytes(4, "big") if word else b"" for word in p.payload_prefix.tolist()]
         columns = (from_client, p.tcp_flags, p.transport, p.payload_len)
         symbols = [self.symbol(*row) for row in zip(*(c.tolist() for c in columns), prefixes)]
         shapes = conversations(p.ts_us, zip(client.tolist(), cport.tolist(), server.tolist()), symbols)
@@ -311,6 +311,15 @@ def test_pinned_scenario_features_bytes(tmp_path):
     pcap, truth = tmp_path / "p.pcap", tmp_path / "p.truth"
     run_scenario(parse_scenario(PINNED), pcap, truth)
     assert hashlib.sha256(extracted(pcap, truth)).hexdigest() == PINNED_FEATURES_SHA256
+
+
+def test_pinned_capture_keeps_96_bytes_per_packet(tmp_path):
+    """`read_pcap` returns twelve 1-D int64 columns: 96 bytes per packet of the pinned capture."""
+    pcap = tmp_path / "p.pcap"
+    run_scenario(parse_scenario(PINNED), pcap, tmp_path / "p.truth")
+    columns = [getattr(read_pcap(pcap), field.name) for field in fields(pcapio.Packets)]
+    assert [(c.dtype, c.shape) for c in columns] == [(np.int64, (PINNED_PACKETS,))] * 12
+    assert sum(c.nbytes for c in columns) == 96 * PINNED_PACKETS
 
 
 def test_pinned_scenario_moved_to_2023_extracts_the_same_bytes(tmp_path):
