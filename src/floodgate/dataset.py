@@ -1,4 +1,4 @@
-"""Labeled traffic records: class labels, stratified splits, normalization statistics, CSV I/O.
+"""Labeled traffic records: class labels, stratified splits, CSV I/O.
 
 The dataset CSV (`f01,...,f24,label`) and the ground-truth CSV
 (`start_ts,end_ts,label`) share one row format, k finite floats and then a
@@ -65,11 +65,7 @@ def encode_label(name: str, where: str = "") -> TrafficClass:
 class Dataset:
     """Ordered collection of labeled records, stored as columnar arrays."""
 
-    def __init__(self, features=None, labels=None):
-        if features is None:
-            features = np.empty((0, NUM_FEATURES), dtype=np.float64)
-        if labels is None:
-            labels = np.empty((0,), dtype=np.int64)
+    def __init__(self, features, labels):
         features, labels = np.asarray(features), np.asarray(labels)
         # Nothing is parsed or rounded here; an empty sequence has no dtype to check.
         if features.size and features.dtype.kind not in "iuf":
@@ -93,7 +89,7 @@ class Dataset:
         """The dataset of `(features, label)` pairs, in order."""
         records = list(records)
         if not records:
-            return cls()
+            return cls(np.empty((0, NUM_FEATURES)), np.empty(0, dtype=np.int64))
         features, labels = zip(*records)
         return cls(np.array(features), np.array(labels))
 
@@ -154,19 +150,6 @@ def stratified_split(
     if short:
         raise FloodgateError(f"a class needs at least 3 records and 1 for training; too few in: {', '.join(short)}")
     return tuple(ds.subset(np.concatenate(parts)) for parts in (train_parts, val_parts, test_parts))
-
-
-def fit_normalization(train: Dataset) -> tuple[np.ndarray, np.ndarray]:
-    """Per-feature mean and population std over the training set.
-
-    Features with std below 1e-12 get std clamped to 1.0 so that dividing
-    by it is always well defined. An empty dataset raises ValueError.
-    """
-    if len(train) == 0:
-        raise ValueError("cannot fit normalization on an empty dataset")
-    mean = train.features.mean(axis=0)
-    std = train.features.std(axis=0)
-    return mean, np.where(std < 1e-12, 1.0, std)
 
 
 def format_rows(values) -> Iterator[str]:

@@ -4,7 +4,7 @@ One hidden layer of 106 tanh units, a 5-unit softmax output, categorical
 cross-entropy, and Adam over seeded mini-batches of BATCH_SIZE rows at
 LEARNING_RATE. All arithmetic is float64 and every operation is
 deterministic for a given seed; `train` takes only the number of epochs and
-the seed.
+the seed, and fits the normalization (`mean`, `std`) on the training split.
 
 A model is the six arrays of its file, one entry each in the table
 `_SECTIONS`, which `MlpModel`, `save_model` and `load_model` all walk.
@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import NUM_CLASSES, NUM_FEATURES, Dataset, TrafficClass, fit_normalization
+from .dataset import NUM_CLASSES, NUM_FEATURES, Dataset, TrafficClass
 from .errors import FloodgateError, NonFiniteLoss
 from .ioutil import atomic_write, open_text, strict_numbers
 
@@ -206,7 +206,7 @@ def _checked_loss(p, y, where: str) -> float:
     return float(np.mean(-np.log(np.maximum(true_p, LOSS_CLAMP))))
 
 
-def train(train_ds: Dataset, val_ds: Dataset, epochs: int = 100, seed: int = 0) -> tuple[MlpModel, TrainHistory]:
+def train(train_ds: Dataset, val_ds: Dataset, epochs: int, seed: int) -> tuple[MlpModel, TrainHistory]:
     """Fit the network on raw records; normalization is fitted on train only.
 
     Mini-batch Adam with a seeded per-epoch shuffle and early stopping on
@@ -227,7 +227,10 @@ def train(train_ds: Dataset, val_ds: Dataset, epochs: int = 100, seed: int = 0) 
             counts = ", ".join(f"{TrafficClass(c).alias} ({n})" for c, n in enumerate(train_ds.class_counts()))
             raise FloodgateError(f"the {split} split is empty; training rows per class: {counts}")
 
-    mean, std = fit_normalization(train_ds)
+    # The population std; a constant feature is centred but not scaled, as
+    # MlpModel requires std > 0.
+    mean, std = train_ds.features.mean(axis=0), train_ds.features.std(axis=0)
+    std = np.where(std < 1e-12, 1.0, std)
     x_train = (train_ds.features - mean) / std
     y_train = train_ds.labels
     x_val = (val_ds.features - mean) / std

@@ -37,7 +37,7 @@ import struct
 import numpy as np
 
 from floodgate import mlp
-from floodgate.dataset import TrafficClass, fit_normalization
+from floodgate.dataset import TrafficClass
 from floodgate.features import HTTP_METHODS, HTTP_PORTS, SMALL_UDP_MAX_PAYLOAD
 from floodgate.pcapio import PacketMeta, Transport
 
@@ -312,7 +312,8 @@ def backward(w2, x_rows, y, h, p):
 def train(train_ds, val_ds, epochs, seed):
     """`mlp.train` as one Adam pass per parameter array, with the same
     shuffle, early stopping and best-epoch rule."""
-    mean, std = fit_normalization(train_ds)
+    mean, std = train_ds.features.mean(axis=0), train_ds.features.std(axis=0)
+    std = np.where(std < 1e-12, 1.0, std)
     x_train = (train_ds.features - mean) / std
     y_train = train_ds.labels
     x_val = (val_ds.features - mean) / std

@@ -1,5 +1,4 @@
 import math
-import statistics
 
 import numpy as np
 import pytest
@@ -15,7 +14,6 @@ from floodgate.dataset import (
     Dataset,
     TrafficClass,
     encode_label,
-    fit_normalization,
     read_csv,
     read_rows,
     stratified_split,
@@ -24,7 +22,6 @@ from floodgate.dataset import (
 )
 from floodgate.errors import FloodgateError
 from floodgate.features import read_truth
-from floodgate.mlp import MlpModel, forward, init_model
 
 import oracle
 
@@ -165,69 +162,6 @@ class TestSplit:
             assert test.class_counts()[c] == math.floor(n * 0.15 + 0.5)
 
 
-def normalizing_models(mean, std):
-    """A model with the given normalization stats, and the same model with
-    identity stats (mean 0, std 1), so that comparing their outputs shows
-    how the first normalizes its input."""
-    fitted = init_model(0, mean, std)
-    unit = MlpModel(np.zeros(NUM_FEATURES), np.ones(NUM_FEATURES), *fitted.params)
-    return fitted, unit
-
-
-class TestNormalization:
-    def test_mean_and_population_std(self):
-        feats = np.zeros((3, NUM_FEATURES))
-        feats[:, 0] = [2.0, 4.0, 6.0]
-        ds = Dataset(feats, np.zeros(3, dtype=np.int64))
-        mean, std = fit_normalization(ds)
-        assert mean[0] == pytest.approx(4.0)
-        assert std[0] == pytest.approx(statistics.pstdev([2.0, 4.0, 6.0]), abs=1e-12)
-        assert std[0] == pytest.approx(1.63299, abs=1e-5)
-
-    def test_constant_column_clamped(self):
-        feats = np.full((3, NUM_FEATURES), 5.0)
-        ds = Dataset(feats, np.zeros(3, dtype=np.int64))
-        mean, std = fit_normalization(ds)
-        assert np.all(mean == 5.0)
-        assert np.all(std == 1.0)
-
-    def test_single_record(self):
-        feats = np.arange(NUM_FEATURES, dtype=float).reshape(1, -1)
-        ds = Dataset(feats, np.zeros(1, dtype=np.int64))
-        mean, std = fit_normalization(ds)
-        assert np.array_equal(mean, feats[0])
-        assert np.all(std == 1.0)
-
-    def test_empty_dataset(self):
-        with pytest.raises(ValueError, match="^cannot fit normalization on an empty dataset$"):
-            fit_normalization(Dataset())
-
-    def test_apply_centering_and_scaling(self, rng):
-        feats = rng.normal(size=(40, NUM_FEATURES)) * 3 + 7
-        ds = Dataset(feats, np.zeros(40, dtype=np.int64))
-        mean, std = fit_normalization(ds)
-        fitted, unit = normalizing_models(mean, std)
-        # The model normalizes its input with the fitted stats: the mean row
-        # becomes zeros and mean + std becomes ones.
-        zeros, ones = np.zeros((1, NUM_FEATURES)), np.ones((1, NUM_FEATURES))
-        assert np.allclose(forward(fitted, mean[None, :]), forward(unit, zeros), rtol=0, atol=1e-12)
-        assert np.allclose(forward(fitted, (mean + std)[None, :]), forward(unit, ones), rtol=0, atol=1e-12)
-
-    def test_apply_elementwise_example(self):
-        fitted, unit = normalizing_models(np.full(NUM_FEATURES, 4.0), np.full(NUM_FEATURES, 2.0))
-        # With mean 4 and std 2, a row of sixes is the normalized row of ones.
-        ones = np.ones((1, NUM_FEATURES))
-        assert np.array_equal(forward(fitted, 6.0 * ones), forward(unit, ones))
-
-    def test_normalized_train_has_zero_mean_unit_std(self, rng):
-        feats = rng.normal(size=(200, NUM_FEATURES)) * rng.uniform(0.5, 4.0, NUM_FEATURES)
-        ds = Dataset(feats, np.zeros(200, dtype=np.int64))
-        mean, std = fit_normalization(ds)
-        normalized = (ds.features - mean) / std
-        assert np.all(np.abs(normalized.mean(axis=0)) < 1e-9)
-        assert np.all(np.abs(normalized.std(axis=0) - 1.0) < 1e-9)
-
-
 # `repr` switches to exponent notation at 1e16 and below 1e-4; subnormals; both zeros.
 REPR_EDGES = [1e16, 9999999999999998.0, 1e-4, 9.999999999999999e-05, 5e-324, 2.2250738585072014e-308 / 3, -0.0, 0.0]
 
@@ -244,7 +178,7 @@ class TestCsv:
 
     def test_header_written(self, tmp_path):
         path = tmp_path / "data.csv"
-        write_csv(Dataset(), path)
+        write_csv(Dataset(np.empty((0, NUM_FEATURES)), np.empty(0, dtype=np.int64)), path)
         assert path.read_text().strip() == ",".join(CSV_HEADER)
         assert len(read_csv(path)) == 0
 

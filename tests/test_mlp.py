@@ -1,5 +1,6 @@
 import hashlib
 import math
+import statistics
 
 import numpy as np
 import oracle
@@ -29,6 +30,16 @@ from floodgate.mlp import (
 
 # Normalization that leaves a row as it is, so raw and normalized rows agree.
 UNIT_MEAN, UNIT_STD = np.zeros(NUM_FEATURES), np.ones(NUM_FEATURES)
+
+
+def normalizing_models(mean, std):
+    """A model with the given normalization stats, and the same model with
+    identity stats (mean 0, std 1), so that comparing their outputs shows
+    how the first normalizes its input."""
+    fitted = init_model(0, mean, std)
+    unit = MlpModel(UNIT_MEAN, UNIT_STD, *fitted.params)
+    return fitted, unit
+
 
 # The model's array fields, in file order.
 ARRAYS = [name for name, _, _ in mlp._SECTIONS if name]
@@ -325,7 +336,7 @@ class TestGradients:
 
         monkeypatch.setattr(mlp, "_backward", spy)
         batch = mlp.BATCH_SIZE
-        train(separable_dataset(rng, 3 * batch + 2), separable_dataset(rng, 20), epochs=2)
+        train(separable_dataset(rng, 3 * batch + 2), separable_dataset(rng, 20), epochs=2, seed=0)
         assert calls == [batch, batch, batch, 2] * 2
 
     def test_duplicated_batch_mean_invariance(self, rng):
@@ -394,14 +405,15 @@ class TestTrain:
             train(train_ds, val_ds, epochs=5, seed=0)
 
     def test_empty_dataset(self, rng):
+        empty = Dataset(np.empty((0, NUM_FEATURES)), np.empty(0, dtype=np.int64))
         with pytest.raises(FloodgateError) as empty_train:
-            train(Dataset(), separable_dataset(rng, 20), epochs=1)
+            train(empty, separable_dataset(rng, 20), epochs=1, seed=0)
         assert str(empty_train.value) == (
             "the training split is empty; training rows per class: "
             "normal (0), syn_flood (0), ack_flood (0), http_flood (0), udp_flood (0)"
         )
         with pytest.raises(FloodgateError) as empty_val:
-            train(separable_dataset(rng, 6), Dataset(), epochs=1)
+            train(separable_dataset(rng, 6), empty, epochs=1, seed=0)
         assert str(empty_val.value) == (
             "the validation split is empty; training rows per class: "
             "normal (3), syn_flood (3), ack_flood (0), http_flood (0), udp_flood (0)"
@@ -472,6 +484,56 @@ class TestTrain:
         for epochs, seed in ((0, 0), (2.5, 0), (1, -1), (1, 1.5)):
             with pytest.raises(ValueError, match="epochs must be" if epochs != 1 else "seed must be"):
                 train(train_ds, val_ds, epochs=epochs, seed=seed)
+
+
+def fitted_stats(features):
+    """The `mean` and `std` of a one-epoch model trained (and validated) on `features`."""
+    ds = Dataset(features, np.zeros(len(features), dtype=np.int64))
+    model, _ = train(ds, ds, epochs=1, seed=0)
+    return model.mean, model.std
+
+
+class TestNormalization:
+    def test_mean_and_population_std(self):
+        feats = np.zeros((3, NUM_FEATURES))
+        feats[:, 0] = [2.0, 4.0, 6.0]
+        mean, std = fitted_stats(feats)
+        assert mean[0] == pytest.approx(4.0)
+        assert std[0] == pytest.approx(statistics.pstdev([2.0, 4.0, 6.0]), abs=1e-12)
+        assert std[0] == pytest.approx(1.63299, abs=1e-5)
+
+    def test_constant_column_clamped(self):
+        mean, std = fitted_stats(np.full((3, NUM_FEATURES), 5.0))
+        assert np.all(mean == 5.0)
+        assert np.all(std == 1.0)
+
+    def test_single_record(self):
+        feats = np.arange(NUM_FEATURES, dtype=float).reshape(1, -1)
+        mean, std = fitted_stats(feats)
+        assert np.array_equal(mean, feats[0])
+        assert np.all(std == 1.0)
+
+    def test_apply_centering_and_scaling(self, rng):
+        mean, std = fitted_stats(rng.normal(size=(40, NUM_FEATURES)) * 3 + 7)
+        fitted, unit = normalizing_models(mean, std)
+        # The model normalizes its input with the fitted stats: the mean row
+        # becomes zeros and mean + std becomes ones.
+        zeros, ones = np.zeros((1, NUM_FEATURES)), np.ones((1, NUM_FEATURES))
+        assert np.allclose(forward(fitted, mean[None, :]), forward(unit, zeros), rtol=0, atol=1e-12)
+        assert np.allclose(forward(fitted, (mean + std)[None, :]), forward(unit, ones), rtol=0, atol=1e-12)
+
+    def test_apply_elementwise_example(self):
+        fitted, unit = normalizing_models(np.full(NUM_FEATURES, 4.0), np.full(NUM_FEATURES, 2.0))
+        # With mean 4 and std 2, a row of sixes is the normalized row of ones.
+        ones = np.ones((1, NUM_FEATURES))
+        assert np.array_equal(forward(fitted, 6.0 * ones), forward(unit, ones))
+
+    def test_normalized_train_has_zero_mean_unit_std(self, rng):
+        feats = rng.normal(size=(200, NUM_FEATURES)) * rng.uniform(0.5, 4.0, NUM_FEATURES)
+        mean, std = fitted_stats(feats)
+        normalized = (feats - mean) / std
+        assert np.all(np.abs(normalized.mean(axis=0)) < 1e-9)
+        assert np.all(np.abs(normalized.std(axis=0) - 1.0) < 1e-9)
 
 
 def pinned_model():
