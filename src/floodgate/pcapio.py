@@ -12,8 +12,8 @@ or UDP) is read for every record with one array gather, masked by the tests
 that record's captured bytes pass. A gather indexes a stride-1 view of the
 file's bytes whose item i is the header's bytes at offset i, so it copies
 only the headers it reads; a structured dtype names their fields, and synth
-writes frames through the same dtypes and view (`byte_items`). `_RECORD` is
-the record header dtype, read by `read_pcap` and written by `record_headers`.
+writes frames through the same dtypes and view (`byte_items`). `read_pcap`
+reads `RECORD_HEADER`, and `record_headers` writes it over its caller's rows.
 `read_pcap` walks a file's records and decodes them all; `decode_frame` is
 its one-row call, and its `PacketMeta` is one row of `Packets`, field for
 field. A decoded packet's time is one integer, `ts_us`: its record header's
@@ -53,12 +53,13 @@ _GLOBAL = "IHHiIII"  # the global header, read and written: magic, major, minor,
 # The one frame header layout, read by `_decode` and written by synth, at byte
 # offsets from the frame's start (Ethernet, fixed IPv4) or the IP body's (TCP,
 # UDP). TCP_HEADER stops before the window: its size is the decoder's TCP bound.
+ETHERNET_LEN = 14  # the Ethernet header's bytes, where IPv4 starts
 ETHERNET_IPV4 = np.dtype({
     "names": ["dst_mac", "src_mac", "ethertype", "version_ihl", "total_len", "fragment", "ttl", "proto", "checksum",
               "src_ip", "dst_ip"],
     "formats": [("u1", 6), ("u1", 6), ">u2", "u1", ">u2", ">u2", "u1", "u1", ">u2", ">u4", ">u4"],
     "offsets": [0, 6, 12, 14, 16, 20, 22, 23, 24, 26, 30],
-    "itemsize": 14 + 20,
+    "itemsize": ETHERNET_LEN + 20,
 })
 TCP_HEADER = np.dtype({
     "names": ["src_port", "dst_port", "data_offset", "flags"],
@@ -67,7 +68,7 @@ TCP_HEADER = np.dtype({
     "itemsize": 14,
 })
 UDP_HEADER = np.dtype([("src_port", ">u2"), ("dst_port", ">u2"), ("length", ">u2"), ("checksum", ">u2")])
-_RECORD = np.dtype([("ts_sec", "<u4"), ("ts_usec", "<u4"), ("incl_len", "<u4"), ("orig_len", "<u4")])
+RECORD_HEADER = np.dtype([("ts_sec", "<u4"), ("ts_usec", "<u4"), ("incl_len", "<u4"), ("orig_len", "<u4")])
 
 
 class Transport(Enum):
@@ -235,7 +236,7 @@ def read_pcap(path) -> Packets:
     data, endian, offsets = _walk(path)
     offsets = np.frombuffer(offsets, dtype=np.int64)
     buf = np.frombuffer(data, dtype=np.uint8)
-    header = _headers(buf, offsets - _RECORD.itemsize, _RECORD.newbyteorder(endian))
+    header = _headers(buf, offsets - RECORD_HEADER.itemsize, RECORD_HEADER.newbyteorder(endian))
     out = Packets.empty(len(offsets))
     out.captured_len[:], out.original_len[:] = header["incl_len"], header["orig_len"]
     stamps = out.ts_us
@@ -273,7 +274,7 @@ def _decode(buf: np.ndarray, offsets: np.ndarray, out: Packets) -> None:
     head = _headers(buf, offsets[rows], ETHERNET_IPV4)
     ihl = (head["version_ihl"] & 0x0F).astype(np.int64) * 4
     ok = (head["ethertype"] == ETHERTYPE_IPV4) & (head["version_ihl"] >> 4 == 4) & (ihl >= 20)
-    ok &= cap[rows] - 14 >= ihl
+    ok &= cap[rows] - ETHERNET_LEN >= ihl
     rows, head, ihl = rows[ok], _kept(head, ok), ihl[ok]
     total_len = head["total_len"].astype(np.int64)
     out.transport[rows] = OTHER_IP
@@ -288,8 +289,8 @@ def _decode(buf: np.ndarray, offsets: np.ndarray, out: Packets) -> None:
     first = (head["fragment"] & 0x1FFF) == 0
     tcp, udp = first & (head["proto"] == PROTO_TCP), first & (head["proto"] == PROTO_UDP)
     del head
-    body = offsets[rows] + 14 + ihl
-    body_len = np.minimum(cap[rows] - 14, np.maximum(ihl, total_len)) - ihl
+    body = offsets[rows] + ETHERNET_LEN + ihl
+    body_len = np.minimum(cap[rows] - ETHERNET_LEN, np.maximum(ihl, total_len)) - ihl
 
     tcp &= body_len >= TCP_HEADER.itemsize
     t_head = _headers(buf, body[tcp], TCP_HEADER)
@@ -311,9 +312,9 @@ def _decode(buf: np.ndarray, offsets: np.ndarray, out: Packets) -> None:
     out.transport[u_rows] = UDP
     out.src_port[u_rows] = u_head["src_port"]
     out.dst_port[u_rows] = u_head["dst_port"]
-    u_payload = np.maximum(u_head["length"].astype(np.int64) - 8, 0)
+    u_payload = np.maximum(u_head["length"].astype(np.int64) - UDP_HEADER.itemsize, 0)
     out.payload_len[u_rows] = u_payload
-    _set_prefix(out, buf, u_rows, u_body + 8, np.minimum(u_len - 8, u_payload))
+    _set_prefix(out, buf, u_rows, u_body + UDP_HEADER.itemsize, np.minimum(u_len - UDP_HEADER.itemsize, u_payload))
 
 
 def read_frames(path) -> list[Frame]:
@@ -328,11 +329,11 @@ def read_frames(path) -> list[Frame]:
     return frames
 
 
-def record_headers(ts_sec, ts_usec, frame_len) -> np.ndarray:
-    """The 16-byte little-endian record header of each frame, as an (n, 16) uint8 array.
+def record_headers(rows: np.ndarray, ts_sec, ts_usec, frame_len) -> None:
+    """Write frame i's record header over the first RECORD_HEADER.itemsize bytes of `rows[i]` (uint8).
 
-    Raises ValueError for a frame longer than SNAPLEN or a timestamp
-    outside the format's unsigned 32 bits.
+    Raises ValueError, with no byte written, for a frame longer than SNAPLEN
+    or a timestamp outside the format's unsigned 32 bits.
     """
     ts_sec, ts_usec, frame_len = (np.asarray(a, dtype=np.int64) for a in (ts_sec, ts_usec, frame_len))
     if len(frame_len) and frame_len.max() > SNAPLEN:
@@ -340,9 +341,8 @@ def record_headers(ts_sec, ts_usec, frame_len) -> np.ndarray:
     for stamp in (ts_sec, ts_usec):
         if len(stamp) and not 0 <= stamp.min() <= stamp.max() <= 0xFFFFFFFF:
             raise ValueError("timestamp outside the 32-bit range of a pcap record")
-    out = np.empty(len(frame_len), _RECORD)
+    out = rows[:, : RECORD_HEADER.itemsize].view(RECORD_HEADER)[:, 0]
     out["ts_sec"], out["ts_usec"], out["incl_len"], out["orig_len"] = ts_sec, ts_usec, frame_len, frame_len
-    return out.view(np.uint8).reshape(-1, 16)
 
 
 def write_records(path, chunks: Iterable) -> None:
@@ -357,7 +357,6 @@ def write_records(path, chunks: Iterable) -> None:
 def write_pcap(path, frames: Iterable[Frame]) -> None:
     """Write frames as a little-endian microsecond pcap file."""
     frames = list(frames)
-    headers = record_headers(
-        [f.ts_sec for f in frames], [f.ts_usec for f in frames], [len(f.data) for f in frames]
-    )
+    headers = np.empty((len(frames), RECORD_HEADER.itemsize), dtype=np.uint8)
+    record_headers(headers, [f.ts_sec for f in frames], [f.ts_usec for f in frames], [len(f.data) for f in frames])
     write_records(path, (header.tobytes() + frame.data for header, frame in zip(headers, frames)))

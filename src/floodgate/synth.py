@@ -47,8 +47,8 @@ from .dataset import TrafficClass, encode_label
 from .errors import FloodgateError
 from .features import write_truth
 from .ioutil import open_text, removed_on_failure, strict_numbers
-from .pcapio import (ETHERNET_IPV4, ETHERTYPE_IPV4, FLAG_ACK, FLAG_PSH, FLAG_SYN, PROTO_TCP, PROTO_UDP, TCP_HEADER,
-                     UDP_HEADER, byte_items, record_headers, write_records)
+from .pcapio import (ETHERNET_IPV4, ETHERNET_LEN, ETHERTYPE_IPV4, FLAG_ACK, FLAG_PSH, FLAG_SYN, PROTO_TCP, PROTO_UDP,
+                     RECORD_HEADER, TCP_HEADER, UDP_HEADER, byte_items, record_headers, write_records)
 
 _HTTP_SESSION_MIN_GETS = 5
 _HTTP_SESSION_MAX_GETS = 14
@@ -82,11 +82,11 @@ ZEROS, GET, RESPONSE, DNS_QUERY, DNS_ANSWER, BULK = range(len(_PAYLOADS))
 _PREFIX_LEN = np.array([len(prefix) for prefix, _ in _PAYLOADS])
 _FILL = np.array([fill for _, fill in _PAYLOADS], dtype=np.uint8)
 
-# A frame is Ethernet (locally administered MACs), IPv4 without options (DF
-# set) and TCP (data offset 5 words, window 65535) or UDP, written through
-# pcapio's header dtypes; UDP overlays the start of the TCP header.
-_TCP_HEAD, _UDP_HEAD = 54, 42
-_RECORD_HEAD = 16  # the pcap record header before each frame
+# A record is pcapio's RECORD_HEADER and a frame: Ethernet (locally administered MACs), IPv4 without options
+# (DF set) and TCP (window 65535) or UDP, sized and written by pcapio's dtypes; UDP overlays the TCP header.
+_TCP_WORDS = 5  # the TCP data offset synth writes, in 4-byte words: no options
+_TCP_HEAD, _UDP_HEAD = ETHERNET_IPV4.itemsize + 4 * _TCP_WORDS, ETHERNET_IPV4.itemsize + UDP_HEADER.itemsize
+_RECORD_HEAD = RECORD_HEADER.itemsize
 
 # Rows encoded at a time: the encoder's working set stays small however long the capture.
 # 8192 cut flood_mix's set-up by a tenth, but synth's tracemalloc peak rose to 89.2 B/packet
@@ -123,8 +123,8 @@ def _pcap_us(t: np.ndarray) -> np.ndarray:
 def encode_records(rows: np.ndarray) -> np.ndarray:
     """The pcap records of `_ROW` records, in order, back to back as one uint8 buffer.
 
-    Each record is the 16-byte record header and the frame in the layout
-    above, over its kind's fill byte. Its head (record and frame headers, a
+    Each record is the record header and the frame in the layout above,
+    over its kind's fill byte. Its head (record and frame headers, a
     row of `head`) is copied over `out` as one `np.void` item per record, in
     one scatter per transport; then each (kind, bytes kept) group's cut
     prefix as one constant item.
@@ -133,26 +133,27 @@ def encode_records(rows: np.ndarray) -> np.ndarray:
     tcp = proto == PROTO_TCP
     head_len = np.where(tcp, _TCP_HEAD, _UDP_HEAD)
     frame_len = head_len + plen
+    ip_len = frame_len - ETHERNET_LEN
 
     head = np.zeros((len(rows), _RECORD_HEAD + _TCP_HEAD), dtype=np.uint8)
-    head[:, :_RECORD_HEAD] = record_headers(*np.divmod(rows["ts_us"], 1_000_000), frame_len)
+    record_headers(head, *np.divmod(rows["ts_us"], 1_000_000), frame_len)
     body = _RECORD_HEAD + ETHERNET_IPV4.itemsize
     ip = head[:, _RECORD_HEAD:body].view(ETHERNET_IPV4)[:, 0]
     for mac, addr in ((ip["dst_mac"], dst), (ip["src_mac"], src)):  # 02:00, then the IPv4 address
         mac[:, 0], mac[:, 2:].view(">u4")[:, 0] = 2, addr
     ip["ethertype"], ip["version_ihl"] = ETHERTYPE_IPV4, 0x45
-    ip["total_len"], ip["fragment"], ip["ttl"], ip["proto"] = frame_len - 14, 0x4000, ttl, proto
+    ip["total_len"], ip["fragment"], ip["ttl"], ip["proto"] = ip_len, 0x4000, ttl, proto
     ip["src_ip"], ip["dst_ip"] = src, dst
     # One's-complement sum of the IPv4 header's words (id and checksum are 0); the first fold can carry again.
-    total = sum((0x4500, frame_len - 14, 0x4000, ttl << 8 | proto, src >> 16, src & 0xFFFF, dst >> 16, dst & 0xFFFF))
+    total = sum((0x4500, ip_len, 0x4000, ttl << 8 | proto, src >> 16, src & 0xFFFF, dst >> 16, dst & 0xFFFF))
     total = (total & 0xFFFF) + (total >> 16)
     total = (total & 0xFFFF) + (total >> 16)
     ip["checksum"] = ~total & 0xFFFF
     udp = head[:, body : body + UDP_HEADER.itemsize].view(UDP_HEADER)[:, 0]
-    udp["src_port"], udp["dst_port"], udp["length"] = sport, dport, np.where(tcp, 0, frame_len - 34)
+    udp["src_port"], udp["dst_port"], udp["length"] = sport, dport, np.where(tcp, 0, frame_len - ETHERNET_IPV4.itemsize)
     tcp_head = head[:, body : body + TCP_HEADER.itemsize].view(TCP_HEADER)[:, 0]
-    tcp_head["data_offset"], tcp_head["flags"] = 5 << 4, flags
-    head[:, body + 14 : body + 16] = 0xFF  # the window, 65535, just past TCP_HEADER's 14 bytes
+    tcp_head["data_offset"], tcp_head["flags"] = _TCP_WORDS << 4, flags
+    head[:, body + TCP_HEADER.itemsize :].view(">u2")[:, 0] = 0xFFFF  # the window, 65535, just past TCP_HEADER
     record_len = _RECORD_HEAD + frame_len
     starts = np.cumsum(record_len) - record_len
     out = np.repeat(_FILL[kind], record_len)

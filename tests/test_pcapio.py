@@ -15,6 +15,7 @@ from floodgate.pcapio import (
     decode_frame,
     read_frames,
     read_pcap,
+    record_headers,
     write_pcap,
 )
 
@@ -77,6 +78,23 @@ class TestRoundTrip:
         with pytest.raises(ValueError, match="32-bit range"):
             write_pcap(tmp_path / "late.pcap", [Frame(0, 0, b"ok"), Frame(ts_sec, ts_usec, b"late")])
         assert not (tmp_path / "late.pcap").exists()
+
+
+class TestRecordHeaders:
+    def test_written_in_place_over_each_row_start(self):
+        rows = np.zeros((3, 40), dtype=np.uint8)
+        stamps = [(0, 0, 0), (1_700_000_000, 999_999, 1514), (2**32 - 1, 2**32 - 1, 65535)]
+        assert record_headers(rows, *zip(*stamps)) is None
+        for row, (ts_sec, ts_usec, length) in zip(rows, stamps):
+            assert row[:16].tobytes() == struct.pack("<IIII", ts_sec, ts_usec, length, length)
+        assert not rows[:, 16:].any()
+
+    @pytest.mark.parametrize("ts_sec, ts_usec, length", [(3, 4, 65536), (2**32, 4, 60), (3, 2**32, 60)])
+    def test_rejected_record_writes_no_byte(self, ts_sec, ts_usec, length):
+        rows = np.zeros((3, 40), dtype=np.uint8)
+        with pytest.raises(ValueError):
+            record_headers(rows, [1, 2, ts_sec], [5, 6, ts_usec], [60, 70, length])
+        assert not rows.any()
 
 
 class TestFileErrors:
