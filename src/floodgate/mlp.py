@@ -237,7 +237,7 @@ def train(train_ds: Dataset, val_ds: Dataset, epochs: int, seed: int) -> tuple[M
     y_val = val_ds.labels
 
     theta = np.concatenate([a.ravel() for a in init_model(seed, mean, std).params])
-    grad, m, v, work, denom = (np.zeros_like(theta) for _ in range(5))
+    grad, m, v = (np.zeros_like(theta) for _ in range(3))
     params, grads = _views(theta), _views(grad)
     step = 0
 
@@ -259,20 +259,13 @@ def train(train_ds: Dataset, val_ds: Dataset, epochs: int, seed: int) -> tuple[M
             batch_losses.append(_checked_loss(p, yb, f"epoch {epoch + 1}"))
             _backward(params[2], xb, yb, h, p, grads)
 
-            # Adam: every entry goes through m = β1·m + (1-β1)·g,
-            # v = β2·v + (1-β2)·(g·g), then θ -= LR·(m/bias1) / (sqrt(v/bias2) + ε).
             step += 1
             m *= ADAM_BETA1
-            m += np.multiply(grad, 1.0 - ADAM_BETA1, out=work)
+            m += (1.0 - ADAM_BETA1) * grad
             v *= ADAM_BETA2
-            v += np.multiply(np.multiply(grad, grad, out=work), 1.0 - ADAM_BETA2, out=work)
-            np.divide(m, 1.0 - ADAM_BETA1**step, out=work)
-            work *= LEARNING_RATE
-            np.divide(v, 1.0 - ADAM_BETA2**step, out=denom)
-            np.sqrt(denom, out=denom)
-            denom += ADAM_EPSILON
-            work /= denom
-            theta -= work
+            v += (1.0 - ADAM_BETA2) * (grad * grad)
+            bias1, bias2 = 1.0 - ADAM_BETA1**step, 1.0 - ADAM_BETA2**step
+            theta -= LEARNING_RATE * (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPSILON)
 
         _, p_val = _forward_batch(params, x_val)
         val_loss = _checked_loss(p_val, y_val, f"validation after epoch {epoch + 1}")

@@ -50,6 +50,7 @@ PROTO_TCP = 6
 PROTO_UDP = 17
 
 _GLOBAL = "IHHiIII"  # the global header, read and written: magic, major, minor, zone, sigfigs, snaplen, linktype
+_GLOBAL_LEN = struct.calcsize("<" + _GLOBAL)
 # The one frame header layout, read by `_decode` and written by synth, at byte
 # offsets from the frame's start (Ethernet, fixed IPv4) or the IP body's (TCP,
 # UDP). TCP_HEADER stops before the window: its size is the decoder's TCP bound.
@@ -128,11 +129,9 @@ class Packets:
     """Decoded packet metadata of a whole capture as columns, one row per record.
 
     Every column is one int64 per record. Row i holds the decoded fields of
-    record i, encoded as in PacketMeta: `ts_us` the header's
-    ts_sec * 10**6 + ts_usec as read, `transport` the codes NON_IP, OTHER_IP,
-    TCP and UDP, and `payload_prefix` the first 4 payload bytes as one
-    big-endian word where all 4 were captured, else 0. Iteration yields the
-    rows as PacketMeta records.
+    record i, encoded as PacketMeta states, except that `transport` holds the
+    codes NON_IP, OTHER_IP, TCP and UDP. Iteration yields the rows as
+    PacketMeta records.
     """
 
     ts_us: np.ndarray
@@ -165,8 +164,8 @@ def _walk(path) -> tuple[bytes, str, array]:
     """Read a whole pcap file and walk its record headers once.
 
     Returns the file's bytes, its struct byte-order prefix, and the offset of
-    each record's frame data, which follows its 16-byte record header, as
-    8 bytes per record in an `array('q')`.
+    each record's frame data, which follows its `RECORD_HEADER`, as 8 bytes
+    per record in an `array('q')`.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -181,20 +180,21 @@ def _walk(path) -> tuple[bytes, str, array]:
         raise FloodgateError(f"{path}: {_OTHER_FORMATS[magic]} is not supported; convert with editcap -F pcap")
     else:
         raise FloodgateError(f"{path}: unknown magic 0x{magic:08x}")
-    if len(data) < 24:
+    if len(data) < _GLOBAL_LEN:
         raise FloodgateError(f"{path}: incomplete global header")
     linktype = struct.unpack_from(endian + _GLOBAL, data)[6]
     if linktype != LINKTYPE_ETHERNET:
         raise FloodgateError(f"{path}: linktype {linktype} (only Ethernet is supported)")
 
-    incl_len = struct.Struct(endian + "I").unpack_from
+    head = RECORD_HEADER.itemsize
+    incl_len = struct.Struct(f"{endian}{RECORD_HEADER.fields['incl_len'][1]}xI").unpack_from  # at a header's start
     starts = array("q")
     append = starts.append
-    pos, last = 24, len(data) - 16
+    pos, last = _GLOBAL_LEN, len(data) - head
     while pos <= last:
-        pos += 16
+        pos += head
         append(pos)
-        pos += incl_len(data, pos - 8)[0]
+        pos += incl_len(data, pos - head)[0]
     if pos > len(data):
         claimed = pos - starts[-1]
         raise FloodgateError(f"{path}: record claims {claimed} bytes, only {len(data) - starts[-1]} remain")
@@ -321,10 +321,11 @@ def read_frames(path) -> list[Frame]:
     """Read raw frames plus timestamps; the exact inverse of write_pcap."""
     data, endian, offsets = _walk(path)
     header = struct.Struct(endian + "III").unpack_from
+    head = RECORD_HEADER.itemsize
     frames: list[Frame] = []
     append = frames.append
     for start in offsets:
-        ts_sec, ts_usec, incl_len = header(data, start - 16)
+        ts_sec, ts_usec, incl_len = header(data, start - head)
         append(Frame(ts_sec, ts_usec, data[start : start + incl_len]))
     return frames
 

@@ -478,6 +478,30 @@ class TestTrain:
         assert history.val_accuracy == want_history.val_accuracy
         assert history.patience_ran_out == stops_early == (len(history) < epochs)
 
+    def test_first_step_is_adams_closed_form(self, rng):
+        # One batch and one epoch: the model keeps the weights after exactly one Adam step.
+        train_ds, val_ds, seed = separable_dataset(rng, mlp.BATCH_SIZE), separable_dataset(rng, 20), 1
+        model, _ = train(train_ds, val_ds, epochs=1, seed=seed)
+
+        raw = train_ds.features
+        mean, std = raw.mean(axis=0), raw.std(axis=0)
+        order = np.random.default_rng((seed, 0x5F10AD)).permutation(len(raw))
+        x, y = ((raw - mean) / std)[order], train_ds.labels[order]
+        theta0 = init_model(seed, mean, std).params
+        g = oracle.backward(theta0[2], x, y, *_forward_batch(theta0, x))
+
+        b1, b2 = mlp.ADAM_BETA1, mlp.ADAM_BETA2
+        for before, after, grad in zip(theta0, model.params, g):
+            m_hat = (1 - b1) * grad / (1 - b1)
+            v_hat = (1 - b2) * (grad * grad) / (1 - b2)
+            step = mlp.LEARNING_RATE * m_hat / (np.sqrt(v_hat) + mlp.ADAM_EPSILON)
+            # m_hat and v_hat round as train's moments do, so the one rounding
+            # not shared is taking the step off theta0: at most half an ulp of an
+            # entry below 0.25, 2**-56. The tolerance is four times that, against
+            # steps of about LEARNING_RATE; a lost bias correction moves a step
+            # by about 0.9 or 30 LEARNING_RATEs.
+            np.testing.assert_allclose(before - after, step, rtol=0, atol=2**-54)
+
     def test_config_validation(self, rng):
         train_ds = separable_dataset(rng, 60)
         val_ds = separable_dataset(rng, 20)
