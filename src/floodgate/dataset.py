@@ -1,13 +1,15 @@
 """Labeled traffic records: class labels, stratified splits, CSV I/O.
 
 The dataset CSV (`f01,...,f24,label`) and the ground-truth CSV
-(`start_ts,end_ts,label`) share one row format, k finite floats and then a
-traffic-class alias, written by `write_rows` and read by `read_rows`.
+(`start_ts,end_ts,label`) share one row grammar, written by `write_rows` and
+read by `read_rows`: a header line, then one line per row, its k finite
+floats and a traffic-class alias. A line's fields are split on ","; there is
+no quoting or escape, so a `"` is an ordinary character of its field. A line
+ends in "\r\n" (as written), "\n" or "\r", and blank lines are skipped.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from enum import IntEnum
 from typing import Iterable, Iterator
@@ -163,10 +165,10 @@ def format_rows(values) -> Iterator[str]:
 
 
 def write_rows(path, header, values, labels) -> None:
-    """Write `header`, then one line per row of `values`: its floats in full
-    precision from `format_rows`, which formats each distinct value once per block,
-    then the alias of its label ordinal (one outside [0, 5) raises ValueError).
-    Lines end in "\\r\\n", the CSV convention; no field needs quoting."""
+    """Write `header`, then one line per row of `values` in the module's row grammar:
+    its floats in full precision from `format_rows`, which formats each distinct
+    value once per block, then the alias of its label ordinal (one outside [0, 5)
+    raises ValueError)."""
     codes, which = np.unique(np.asarray(labels, dtype=np.int64), return_inverse=True)
     aliases = [TrafficClass(code).alias for code in codes.tolist()]
     with atomic_write(path, "w", newline="") as fh:
@@ -175,19 +177,18 @@ def write_rows(path, header, values, labels) -> None:
 
 
 def read_rows(path, header) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """Read a file in `write_rows`' format, skipping blank lines.
-
-    Returns the finite float values as an (n, len(header) - 1) array, the n
-    label ordinals, and the line number of each row.
-    """
+    """Read a file in the module's row grammar: the finite floats as an (n, len(header) - 1)
+    array, the n label ordinals, and the line number of each row."""
     k = len(header) - 1
     values, labels, lines = [], [], []
-    with open_text(path, newline="") as fh:
-        reader = csv.reader(fh)
-        if tuple(next(reader, ())) != tuple(header):
+    with open_text(path) as fh:
+        rows = (text.removesuffix("\n").split(",") for text in fh)
+        if next(rows, None) != list(header):
             raise FloodgateError(f"{path}: header does not match {','.join(header)}")
-        for row in filter(None, reader):
-            where = f"{path}:{reader.line_num}: "
+        for line, row in enumerate(rows, 2):
+            if row == [""]:
+                continue
+            where = f"{path}:{line}: "
             if len(row) != k + 1:
                 raise FloodgateError(f"{where}expected {k + 1} columns, got {len(row)}")
             try:
@@ -198,7 +199,7 @@ def read_rows(path, header) -> tuple[np.ndarray, np.ndarray, list[int]]:
                 raise FloodgateError(f"{where}non-finite value")
             values.append(floats)
             labels.append(int(encode_label(row[k], where)))
-            lines.append(reader.line_num)
+            lines.append(line)
     return np.array(values, dtype=np.float64).reshape(-1, k), np.array(labels, dtype=np.int64), lines
 
 

@@ -23,10 +23,10 @@ def atomic_write(path, mode, **kwargs):
 
 
 @contextmanager
-def open_text(path, **kwargs):
+def open_text(path):
     """Open `path` to read UTF-8 text; a byte that does not decode raises FloodgateError."""
     try:
-        with open(path, encoding="utf-8", **kwargs) as fh:
+        with open(path, encoding="utf-8") as fh:
             yield fh
     except UnicodeDecodeError:
         raise FloodgateError(f"{path}: not UTF-8 text") from None

@@ -2,13 +2,14 @@
 
 Covers the exit codes the `cli.py` docstring promises (0 success, 1 usage,
 2 input/format, 3 runtime), that a failed command leaves no output file,
-where the seed comes from, that `train` says why it stopped, that its model
-bytes do not depend on the number of BLAS threads, that `train` splits as the
-benchmark expects, that `extract` and `classify` say what the frames decoded
-to and load no lazily imported numpy module, that `classify` and `eval`
-share one inference path, that `predictions.csv` has the bytes of the per-row
-formatting in `oracle.predictions`, and that a capture of only a global header
-gives header-only outputs.
+where the seed comes from, that the smallest `--epochs` and `--window` are
+accepted, that `train` says why it stopped and which epoch was best, that
+its model bytes do not depend on the number of BLAS threads, that `train`
+splits as the benchmark expects, that `extract` and `classify` say what the
+frames decoded to and load no lazily imported numpy module, that `classify`
+and `eval` share one inference path, that `predictions.csv` has the bytes of
+the per-row formatting in `oracle.predictions`, and that a capture of only a
+global header gives header-only outputs.
 """
 
 import os
@@ -40,6 +41,7 @@ episode udp_flood 5.5 7.0 600 20
 """
 WINDOW = "0.1"
 EPOCHS = "20"
+FRAME = ethernet(ipv4(udp(b"q" * 20), proto=17))
 
 
 def run(*argv):
@@ -260,6 +262,37 @@ def test_train_says_why_it_stopped(scenario, tmp_path, capsys):
         "stopped at epoch 2: reached the --epochs cap",
         f"saved model to {tmp_path / 'm.txt'}",
     ]
+
+
+def test_one_epoch_is_accepted_and_stops_at_the_cap(scenario, tmp_path, capsys):
+    d, _ = scenario
+    capsys.readouterr()
+    assert run("train", "--data", d / "train.csv", "--out-model", tmp_path / "m.txt", "--epochs", 1) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in out if line.startswith("epoch ")] == ["epoch   1"]
+    assert out[-2] == "stopped at epoch 1: reached the --epochs cap"
+
+
+def test_best_epoch_line_prints_that_epochs_figures(scenario, tmp_path, capsys):
+    """At seed 3, epochs 3 and 4 differ in `val_acc`, so the line cannot borrow the epoch before."""
+    d, _ = scenario
+    capsys.readouterr()
+    assert run("train", "--data", d / "train.csv", "--out-model", tmp_path / "m.txt", "--epochs", 4,
+               "--seed", 3) == 0
+    out = capsys.readouterr().out.splitlines()
+    figures = {int(line[6:9]): line[line.index("val_loss="):] for line in out if line.startswith("epoch ")}
+    best_line = next(line for line in out if line.startswith("best epoch "))
+    best = int(best_line.split()[2].rstrip(":"))
+    assert best > 1 and figures[best - 1].split("val_acc=")[1] != figures[best].split("val_acc=")[1]
+    assert best_line == f"best epoch {best}: {figures[best]}"
+
+
+def test_the_shortest_window_is_accepted(tmp_path):
+    """`--window 1e-6` is one microsecond: three records 0, 1 and 3 µs apart make three windows."""
+    pcap, out = tmp_path / "t.pcap", tmp_path / "f.csv"
+    write_records(pcap, [(1, usec, len(FRAME), FRAME) for usec in (0, 1, 3)])
+    assert run("extract", "--pcap", pcap, "--window", "1e-6", "--out", out) == 0
+    assert len(out.read_text().splitlines()) == 1 + 3
 
 
 @pytest.mark.parametrize("command", ["extract", "classify"])

@@ -276,6 +276,71 @@ class TestCsv:
         assert str(raised.value) == f"{truth}:3: unknown traffic label: 'smurf'"
 
 
+class TestRowGrammar:
+    """What `read_rows` reads of the module docstring's row grammar: line ends, blank lines, a
+    missing last terminator, header-only and empty files, physical line numbers and no quoting."""
+
+    HEADER = ("a", "b", "label")
+
+    def read(self, path, data: bytes):
+        path.write_bytes(data)
+        values, labels, lines = read_rows(path, self.HEADER)
+        assert values.shape == (len(lines), 2) and labels.shape == (len(lines),)
+        return values.tolist(), labels.tolist(), lines
+
+    def error(self, path, data: bytes) -> str:
+        """The message of the FloodgateError that reading `data` raises, after the path."""
+        path.write_bytes(data)
+        with pytest.raises(FloodgateError) as raised:
+            read_rows(path, self.HEADER)
+        return str(raised.value).removeprefix(str(path))
+
+    @pytest.mark.parametrize("ends", [("\r\n",) * 3, ("\n",) * 3, ("\r",) * 3, ("\r\n", "\r", "\n")])
+    def test_each_line_end_and_a_mix_of_them(self, tmp_path, ends):
+        lines = ["a,b,label", "1.5,2.0,syn", "-0.0,3e-05,normal"]
+        data = "".join(line + end for line, end in zip(lines, ends)).encode()
+        assert self.read(tmp_path / "rows.csv", data) == ([[1.5, 2.0], [-0.0, 3e-05]], [1, 0], [2, 3])
+
+    @pytest.mark.parametrize("data, lines", [
+        (b"a,b,label\r\n\r\n\n1,2,udp\r\n", [4]),
+        (b"a,b,label\n1,2,udp\n\r\n\r\r\n3,4,udp\n", [2, 6]),
+        (b"a,b,label\n1,2,udp\n3,4,udp\n\n\r\n", [2, 3]),
+    ])
+    def test_blank_lines_are_skipped_and_counted(self, tmp_path, data, lines):
+        _, labels, got = self.read(tmp_path / "rows.csv", data)
+        assert labels == [4] * len(lines) and got == lines
+
+    def test_a_last_row_without_a_line_end(self, tmp_path):
+        assert self.read(tmp_path / "rows.csv", b"a,b,label\r\n1,2,ack\r\n3,4,http") == (
+            [[1.0, 2.0], [3.0, 4.0]], [2, 3], [2, 3])
+
+    @pytest.mark.parametrize("data", [b"a,b,label", b"a,b,label\r\n", b"a,b,label\n\n"])
+    def test_a_header_only_file_has_no_rows(self, tmp_path, data):
+        assert self.read(tmp_path / "rows.csv", data) == ([], [], [])
+
+    @pytest.mark.parametrize("data", [b"", b"\r\n", b"\na,b,label\n"])
+    def test_an_empty_file_or_blank_first_line_does_not_match_the_header(self, tmp_path, data):
+        assert self.error(tmp_path / "rows.csv", data) == ": header does not match a,b,label"
+
+    @pytest.mark.parametrize("data, message", [
+        (b"a,b,label\r\n\r\n1,2,udp\r\n\r\n\r\n1,x,udp\r\n", ":6: non-numeric value"),
+        (b"a,b,label\n\r\r\n1,2\n", ":4: expected 3 columns, got 2"),
+        (b"a,b,label\n1,2,udp\n\n\n1,inf,udp\n", ":5: non-finite value"),
+        (b"a,b,label\r1,2,udp\r\r3,4,smurf\r", ":4: unknown traffic label: 'smurf'"),
+    ])
+    def test_error_line_numbers_count_blank_lines(self, tmp_path, data, message):
+        assert self.error(tmp_path / "rows.csv", data) == message
+
+    @pytest.mark.parametrize("data, message", [
+        (b'a,b,label\n1,"2",udp\n', ":2: non-numeric value"),
+        (b'a,b,label\n1,2,udp\n"1,2",udp\n', ":3: non-numeric value"),
+        (b'a,b,label\n1,2,"udp"\n', ":2: unknown traffic label: '\"udp\"'"),
+    ])
+    def test_a_quote_is_an_ordinary_character(self, tmp_path, data, message):
+        """No writer quotes a field, so a quoted one is an error that names its line."""
+        assert self.error(tmp_path / "rows.csv", data) == message
+
+
 class TestRecordValidation:
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError, match="features must be"):
