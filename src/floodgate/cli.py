@@ -51,14 +51,6 @@ def _integer(text: str, minimum: int) -> int:
     return value
 
 
-def _positive_int(text: str) -> int:
-    return _integer(text, 1)
-
-
-def _seed(text: str) -> int:
-    return _integer(text, 0)
-
-
 def _window(text: str) -> float:
     try:
         value = strict_numbers([text])[0]
@@ -91,8 +83,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train the classifier on a dataset CSV")
     p.add_argument("--data", required=True, help="dataset CSV")
     p.add_argument("--out-model", required=True, help="output model path")
-    p.add_argument("--seed", type=_seed, default=0, help="seed of the split and the model (default %(default)s)")
-    p.add_argument("--epochs", type=_positive_int, default=100, help="most epochs to train (default %(default)s)")
+    p.add_argument("--seed", type=lambda text: _integer(text, 0), default=0,
+                   help="seed of the split and the model (default %(default)s)")
+    p.add_argument("--epochs", type=lambda text: _integer(text, 1), default=100,
+                   help="most epochs to train (default %(default)s)")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a model on labeled data")

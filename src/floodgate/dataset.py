@@ -20,7 +20,6 @@ from .errors import FloodgateError
 from .ioutil import atomic_write, open_text, strict_numbers
 
 NUM_FEATURES = 24
-NUM_CLASSES = 5
 
 CSV_HEADER = tuple(f"f{i:02d}" for i in range(1, NUM_FEATURES + 1)) + ("label",)
 
@@ -50,6 +49,7 @@ class TrafficClass(IntEnum):
         return "Normal traffic" if self is TrafficClass.NORMAL else f"{self.short.upper()} Flooding"
 
 
+NUM_CLASSES = len(TrafficClass)
 _ALIASES = {name: c for c in TrafficClass for name in (c.alias, c.short)}
 
 

@@ -169,8 +169,6 @@ def extract_features(packets: Packets, windows: Windows) -> np.ndarray:
     if windows.bounds[-1] != len(packets):
         raise ValueError("windows were not made from these packets")
     n_windows = len(windows)
-    if n_windows == 0:
-        return np.zeros((0, len(FEATURE_NAMES)), dtype=np.float64)
     first = windows.bounds[:-1]
     n = np.diff(windows.bounds)
     owner = np.repeat(np.arange(n_windows), n)

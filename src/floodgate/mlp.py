@@ -245,8 +245,7 @@ def train(train_ds: Dataset, val_ds: Dataset, epochs: int, seed: int) -> tuple[M
     history = TrainHistory()
     best_val = math.inf
     best = theta.copy()
-    improved_val = math.inf
-    epochs_since_improvement = 0
+    improved_val, improved_epoch = math.inf, -1
 
     n = len(y_train)
     for epoch in range(epochs):
@@ -279,13 +278,10 @@ def train(train_ds: Dataset, val_ds: Dataset, epochs: int, seed: int) -> tuple[M
             best[:] = theta
             history.best_epoch = epoch + 1
         if val_loss < improved_val - MIN_IMPROVEMENT:
-            improved_val = val_loss
-            epochs_since_improvement = 0
-        else:
-            epochs_since_improvement += 1
-            if epochs_since_improvement > PATIENCE:
-                history.patience_ran_out = True
-                break
+            improved_val, improved_epoch = val_loss, epoch
+        elif epoch - improved_epoch > PATIENCE:
+            history.patience_ran_out = True
+            break
 
     return MlpModel(mean, std, *_views(best)), history
 

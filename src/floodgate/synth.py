@@ -6,16 +6,16 @@ A scenario is described by a small text config (one directive per line,
     duration     60          # seconds, required
     seed         7           # optional, default 0
     benign_rate  100         # background packets/s, optional, default 100
-    episode syn_flood 10 20 1500 40   # kind start end rate attackers
+    episode syn_flood 10 20 1500 40  # kind start end rate attackers (ignored)
 
 Every stream targets one victim, VICTIM_IP (10.0.0.10) port VICTIM_PORT
 (80). Benign traffic mixes completed TCP handshakes, short HTTP exchanges,
 DNS-style UDP lookups and bulk TCP data. Episode kinds: syn_flood sends
-SYN-only packets from spoofed 198.18/16 sources; ack_flood sends bare ACKs
-belonging to no connection; http_flood completes minimal handshakes and
-hammers "GET /" requests; udp_flood sprays small datagrams at uniformly
-random ports. Everything is reproducible from the seed, which is the
-`seed` line or 0 without one.
+SYN-only packets from spoofed 198.18/16 sources and ignores `attackers`;
+ack_flood sends bare ACKs belonging to no connection; http_flood completes
+minimal handshakes and hammers "GET /" requests; udp_flood sprays small
+datagrams at uniformly random ports. Everything is reproducible from the
+seed, which is the `seed` line or 0 without one.
 
 Each stream draws from its own generator, seeded with (seed, stream
 index): the benign mix is stream 0 and episode i stream i + 1. A stream
@@ -258,10 +258,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
         if key == "episode":
             if len(parts) != 6:
                 raise FloodgateError(f"line {lineno}: episode needs kind start end rate attackers")
-            try:
-                kind = encode_label(parts[1])
-            except FloodgateError:
-                raise FloodgateError(f"line {lineno}: unknown attack kind {parts[1]!r}") from None
+            kind = encode_label(parts[1], f"line {lineno}: ")
             try:
                 episodes.append(Episode(kind, *strict_numbers(parts[2:5]), *strict_numbers(parts[5:], int)))
             except ValueError:
@@ -288,7 +285,10 @@ def parse_scenario(text: str) -> ScenarioConfig:
 
 def load_scenario(path) -> ScenarioConfig:
     with open_text(path) as fh:
-        return parse_scenario(fh.read())
+        try:
+            return parse_scenario(fh.read())
+        except FloodgateError as exc:
+            raise FloodgateError(f"{path}: {exc}") from None
 
 
 VICTIM_IP = ip_to_int("10.0.0.10")

@@ -32,6 +32,7 @@ OUTSIDE_CALLERS = {
 
 # module.name -> why a constant that `src/` never reads is kept.
 UNREAD_CONSTANTS = {
+    "features.FEATURE_NAMES": "the schema's column names, which tests and CSV readers index by",
     "features.SCHEMA_VERSION": "the model file is to record it (ROADMAP item 5)",
 }
 

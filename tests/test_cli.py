@@ -2,10 +2,11 @@
 
 Covers the exit codes the `cli.py` docstring promises (0 success, 1 usage,
 2 input/format, 3 runtime), that a failed command leaves no output file,
-where the seed comes from, that the smallest `--epochs` and `--window` are
-accepted, that `train` says why it stopped and which epoch was best, that
-its model bytes do not depend on the number of BLAS threads, that `train`
-splits as the benchmark expects, that `extract` and `classify` say what the
+that a bad scenario's error names its file, where the seed comes from, the
+`train` defaults, that the smallest `--epochs` and `--window` are accepted,
+that `train` says why it stopped and which epoch was best, that its model
+bytes do not depend on the number of BLAS threads, that `train` splits as
+the benchmark expects, that `extract` and `classify` say what the
 frames decoded to and load no lazily imported numpy module, that `classify`
 and `eval` share one inference path, that `predictions.csv` has the bytes of
 the per-row formatting in `oracle.predictions`, and that a capture of only a
@@ -21,7 +22,7 @@ import numpy as np
 import pytest
 
 from floodgate import mlp
-from floodgate.cli import CLASSIFY_HEADER, main
+from floodgate.cli import CLASSIFY_HEADER, build_parser, main
 from floodgate.dataset import CSV_HEADER, SPLIT, TrafficClass, read_csv, write_csv
 from floodgate.features import extract_features, window_packets
 from floodgate.mlp import forward, load_model, predict_batch
@@ -213,6 +214,17 @@ class TestExitCodes:
         argv[argv.index(flag) + 1] = bad
         assert_fails_cleanly(tmp_path, 2, *argv)
 
+    @pytest.mark.parametrize("config, message", [
+        ("duration 5\nbogus 1\n", "line 2: unknown directive 'bogus'"),
+        ("duration 10\nepisode syn 1 3 100 4\nepisode udp 2 4 100 4\n", "episodes overlap: [1.0, 3.0) and [2.0, 4.0)"),
+    ])
+    def test_a_bad_scenario_names_its_file(self, tmp_path, capsys, config, message):
+        (tmp_path / "bad.cfg").write_text(config)
+        capsys.readouterr()
+        assert_fails_cleanly(tmp_path, 2, "synth", "--config", tmp_path / "bad.cfg",
+                             "--out-pcap", tmp_path / "s.pcap", "--out-truth", tmp_path / "s.truth")
+        assert capsys.readouterr().err == f"floodgate synth: {tmp_path / 'bad.cfg'}: {message}\n"
+
     @pytest.mark.parametrize("blocked", [0, 1])
     @pytest.mark.parametrize("command", ["eval", "synth"])
     def test_two_outputs_are_written_both_or_neither(self, scenario, tmp_path, command, blocked):
@@ -262,6 +274,11 @@ def test_train_says_why_it_stopped(scenario, tmp_path, capsys):
         "stopped at epoch 2: reached the --epochs cap",
         f"saved model to {tmp_path / 'm.txt'}",
     ]
+
+
+def test_train_defaults_to_100_epochs_and_seed_0():
+    args = build_parser().parse_args(["train", "--data", "d.csv", "--out-model", "m.txt"])
+    assert (args.epochs, args.seed) == (100, 0)
 
 
 def test_one_epoch_is_accepted_and_stops_at_the_cap(scenario, tmp_path, capsys):

@@ -1,11 +1,13 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from floodgate.dataset import TrafficClass
+from floodgate import features as features_module
+from floodgate.dataset import CSV_HEADER, NUM_FEATURES, TrafficClass
 from floodgate.errors import FloodgateError
 from floodgate.features import (
     FEATURE_NAMES,
@@ -52,6 +54,14 @@ FIN = 0x11
 RST = 0x04
 
 
+def test_the_schema_table_lists_feature_names_in_csv_order():
+    """The module docstring's f01...f24 table, FEATURE_NAMES and the CSV header state one schema."""
+    table = re.findall(r"^    (f\d\d)  (\w+)", features_module.__doc__, re.MULTILINE)
+    assert [name for _, name in table] == list(FEATURE_NAMES)
+    assert [column for column, _ in table] == list(CSV_HEADER[:-1])
+    assert len(FEATURE_NAMES) == NUM_FEATURES == len(CSV_HEADER) - 1
+
+
 class TestWindowing:
     def test_single_window(self):
         pkts = [make_meta(ts=t) for t in (0.1, 0.5, 0.9)]
@@ -93,7 +103,8 @@ class TestWindowing:
         packets = packets_from_metas([])
         windows = window_packets(packets, 1.0)
         assert len(windows) == 0
-        assert extract_features(packets, windows).shape == (0, len(FEATURE_NAMES))
+        rows = extract_features(packets, windows)
+        assert rows.shape == (0, len(FEATURE_NAMES)) and rows.dtype == np.float64
         assert label_windows(windows, []).shape == (0,)
 
     def test_every_packet_in_exactly_one_window(self, rng):

@@ -48,7 +48,7 @@ class TestGrammar:
             ("duration 5 6\n", "line 1: duration takes exactly one value"),
             ("duration 5\nepisode syn 1 2 100\n", "line 2: episode needs kind start end rate attackers"),
             ("duration 5\nepisode syn 1 2 100 4 9\n", "line 2: episode needs kind start end rate attackers"),
-            ("duration 5\nepisode smurf 1 2 100 4\n", "line 2: unknown attack kind 'smurf'"),
+            ("duration 5\nepisode smurf 1 2 100 4\n", "line 2: unknown traffic label: 'smurf'"),
             ("duration 5\nepisode normal 1 2 100 4\n", "episodes must use one of the four attack classes"),
             ("duration 5\nepisode syn 1 two 100 4\n", "line 2: malformed episode numbers"),
             ("duration five\n", "malformed directive value"),
@@ -256,6 +256,16 @@ class TestAttackerBound:
         # The draws reach both ends of the pool, 198.19.0.1 to 198.19.255.254.
         offset = src - ip_to_int(ATTACKER_NET)
         assert offset.min() < 100 and offset.max() > 65534 - 100
+
+    @pytest.mark.parametrize("kind, same", [("syn", True), ("ack", False)])
+    def test_only_a_syn_flood_ignores_its_attacker_count(self, tmp_path, kind, same):
+        # A SYN flood draws spoofed sources from SPOOF_NET and never reads `attackers`.
+        captures = []
+        for attackers in (1, 65534):
+            cfg = parse_scenario(f"duration 3\nseed 2\nbenign_rate 50\nepisode {kind} 1 2 400 {attackers}\n")
+            run_scenario(cfg, tmp_path / f"{attackers}.pcap", tmp_path / f"{attackers}.truth")
+            captures.append((tmp_path / f"{attackers}.pcap").read_bytes())
+        assert (captures[0] == captures[1]) is same
 
     def test_too_many_attackers_is_rejected_by_synth(self, tmp_path, capsys):
         (tmp_path / "s.cfg").write_text("duration 5\nepisode ack 1 2 100 65535\n")
